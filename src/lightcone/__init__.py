@@ -4,18 +4,17 @@ adjoint transforms."""
 
 from .ambient import (ETA, SIGNS, Motion, ProjectivePoint, apply_motion,
                       inner, projective_distance)
-from .analysis import (EnergyResult, ResidualReport, check_integrability,
-                       check_structure, gauss_metric_check,
-                       harmonicity_residual, homogeneous_torus_energy,
-                       omega_value, swillmore_residual, theta_holomorphy,
-                       willmore_energy, willmore_residual)
+from .analysis import (EnergyResult, ResidualReport, gauss_metric_report,
+                       harmonicity_report, homogeneous_torus_energy,
+                       integrability_residual, omega_report,
+                       structure_residual, swillmore_report, theta_report,
+                       willmore_energy, willmore_report)
 from .charts import (CATALOG, SurfaceChart, catalog_chart, moved_chart,
                      sample_grid, scaled_chart, validate_chart)
 from .dsl import chart_from_source
 from .errors import LightconeError
 from .frames import (FrameData, InvariantSet, canonical_lift, classify_point,
-                     frame_and_invariants, frame_at, invariants,
-                     invariants_at)
+                     frame_and_invariants, invariants)
 from .jets import Jet2, JetVec6, seed_point
 from .transforms import (TransformedSurface, adjoint_left, adjoint_right,
                          apply_chain, duality_report, full_second_envelope,
@@ -29,12 +28,11 @@ __all__ = [
     "ResidualReport", "SIGNS", "SurfaceChart", "TransformedSurface",
     "adjoint_left", "adjoint_right", "apply_chain", "apply_motion",
     "canonical_lift", "catalog_chart", "chart_from_source",
-    "check_integrability", "check_structure", "classify_point",
-    "duality_report", "frame_and_invariants", "frame_at",
-    "full_second_envelope", "gauss_metric_check", "harmonicity_residual",
-    "homogeneous_torus_energy", "inner", "invariants", "invariants_at",
-    "inverse_check", "moved_chart", "omega_value", "polar_left",
-    "polar_right", "projective_distance", "sample_grid", "scaled_chart",
-    "seed_point", "swillmore_residual", "theta_holomorphy",
-    "validate_chart", "willmore_energy", "willmore_residual",
+    "classify_point", "duality_report", "frame_and_invariants",
+    "full_second_envelope", "gauss_metric_report", "harmonicity_report",
+    "homogeneous_torus_energy", "inner", "integrability_residual",
+    "invariants", "inverse_check", "moved_chart", "omega_report",
+    "polar_left", "polar_right", "projective_distance", "sample_grid",
+    "scaled_chart", "seed_point", "structure_residual", "swillmore_report",
+    "theta_report", "validate_chart", "willmore_energy", "willmore_report",
 ]

@@ -5,10 +5,11 @@ construction, so their residuals sit at rounding level for any honest
 chart; they guard the pipeline, not the surface.  The Willmore residual
 and the holomorphy of the invariant forms measure actual geometry.
 
-Every check comes in two layers: a worker on precomputed frame and
-invariant data, and a chart-level operation that samples a grid, runs
-the worker and stamps the grid spec into the report.  The CLI and the
-test suites share the workers.
+Every check is a pointwise worker on one adapted frame and its
+invariants, the pair that ``frames.frame_and_invariants`` builds from a
+chart's raw lift.  A caller samples a chart once and runs as many
+workers as it likes on that pair; none of them samples again.  Reports
+leave here without a grid spec; the CLI stamps its own.
 """
 
 import numpy as np
@@ -16,15 +17,13 @@ import numpy as np
 from .ambient import SIGNS
 from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
-from .frames import (adjoint_vector, frame_at, invariants, pair_density,
+from .frames import (adjoint_vector, conformal_gauss_data, pair_density,
                      willmore_operators)
-from .charts import DEFAULT_ORDER, sample_grid
 from .jets import inner
 
 SINGULAR_INTEGRAND = 1e6
 WILLMORE_GATE = 1e-6
 SWILLMORE_GATE = 1e-6
-VERIFY_GRID = 32
 
 
 class ResidualReport:
@@ -66,21 +65,6 @@ def _stats(stack, exclude=None):
     return float(np.max(alls)), float(np.mean(alls))
 
 
-def _grid_spec(chart, U):
-    nu, nv = (U.shape + (1, 1))[:2]
-    return {"nu": int(nu), "nv": int(nv),
-            "domain": [list(map(float, chart.domain[0])),
-                       list(map(float, chart.domain[1]))]}
-
-
-def _sample(chart, grid, order):
-    if grid is None:
-        grid = sample_grid(chart, VERIFY_GRID, VERIFY_GRID)
-    U, V = grid
-    frame = frame_at(chart, U, V, order=order)
-    return U, frame, invariants(frame)
-
-
 # structure and integrability identities
 
 
@@ -105,13 +89,6 @@ def structure_residual(frame, inv):
     return ResidualReport("structure", mx, mn, lines=lines)
 
 
-def check_structure(chart, grid=None, order=DEFAULT_ORDER):
-    U, frame, inv = _sample(chart, grid, order)
-    report = structure_residual(frame, inv)
-    report.grid = _grid_spec(chart, U)
-    return report
-
-
 def integrability_residual(frame, inv):
     """Residual values of the compatibility equations."""
     w1, w2 = willmore_operators(inv)
@@ -128,13 +105,6 @@ def integrability_residual(frame, inv):
     mx, mn = _stats([p.value for p in parts.values()])
     lines = {k: float(np.max(np.abs(p.value))) for k, p in parts.items()}
     return ResidualReport("integrability", mx, mn, lines=lines)
-
-
-def check_integrability(chart, grid=None, order=DEFAULT_ORDER):
-    U, frame, inv = _sample(chart, grid, order)
-    report = integrability_residual(frame, inv)
-    report.grid = _grid_spec(chart, U)
-    return report
 
 
 # Willmore condition and the S-condition
@@ -160,34 +130,18 @@ def willmore_report(inv):
         "left": float(np.max(a1)), "right": float(np.max(a2))})
 
 
-def willmore_residual(chart, grid=None, order=DEFAULT_ORDER):
-    U, frame, inv = _sample(chart, grid, order)
-    report = willmore_report(inv)
-    report.grid = _grid_spec(chart, U)
-    return report
-
-
 def swillmore_deviation(inv):
     """Raw sup of |lambda1 gamma2 - lambda2 gamma1|, zero exactly when
     the two adjoint directions coincide."""
-    disc = inv.lambda1 * inv.gamma2 - inv.lambda2 * inv.gamma1
-    return float(np.max(np.abs(disc.value)))
+    return float(np.max(np.abs(inv.swillmore_disc.value)))
 
 
 def swillmore_report(inv):
-    disc = inv.lambda1 * inv.gamma2 - inv.lambda2 * inv.gamma1
     both = inv.umbilic_left & inv.umbilic_right
-    mx, mn = _stats([disc.value])
+    mx, mn = _stats([inv.swillmore_disc.value])
     return ResidualReport("swillmore", mx, mn,
                           degenerate_fraction=np.mean(both),
                           lines={"deviation": mx})
-
-
-def swillmore_residual(chart, grid=None, order=DEFAULT_ORDER):
-    U, frame, inv = _sample(chart, grid, order)
-    report = swillmore_report(inv)
-    report.grid = _grid_spec(chart, U)
-    return report
 
 
 def _require_willmore(inv, gate):
@@ -211,14 +165,6 @@ def theta_report(inv, willmore_gate=WILLMORE_GATE):
                                  "absolute": float(np.max(absolute))})
 
 
-def theta_holomorphy(chart, grid=None, order=DEFAULT_ORDER,
-                     willmore_gate=WILLMORE_GATE):
-    U, frame, inv = _sample(chart, grid, order)
-    report = theta_report(inv, willmore_gate)
-    report.grid = _grid_spec(chart, U)
-    return report
-
-
 def mu_riccati_residual(inv, side="left"):
     """|mu_z - mu^2/2 - s| for one adjoint direction."""
     mu = inv.mu_left if side == "left" else inv.mu_right
@@ -237,26 +183,14 @@ def adjoint_side(inv):
 # conformal Gauss map metric data
 
 
-def gauss_metric_report(Y):
-    from .frames import conformal_gauss_data
-    data = conformal_gauss_data(Y)
+def gauss_metric_report(frame):
+    data = conformal_gauss_data(frame)
     unit = np.abs(data["gram_GG"] - 1.0)
     metric = np.abs(data["quarter_dG2"] - data["kappa_pair"])
     mx, mn = _stats([unit, metric])
     return ResidualReport("conformal_gauss", mx, mn, lines={
         "gram_GG": float(np.max(unit)),
         "quarter_dG2": float(np.max(metric))})
-
-
-def gauss_metric_check(chart, grid=None, order=6):
-    if grid is None:
-        grid = sample_grid(chart, VERIFY_GRID, VERIFY_GRID)
-    U, V = grid
-    from .frames import canonical_lift
-    Y = canonical_lift(chart.lift_at(U, V, order=order))
-    report = gauss_metric_report(Y)
-    report.grid = _grid_spec(chart, U)
-    return report
 
 
 # quadrature
@@ -413,13 +347,6 @@ def harmonicity_report(frame, inv, side=None):
                "metric": float(np.max(metric))})
 
 
-def harmonicity_residual(chart, grid=None, order=DEFAULT_ORDER, side=None):
-    U, frame, inv = _sample(chart, grid, order)
-    report = harmonicity_report(frame, inv, side)
-    report.grid = _grid_spec(chart, U)
-    return report
-
-
 # the quartic differential of coincident adjoint directions
 
 
@@ -455,11 +382,3 @@ def omega_report(frame, inv, side=None, swillmore_gate=SWILLMORE_GATE):
                "cross_check": float(np.max(np.abs(cross.value)))})
     return report, omega.value, side
 
-
-def omega_value(chart, grid=None, order=DEFAULT_ORDER,
-                swillmore_gate=SWILLMORE_GATE):
-    U, frame, inv = _sample(chart, grid, order)
-    report, omega, side = omega_report(frame, inv,
-                                       swillmore_gate=swillmore_gate)
-    report.grid = _grid_spec(chart, U)
-    return report, omega, side

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import frames
-from .analysis import (check_integrability, check_structure,
-                       gauss_metric_check, homogeneous_torus_energy,
-                       swillmore_residual, theta_holomorphy,
-                       willmore_energy, willmore_residual)
+from .analysis import (gauss_metric_report, homogeneous_torus_energy,
+                       integrability_residual, structure_residual,
+                       swillmore_report, theta_report, willmore_energy,
+                       willmore_report)
 from .ambient import projective_distance
 from .charts import CATALOG, catalog_chart, sample_grid
 from .dsl import chart_from_source
 from .errors import (LightconeError, NotWillmore, ParameterOutOfRange,
                      UnknownIdentifier)
-from .frames import classify_point, frame_at, invariants
+from .frames import classify_point, frame_and_invariants
 from .transforms import apply_chain, duality_report
 
 DEFAULT_GRID = (16, 16)
@@ -135,6 +136,11 @@ class RunConfig:
             raise UnknownIdentifier(
                 "unknown tolerance names", names=bad,
                 available=sorted(set(GATE_DEFAULTS) | set(POINT_TOLS)))
+        for name, value in sorted(tols.items()):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterOutOfRange(
+                    "tolerance must be finite and not negative",
+                    tol="%s=%r" % (name, value))
         tols = {**GATE_DEFAULTS, **tols}
 
         nu, nv = _parse_grid(pick(args.grid, "grid", "%dx%d" % DEFAULT_GRID))
@@ -209,6 +215,18 @@ def _surface_block(chart, cfg):
     return block
 
 
+def _grid_spec(chart, U):
+    nu, nv = (U.shape + (1, 1))[:2]
+    return {"nu": int(nu), "nv": int(nv),
+            "domain": [list(map(float, chart.domain[0])),
+                       list(map(float, chart.domain[1]))]}
+
+
+def _stamped(report, grid):
+    report.grid = grid
+    return report.as_dict()
+
+
 def _gate(value, tol):
     return {"value": float(value), "tol": float(tol),
             "passed": bool(value <= tol)}
@@ -250,7 +268,7 @@ def _num(x):
 def cmd_invariants(cfg):
     chart = _build_chart(cfg)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    inv = invariants(frame_at(chart, U, V, order=cfg.order))
+    _, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order))
     labels = classify_point(inv)
     fields = [inv.lambda1.value, inv.lambda2.value, inv.s.value,
               inv.alpha.value, inv.gamma1.value, inv.gamma2.value]
@@ -272,22 +290,20 @@ def cmd_invariants(cfg):
 
 def cmd_verify(cfg):
     chart = _build_chart(cfg)
-    grid = sample_grid(chart, cfg.nu, cfg.nv)
+    U, V = sample_grid(chart, cfg.nu, cfg.nv)
+    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order))
+    grid = _grid_spec(chart, U)
     reports = {
-        "structure": check_structure(chart, grid, order=cfg.order).as_dict(),
-        "integrability": check_integrability(
-            chart, grid, order=cfg.order).as_dict(),
-        "willmore": willmore_residual(chart, grid, order=cfg.order).as_dict(),
-        "s_willmore": swillmore_residual(
-            chart, grid, order=cfg.order).as_dict(),
-        "gauss_metric": gauss_metric_check(
-            chart, grid, order=cfg.order).as_dict(),
+        "structure": _stamped(structure_residual(frame, inv), grid),
+        "integrability": _stamped(integrability_residual(frame, inv), grid),
+        "willmore": _stamped(willmore_report(inv), grid),
+        "s_willmore": _stamped(swillmore_report(inv), grid),
+        "gauss_metric": _stamped(gauss_metric_report(frame), grid),
     }
     skipped = {}
     try:
-        reports["theta"] = theta_holomorphy(
-            chart, grid, order=cfg.order,
-            willmore_gate=cfg.tols["willmore"]).as_dict()
+        reports["theta"] = _stamped(
+            theta_report(inv, willmore_gate=cfg.tols["willmore"]), grid)
     except NotWillmore as exc:
         reports["theta"] = None
         skipped["theta"] = exc.message
@@ -315,10 +331,14 @@ def cmd_transform(cfg):
                                   chain=cfg.chain)
     chart = _build_chart(cfg)
     final = apply_chain(chart, cfg.chain)
-    grid = sample_grid(chart, cfg.nu, cfg.nv)
-    final_willmore = willmore_residual(final, grid, order=cfg.order)
-    base_vals = np.real(chart.lift_at(grid[0], grid[1], order=0).value)
-    final_vals = np.real(final.lift_at(grid[0], grid[1], order=0).value)
+    U, V = sample_grid(chart, cfg.nu, cfg.nv)
+    raw = final.lift_at(U, V, order=cfg.order)
+    _, inv = frame_and_invariants(raw)
+    final_willmore = _stamped(willmore_report(inv), _grid_spec(final, U))
+    base_vals = np.real(chart.lift_at(U, V, order=0).value)
+    # a lift's values do not depend on its order, so the one sample
+    # above also gives the projective points
+    final_vals = np.real(raw.value)
     base_distance = float(np.max(projective_distance(final_vals, base_vals)))
 
     skipped = {}
@@ -329,7 +349,7 @@ def cmd_transform(cfg):
                                  order=cfg.order,
                                  willmore_gate=cfg.tols["willmore"]).as_dict()
         # a chain off a Willmore chart must land on a Willmore chart
-        gates["willmore_final"] = _gate(final_willmore.max_abs,
+        gates["willmore_final"] = _gate(final_willmore["max_abs"],
                                         cfg.tols["willmore"])
     except NotWillmore as exc:
         skipped["duality"] = exc.message
@@ -339,7 +359,7 @@ def cmd_transform(cfg):
         "surface": _surface_block(chart, cfg),
         "chain": list(final.steps),
         "final": {"name": final.name, "order_cost": final.order_cost},
-        "willmore_final": final_willmore.as_dict(),
+        "willmore_final": final_willmore,
         "base_distance": base_distance,
         "duality": duality, "skipped": skipped,
         "gates": gates, "passed": passed})
@@ -439,12 +459,25 @@ def _build_parser():
     return parser
 
 
+def _finite_or_null(obj):
+    """Copy of an error payload with NaN and infinities as None, so the
+    error object stays strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _error_json(payload):
     def fallback(obj):
         if isinstance(obj, (np.floating, np.integer)):
             return float(obj)
         return str(obj)
-    sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2,
+    sys.stderr.write(json.dumps(_finite_or_null(payload), sort_keys=True,
+                                indent=2, allow_nan=False,
                                 default=fallback) + "\n")
 
 
@@ -458,7 +491,10 @@ def main(argv=None):
             frames.UMBILIC_TOL = float(cfg.tols["umbilic"])
         if "gauge" in cfg.tols:
             frames.GAUGE_TOL = float(cfg.tols["gauge"])
-        return _COMMANDS[cfg.command](cfg)
+        # non-finite values surface through the gates as errors, not
+        # as warnings ahead of the one JSON document on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[cfg.command](cfg)
     except _UsageError as exc:
         _error_json({"error": "UsageError", "message": str(exc),
                      "context": {}})

@@ -19,7 +19,7 @@ import numpy as np
 from .ambient import SIGNS
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
                      NotSpacelike)
-from .jets import Jet2, JetVec6, inner, jet_where, seed_point
+from .jets import Jet2, JetVec6, inner, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
@@ -47,7 +47,8 @@ def canonical_lift(raw):
     g2 = (inner(rz, rzb) * 2.0).real
     scale = np.sum(np.abs(rz.value) ** 2, axis=-1)
     ratio = g2.value.real / np.maximum(scale, 1e-300)
-    if np.min(ratio) <= SPACELIKE_TOL:
+    # written so that a NaN ratio fails the gate too
+    if not np.min(ratio) > SPACELIKE_TOL:
         raise NotSpacelike("induced metric is not positive",
                            worst=float(np.min(ratio)))
     return raw.truncated(raw.order - 1) * g2.power(-0.5)
@@ -135,7 +136,8 @@ def frame_field(Y):
     best = np.argmin(flat, axis=-1)
     flatn = np.where(usable & upper, Dn, np.inf).reshape(flat.shape)
     worst = np.max(np.take_along_axis(flatn, best[..., None], axis=-1))
-    if worst > -PLANE_TOL:
+    # written so that a NaN discriminant fails the gate too
+    if not worst <= -PLANE_TOL:
         raise NormalPlaneDegenerate(
             "no Lorentzian plane in the projected axes",
             worst=float(worst))
@@ -229,16 +231,19 @@ class InvariantSet:
 
     lambda1 and lambda2 weight the null normal directions in Y_zz, s is
     the Schwarzian-like coefficient, alpha the normal connection form,
-    gamma1/gamma2 the derived coefficients of N_z.  The division-based
+    gamma1/gamma2 the derived coefficients of N_z, and swillmore_disc the
+    S-Willmore discriminant lambda1 gamma2 - lambda2 gamma1, which
+    vanishes where the adjoint directions coincide.  The division-based
     fields (mu, rho, sigma) are only meaningful off the umbilic masks,
     and rho is None when the frame order cannot support one more
     derivative of mu.
     """
 
     __slots__ = ("lambda1", "lambda2", "s", "alpha", "gamma1", "gamma2",
-                 "beta", "kappa_pair", "kappa_iso", "mu_left", "mu_right",
-                 "theta", "rho_left", "rho_right", "sigma_left",
-                 "sigma_right", "umbilic_left", "umbilic_right")
+                 "swillmore_disc", "beta", "kappa_pair", "kappa_iso",
+                 "mu_left", "mu_right", "theta", "rho_left", "rho_right",
+                 "sigma_left", "sigma_right", "umbilic_left",
+                 "umbilic_right")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -285,8 +290,8 @@ def invariants(frame):
     mu_left = mubar_left.conj()
     mu_right = mubar_right.conj()
 
-    disc = lambda1 * gamma2 - lambda2 * gamma1
-    theta = disc * disc
+    swillmore_disc = lambda1 * gamma2 - lambda2 * gamma1
+    theta = swillmore_disc * swillmore_disc
 
     # rho sits one derivative below mu; leave it out when the frame
     # does not carry that order (transform steps run at the edge)
@@ -301,27 +306,20 @@ def invariants(frame):
 
     return InvariantSet(
         lambda1=lambda1, lambda2=lambda2, s=s, alpha=alpha,
-        gamma1=gamma1, gamma2=gamma2, beta=beta, kappa_pair=kappa_pair,
-        kappa_iso=kappa_iso, mu_left=mu_left, mu_right=mu_right,
+        gamma1=gamma1, gamma2=gamma2, swillmore_disc=swillmore_disc,
+        beta=beta, kappa_pair=kappa_pair, kappa_iso=kappa_iso,
+        mu_left=mu_left, mu_right=mu_right,
         theta=theta, rho_left=rho_left, rho_right=rho_right,
         sigma_left=sigma_left, sigma_right=sigma_right,
         umbilic_left=umb_left, umbilic_right=umb_right)
 
 
-def frame_at(chart, u, v, order=8):
-    """Canonical lift and adapted frame of a chart at sample points."""
-    raw = chart.lift_at(u, v, order=order)
-    return frame_field(canonical_lift(raw))
-
-
-def frame_and_invariants(chart, u, v, order=8):
-    frame = frame_at(chart, u, v, order=order)
+def frame_and_invariants(raw):
+    """Adapted frame and invariant scalars of a raw light cone lift,
+    such as ``chart.lift_at(u, v, order)``; the frame is built once
+    and every check runs on this pair."""
+    frame = frame_field(canonical_lift(raw))
     return frame, invariants(frame)
-
-
-def invariants_at(chart, u, v, order=8):
-    """Invariant scalars of a chart at sample points."""
-    return invariants(frame_at(chart, u, v, order=order))
 
 
 def classify_point(inv):
@@ -336,21 +334,6 @@ def classify_point(inv):
     out[left ^ right] = "null_umbilic"
     out[left & right] = "umbilic"
     return out
-
-
-def central_sphere_basis(frame):
-    """Real basis {Y, Re Y_z, Im Y_z, N} of the central sphere 4-space,
-    all truncated to a common order."""
-    order = frame.N.order
-    return [frame.Y.real.truncated(order),
-            frame.Yz.real.truncated(order),
-            (frame.Yz * (-1j)).real.truncated(order),
-            frame.N.real]
-
-
-def central_sphere_at(chart, u, v, order=8):
-    """Central sphere basis of a chart at sample points."""
-    return central_sphere_basis(frame_at(chart, u, v, order=order))
 
 
 def pair_density(raw):
@@ -406,20 +389,18 @@ def envelope_vector(frame, inv):
     return yhat + frame.L.truncated(corr.order) * corr
 
 
-def conformal_gauss_data(Y):
-    """Metric data of the central sphere congruence.
+def conformal_gauss_data(frame):
+    """Metric data of the central sphere congruence of a frame.
 
     Returns per-point arrays: gram_GG, a folded Gram determinant of
     (Y, Y_z, Y_zbar, N) that equals 1 identically, and quarter_dG2,
     the quarter conformal-metric trace of the congruence, which equals
     <Y_zzbar, Y_zzbar> wherever the congruence is regular.
     """
-    Yz = Y.z()
-    Yzb = Y.zbar()
+    Y, Yz, Yzb, N = frame.Y, frame.Yz, frame.Yzb, frame.N
     Yzz = Yz.z()
     Yzzb = Yz.zbar()
     Yzbzb = Yzb.zbar()
-    N = Yzzb * 2.0 + Y * (inner(Yzzb, Yzzb) * 2.0)
     Nz = N.z()
     Nzb = N.zbar()
 

@@ -81,7 +81,8 @@ def _truncate(c, order):
 
 
 def _check_divisor(c0, what):
-    small = np.abs(c0) < DIVISION_TOL
+    # written so that a NaN constant term counts as small too
+    small = ~(np.abs(c0) >= DIVISION_TOL)
     if np.any(small):
         raise DomainError(
             "%s at a near-zero constant term" % what,
@@ -249,57 +250,33 @@ class Jet2:
             out[..., 0, 0] += derivs[m]
         return Jet2(out)
 
-    def exp(self):
-        e = np.exp(self.value)
+    def _series(self, cycle):
+        """Compose with the analytic function whose m-th derivative at
+        the constant term is cycle[m % len(cycle)]."""
         fact = 1.0
         derivs = []
         for m in range(self.order + 1):
             if m > 0:
                 fact *= m
-            derivs.append(e / fact)
+            derivs.append(cycle[m % len(cycle)] / fact)
         return self._compose(derivs)
+
+    def exp(self):
+        return self._series([np.exp(self.value)])
 
     def sin(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        cycle = [s, c, -s, -c]
-        fact = 1.0
-        derivs = []
-        for m in range(self.order + 1):
-            if m > 0:
-                fact *= m
-            derivs.append(cycle[m % 4] / fact)
-        return self._compose(derivs)
+        return self._series([s, c, -s, -c])
 
     def cos(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        cycle = [c, -s, -c, s]
-        fact = 1.0
-        derivs = []
-        for m in range(self.order + 1):
-            if m > 0:
-                fact *= m
-            derivs.append(cycle[m % 4] / fact)
-        return self._compose(derivs)
+        return self._series([c, -s, -c, s])
 
     def sinh(self):
-        s, c = np.sinh(self.value), np.cosh(self.value)
-        fact = 1.0
-        derivs = []
-        for m in range(self.order + 1):
-            if m > 0:
-                fact *= m
-            derivs.append((s if m % 2 == 0 else c) / fact)
-        return self._compose(derivs)
+        return self._series([np.sinh(self.value), np.cosh(self.value)])
 
     def cosh(self):
-        s, c = np.sinh(self.value), np.cosh(self.value)
-        fact = 1.0
-        derivs = []
-        for m in range(self.order + 1):
-            if m > 0:
-                fact *= m
-            derivs.append((c if m % 2 == 0 else s) / fact)
-        return self._compose(derivs)
+        return self._series([np.cosh(self.value), np.sinh(self.value)])
 
     def sqrt(self):
         return self.power(0.5)

@@ -16,7 +16,7 @@ from .charts import DEFAULT_ORDER, SurfaceChart, sample_grid
 from .errors import (DegenerateTransform, DomainError, NotWillmore,
                      UnknownIdentifier)
 from .frames import (adjoint_vector, canonical_lift, envelope_vector,
-                     frame_and_invariants, frame_at, frame_field, invariants)
+                     frame_and_invariants, frame_field, invariants)
 from .jets import seed_point
 
 POLAR_ORDER_COST = 3
@@ -134,7 +134,8 @@ class TransformedSurface(SurfaceChart):
 
 def _probe(chart):
     u, v = sample_grid(chart, PROBE_GRID, PROBE_GRID)
-    return invariants(frame_at(chart, u, v, order=PROBE_ORDER))
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=PROBE_ORDER))
+    return inv
 
 
 def _polar(chart, side):
@@ -290,7 +291,7 @@ def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), order=DEFAULT_ORDER,
     from one coinciding dual surface on the central sphere.
     """
     u, v = sample_grid(chart, *grid)
-    frame, inv = frame_and_invariants(chart, u, v, order=order)
+    frame, inv = frame_and_invariants(chart.lift_at(u, v, order=order))
     report = willmore_report(inv)
     if report.max_abs > willmore_gate:
         raise NotWillmore("duality diagnostics need a Willmore chart",
@@ -303,8 +304,7 @@ def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), order=DEFAULT_ORDER,
             chart=chart.name)
     keep = ~mask
 
-    disc = inv.lambda1 * inv.gamma2 - inv.lambda2 * inv.gamma1
-    dev = float(np.max(np.abs(disc.value)[keep]))
+    dev = float(np.max(np.abs(inv.swillmore_disc.value)[keep]))
 
     yhat = np.real(adjoint_vector(frame, inv, "left").value)
     ytil = np.real(adjoint_vector(frame, inv, "right").value)

@@ -13,16 +13,16 @@ import time
 import numpy as np
 
 from lightcone.ambient import Motion, projective_distance
-from lightcone.analysis import (check_integrability, check_structure,
-                                gauss_metric_check, harmonicity_residual,
-                                mu_riccati_residual, omega_value,
-                                swillmore_residual, theta_holomorphy,
-                                willmore_energy, willmore_residual)
+from lightcone.analysis import (gauss_metric_report, harmonicity_report,
+                                integrability_residual, mu_riccati_residual,
+                                omega_report, structure_residual,
+                                swillmore_report, theta_report,
+                                willmore_energy, willmore_report)
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, validate_chart)
 from lightcone.cli import main as cli_main
 from lightcone.dsl import chart_from_source
-from lightcone.frames import frame_at, invariants
+from lightcone.frames import frame_and_invariants
 from lightcone.jets import seed_point
 from lightcone.transforms import (duality_report, inverse_check, polar_left,
                                   polar_right)
@@ -65,7 +65,7 @@ def test_criterion_02_torus_invariants_at_random_points():
     (ulo, uhi), (vlo, vhi) = chart.domain
     u = rng.uniform(ulo, uhi, 100)
     v = rng.uniform(vlo, vhi, 100)
-    inv = invariants(frame_at(chart, u, v, order=6))
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=6))
     ora = oracles.torus_invariants(T)
     worst = 0.0
     for name in ("s", "kappa_pair", "theta", "mu_left"):
@@ -82,8 +82,9 @@ def test_criterion_02_torus_invariants_at_random_points():
 def test_criterion_03_torus_willmore_but_not_s_willmore():
     chart = catalog_chart("torus", t=T)
     grid = sample_grid(chart, 24, 24)
-    wil = willmore_residual(chart, grid, order=6).max_abs
-    dev = swillmore_residual(chart, grid, order=6).max_abs
+    _, inv = frame_and_invariants(chart.lift_at(*grid, order=6))
+    wil = willmore_report(inv).max_abs
+    dev = swillmore_report(inv).max_abs
     assert wil < 1e-9
     assert dev > 0.05
     _passed(3, "willmore %.2e, S-deviation %.4f" % (wil, dev))
@@ -131,8 +132,9 @@ def test_criterion_04_universal_identities_catalog_and_dsl():
         assert report["conformal_deviation"] < 1e-10
         for n in (10, 18):
             grid = sample_grid(chart, n, n)
-            res = max(check_structure(chart, grid).max_abs,
-                      check_integrability(chart, grid).max_abs)
+            frame, inv = frame_and_invariants(chart.lift_at(*grid, order=8))
+            res = max(structure_residual(frame, inv).max_abs,
+                      integrability_residual(frame, inv).max_abs)
             assert res < 1e-8, (chart.name, n, res)
             worst = max(worst, res)
     _passed(4, "%d charts at two resolutions, residual <= %.2e"
@@ -153,7 +155,8 @@ def test_criterion_06_torus_polars_are_willmore():
     grid = sample_grid(chart, 16, 16)
     worst = 0.0
     for maker in (polar_left, polar_right):
-        res = willmore_residual(maker(chart), grid, order=6).max_abs
+        _, inv = frame_and_invariants(maker(chart).lift_at(*grid, order=6))
+        res = willmore_report(inv).max_abs
         assert res < 1e-6, (maker.__name__, res)
         worst = max(worst, res)
     _passed(6, "polar Willmore residual <= %.2e on 16x16" % worst)
@@ -187,12 +190,14 @@ def test_criterion_08_gauss_map_identities_and_harmonicity():
     for name in sorted(CATALOG):
         chart = catalog_chart(name)
         grid = sample_grid(chart, 10, 10)
-        gm = gauss_metric_check(chart, grid)
+        frame, inv = frame_and_invariants(chart.lift_at(*grid, order=6))
+        gm = gauss_metric_report(frame)
         assert gm.lines["gram_GG"] < 1e-10, (name, gm.lines)
         assert gm.lines["quarter_dG2"] < 1e-8, (name, gm.lines)
         # every catalog chart is Willmore, so harmonicity applies to all
-        assert willmore_residual(chart, grid, order=6).max_abs < 1e-8
-        harm = harmonicity_residual(chart, grid).max_abs
+        assert willmore_report(inv).max_abs < 1e-8
+        harm = harmonicity_report(*frame_and_invariants(
+            chart.lift_at(*grid, order=8))).max_abs
         assert harm < 1e-8, (name, harm)
         worst_unit = max(worst_unit, gm.lines["gram_GG"])
         worst_metric = max(worst_metric, gm.lines["quarter_dG2"])
@@ -205,11 +210,15 @@ def test_criterion_09_theta_holomorphy_and_omega_cross_check():
     worst = 0.0
     for name in sorted(CATALOG):
         chart = catalog_chart(name)
-        res = theta_holomorphy(chart, sample_grid(chart, 10, 10)).max_abs
+        _, inv = frame_and_invariants(
+            chart.lift_at(*sample_grid(chart, 10, 10), order=8))
+        res = theta_report(inv).max_abs
         assert res < 1e-8, (name, res)
         worst = max(worst, res)
     chart = catalog_chart("catenoid")
-    report, _, _ = omega_value(chart, sample_grid(chart, 10, 10))
+    frame, inv = frame_and_invariants(
+        chart.lift_at(*sample_grid(chart, 10, 10), order=8))
+    report, _, _ = omega_report(frame, inv)
     cross = report.lines["cross_check"]
     assert cross < 1e-9
     _passed(9, "holomorphy <= %.2e, omega cross-check %.2e" % (worst, cross))
@@ -285,9 +294,11 @@ def _motion_invariance_worst():
     grid = sample_grid(chart, 16, 16)
     worst = abs(willmore_energy(chart, 16, 16, order=3).value
                 - willmore_energy(moved, 16, 16, order=3).value)
-    for check in (willmore_residual, swillmore_residual):
-        worst = max(worst, abs(check(chart, grid, order=6).max_abs
-                               - check(moved, grid, order=6).max_abs))
+    _, inv = frame_and_invariants(chart.lift_at(*grid, order=6))
+    _, moved_inv = frame_and_invariants(moved.lift_at(*grid, order=6))
+    for report in (willmore_report, swillmore_report):
+        worst = max(worst, abs(report(inv).max_abs
+                               - report(moved_inv).max_abs))
     assert worst < 1e-8
     return worst
 

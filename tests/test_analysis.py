@@ -9,23 +9,18 @@ from lightcone.ambient import Motion
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, IntegrandSingular,
                               NotSWillmore, NotWillmore)
-from lightcone.frames import frame_at, invariants, pair_density
+from lightcone.frames import frame_and_invariants, pair_density
 
 
 def frame_inv(chart, nu=8, nv=8, order=8):
     U, V = sample_grid(chart, nu, nv)
-    frame = frame_at(chart, U, V, order=order)
-    return frame, invariants(frame)
+    return frame_and_invariants(chart.lift_at(U, V, order=order))
 
 
 def cylinder_chart():
     return chart_from_source("r3 [cos(v), sin(v), u]", name="cylinder",
                              domain=((-1.0, 1.0), (0.0, 2 * np.pi)),
                              periodic=(False, True))
-
-
-def small_grid(chart, nu=8, nv=8):
-    return sample_grid(chart, nu, nv)
 
 
 @pytest.fixture(scope="module")
@@ -58,32 +53,31 @@ def catalog_instances():
 @pytest.mark.parametrize("chart", catalog_instances(),
                          ids=lambda c: c.name)
 def test_structure_identities_on_catalog(chart):
-    report = an.check_structure(chart, small_grid(chart))
+    report = an.structure_residual(*frame_inv(chart))
     assert report.max_abs < 1e-10, report.lines
     assert report.max_abs >= report.mean_abs >= 0.0
-    assert report.grid["nu"] == 8
 
 
 @pytest.mark.parametrize("chart", catalog_instances(),
                          ids=lambda c: c.name)
 def test_integrability_identities_on_catalog(chart):
-    report = an.check_integrability(chart, small_grid(chart))
+    report = an.integrability_residual(*frame_inv(chart))
     assert report.max_abs < 1e-10, report.lines
 
 
 def test_residuals_are_grid_resolution_independent():
     chart = catalog_chart("torus", t=2.0)
-    a = an.check_structure(chart, small_grid(chart, 8, 8)).max_abs
-    b = an.check_structure(chart, small_grid(chart, 16, 16)).max_abs
+    a = an.structure_residual(*frame_inv(chart, 8, 8)).max_abs
+    b = an.structure_residual(*frame_inv(chart, 16, 16)).max_abs
     assert abs(a - b) < 1e-11
 
 
 def test_structure_detects_mismatched_data():
     chart = catalog_chart("torus", t=2.0)
     U, V = sample_grid(chart, 8, 8)
-    frame = frame_at(chart, U, V, order=8)
-    other = frame_at(chart, U + 0.05, V, order=8)
-    report = an.structure_residual(frame, invariants(other))
+    frame, _ = frame_and_invariants(chart.lift_at(U, V, order=8))
+    _, other = frame_and_invariants(chart.lift_at(U + 0.05, V, order=8))
+    report = an.structure_residual(frame, other)
     assert report.max_abs > 1e-3
 
 
@@ -253,7 +247,8 @@ def test_energy_is_scale_consistent():
 @pytest.mark.parametrize("chart", catalog_instances(),
                          ids=lambda c: c.name)
 def test_gauss_metric_identities(chart):
-    report = an.gauss_metric_check(chart, small_grid(chart))
+    frame, _ = frame_inv(chart, order=6)
+    report = an.gauss_metric_report(frame)
     assert report.lines["gram_GG"] < 1e-10
     assert report.lines["quarter_dG2"] < 1e-8
 
@@ -266,7 +261,7 @@ def test_gauss_metric_identities(chart):
 def test_willmore_charts_have_harmonic_pair_map(name):
     chart = catalog_chart(name, t=2.0) if name == "torus" \
         else catalog_chart(name)
-    report = an.harmonicity_residual(chart, small_grid(chart))
+    report = an.harmonicity_report(*frame_inv(chart))
     assert report.lines["tension"] < 1e-8, report.lines
     assert report.lines["radial"] < 1e-10
     assert report.lines["metric"] < 1e-10
@@ -282,10 +277,9 @@ def test_non_willmore_chart_has_tension(cylinder_data):
 
 
 def test_harmonicity_masks_null_umbilic_side():
-    chart = catalog_chart("laguerre_lift")
-    report = an.harmonicity_residual(chart, small_grid(chart))
+    frame, inv = frame_inv(catalog_chart("laguerre_lift"))
+    report = an.harmonicity_report(frame, inv)
     assert report.degenerate_fraction == 0.0
-    frame, inv = frame_inv(chart)
     with pytest.raises(DegenerateTransform):
         an.harmonicity_report(frame, inv, side="left")
 
@@ -294,8 +288,8 @@ def test_harmonicity_masks_null_umbilic_side():
 
 
 def test_omega_identities_on_catenoid():
-    chart = catalog_chart("catenoid")
-    report, omega, side = an.omega_value(chart, small_grid(chart))
+    frame, inv = frame_inv(catalog_chart("catenoid"))
+    report, omega, side = an.omega_report(frame, inv)
     # the lambdas tie in magnitude here, so the side is a tie-break
     assert side in ("left", "right")
     assert report.lines["holomorphy"] < 1e-9

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import frames
+from lightcone import frames, transforms
 from lightcone.cli import INVARIANT_COLUMNS, MESH_COLUMNS, main
 
 SCHEMA = json.loads(resources.files("lightcone")
@@ -102,6 +102,7 @@ def test_verify_torus_passes(capsys):
     assert bundle["reports"]["theta"] is not None
     assert bundle["skipped"] == {}
     assert bundle["surface"]["params"] == {"t": 2.0}
+    assert all(r["grid"]["nu"] == 8 for r in bundle["reports"].values())
 
 
 def test_verify_cylinder_fails_willmore_gate(capsys, tmp_path):
@@ -287,3 +288,46 @@ def test_usage_gates(capsys):
     assert run_error(capsys, "invariants", "--surface", "torus",
                      "--tol", "bogus=1")["error"] == "UnknownIdentifier"
     assert run_error(capsys, "frobnicate")["error"] == "UsageError"
+    for tol in ("willmore=-1", "umbilic=nan", "structure=inf"):
+        assert run_error(capsys, "verify", "--surface", "torus",
+                         "--tol", tol)["error"] == "ParameterOutOfRange"
+
+
+def _reject_constant(name):
+    raise ValueError("non-strict JSON constant " + name)
+
+
+def test_overflowing_chart_errors_as_strict_json(capsys, tmp_path):
+    path = tmp_path / "overflow.lc"
+    path.write_text("r3 [exp(800*u)*cos(v), exp(800*u)*sin(v), u]")
+    code, out, err = run(capsys, "verify", "--dsl", str(path),
+                         "--grid", "4x4")
+    assert code == 2 and out == ""
+    # exactly one document: no numpy warnings ahead of it, no NaN in it
+    payload = json.loads(err, parse_constant=_reject_constant)
+    VALIDATOR.validate(payload)
+    assert payload["error"] == "NotSpacelike"
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (("verify", "--surface", "torus"), 1),
+    (("transform", "--surface", "catenoid", "--chain", "L,R"), 7),
+    (("transform", "--surface", "torus", "--grid", "4x4",
+      "--chain", "L,R,L"), 11),
+])
+def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
+                                            builds):
+    # verify frames its chart once; transform frames each probe, each
+    # step of the final chart, the final chart and the duality sample
+    calls = []
+    original = frames.frame_field
+
+    def counted(Y):
+        calls.append(Y.order)
+        return original(Y)
+
+    for module in (frames, transforms):
+        monkeypatch.setattr(module, "frame_field", counted)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(calls) == builds

@@ -5,10 +5,10 @@ from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
                               scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import NotSpacelike
+from lightcone.errors import NormalPlaneDegenerate, NotSpacelike
 from lightcone.frames import (adjoint_vector, canonical_lift,
                               conformal_gauss_data, envelope_vector,
-                              frame_and_invariants, frame_at, invariants,
+                              frame_and_invariants, frame_field,
                               pair_density, willmore_operators)
 from lightcone.jets import inner
 
@@ -47,10 +47,24 @@ def test_canonical_lift_rejects_non_spacelike():
         canonical_lift(bad.lift_at(0.3, 0.4, order=3))
 
 
+def test_nan_lift_fails_the_gates():
+    chart = catalog_chart("catenoid")
+    u, v = sample_grid(chart, 3, 3)
+    raw = chart.lift_at(u, v, order=5)
+    raw.c[1, 1, 2, 1, 0] = np.nan  # one first derivative
+    Y = canonical_lift(chart.lift_at(u, v, order=5))
+    Y.c[1, 1, 2, 0, 0] = np.nan  # one value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotSpacelike):
+            canonical_lift(raw)
+        with pytest.raises(NormalPlaneDegenerate):
+            frame_field(Y)
+
+
 def test_torus_frame_matches_oracle():
     chart = catalog_chart("torus", t=T)
     th, ph = strip_points()
-    fr = frame_at(chart, th, ph, order=5)
+    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
     Yo, Yzo, No, Lo, Ro = oracles.torus_frame_vectors(T, th, ph)
     assert not np.any(fr.gauge_fallback)
     assert np.all(fr.orientation_det > 0)
@@ -66,7 +80,7 @@ def test_torus_frame_matches_oracle():
 def test_torus_invariants_match_oracle():
     chart = catalog_chart("torus", t=T)
     th, ph = strip_points()
-    _, inv = frame_and_invariants(chart, th, ph, order=6)
+    _, inv = frame_and_invariants(chart.lift_at(th, ph, order=6))
     oi = oracles.torus_invariants(T)
     assert np.max(np.abs(inv.s.value - oi["s"])) < 1e-13
     assert np.max(np.abs(inv.beta.value - oi["beta"])) < 1e-13
@@ -90,7 +104,7 @@ def test_torus_invariants_match_oracle():
 
 def test_torus_adjoint_anchors_at_origin():
     chart = catalog_chart("torus", t=T)
-    fr, inv = frame_and_invariants(chart, 0.0, 0.0, order=6)
+    fr, inv = frame_and_invariants(chart.lift_at(0.0, 0.0, order=6))
     assert fr.gauge_fallback  # primary axis degenerates on theta = 0
     yhat = adjoint_vector(fr, inv, "left")
     ytil = adjoint_vector(fr, inv, "right")
@@ -103,7 +117,7 @@ def test_torus_adjoint_anchors_at_origin():
 def test_frame_identities_as_jets():
     chart = catalog_chart("catenoid")
     u, v = sample_grid(chart, 4, 4)
-    fr = frame_at(chart, u, v, order=6)
+    fr = frame_field(canonical_lift(chart.lift_at(u, v, order=6)))
     k = fr.N.order
     Y = fr.Y.truncated(k)
     Yu = fr.Yu.truncated(k)
@@ -133,7 +147,7 @@ def test_gauge_balance_and_sign():
     chart = catalog_chart("torus", t=T)
     th = np.array([0.0, 0.0, 0.7, 1.9])
     ph = np.array([0.4, 3.0, 1.0, 5.1])
-    fr = frame_at(chart, th, ph, order=5)
+    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
     idx = fr.gauge_axis
     sgn = SIGNS[idx]
     pL = sgn * np.take_along_axis(fr.L.value.real, idx[:, None], axis=-1)[:, 0]
@@ -147,7 +161,7 @@ def test_gauge_reference_chain_walks_past_dead_axes():
     # -tau the first fallback dies too and a later axis takes over
     chart = catalog_chart("torus", t=T)
     phi = np.pi - np.arctan(TAU)
-    fr = frame_at(chart, 0.0, phi, order=5)
+    fr = frame_field(canonical_lift(chart.lift_at(0.0, phi, order=5)))
     assert fr.gauge_fallback
     assert int(fr.gauge_axis) not in (3, 4)
     assert abs(complex(inner(fr.L, fr.L).value)) < 1e-12
@@ -163,7 +177,7 @@ def test_gauge_reference_chain_walks_past_dead_axes():
 def test_plane_chart_is_umbilic():
     plane = chart_from_source("r3 [u, v, 0]", name="plane")
     u, v = sample_grid(plane, 4, 4)
-    _, inv = frame_and_invariants(plane, u, v, order=5)
+    _, inv = frame_and_invariants(plane.lift_at(u, v, order=5))
     assert np.all(inv.umbilic_left)
     assert np.all(inv.umbilic_right)
     assert np.all(inv.classification() == "umbilic")
@@ -174,7 +188,7 @@ def test_plane_chart_is_umbilic():
 def test_laguerre_chart_left_umbilic_willmore():
     chart = catalog_chart("laguerre_lift")
     u, v = sample_grid(chart, 5, 5)
-    _, inv = frame_and_invariants(chart, u, v, order=6)
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=6))
     assert np.all(inv.umbilic_left)
     assert not np.any(inv.umbilic_right)
     assert np.all(inv.classification() == "left_umbilic")
@@ -187,7 +201,7 @@ def test_adjoint_identities_any_chart():
     # and kills L_z, Willmore or not
     for chart in (catalog_chart("torus", t=T), cylinder_chart()):
         u, v = sample_grid(chart, 4, 4)
-        fr, inv = frame_and_invariants(chart, u, v, order=7)
+        fr, inv = frame_and_invariants(chart.lift_at(u, v, order=7))
         yhat = adjoint_vector(fr, inv, "left")
         k = yhat.order
         assert np.max(np.abs(inner(yhat, yhat).c)) < 1e-11
@@ -201,7 +215,7 @@ def test_adjoint_identities_any_chart():
 def test_envelope_orthogonal_to_left_congruence():
     chart = cylinder_chart()
     u, v = sample_grid(chart, 5, 5)
-    fr, inv = frame_and_invariants(chart, u, v, order=8)
+    fr, inv = frame_and_invariants(chart.lift_at(u, v, order=8))
     env = envelope_vector(fr, inv)
     k = env.order
     assert np.max(np.abs(inner(env, fr.L.truncated(k)).value)) < 1e-9
@@ -214,7 +228,7 @@ def test_envelope_orthogonal_to_left_congruence():
 def test_envelope_equals_adjoint_on_torus():
     chart = catalog_chart("torus", t=T)
     u, v = sample_grid(chart, 4, 4)
-    fr, inv = frame_and_invariants(chart, u, v, order=6)
+    fr, inv = frame_and_invariants(chart.lift_at(u, v, order=6))
     env = envelope_vector(fr, inv)
     yhat = adjoint_vector(fr, inv, "left").truncated(env.order)
     assert np.max(np.abs((env - yhat).c)) < 1e-9
@@ -225,8 +239,8 @@ def test_conformal_gauss_data_catalog():
     for name in CATALOG:
         chart = catalog_chart(name)
         u, v = sample_grid(chart, 5, 5)
-        Y = canonical_lift(chart.lift_at(u, v, order=4))
-        data = conformal_gauss_data(Y)
+        fr = frame_field(canonical_lift(chart.lift_at(u, v, order=4)))
+        data = conformal_gauss_data(fr)
         kp = pair_density(chart.lift_at(u, v, order=3)).value.real
         assert np.max(np.abs(data["gram_GG"] - 1.0)) < 1e-10, name
         assert np.max(np.abs(data["quarter_dG2"] - kp)) < 1e-8, name
@@ -242,8 +256,9 @@ def test_pair_density_torus_constant():
 def test_invariants_batch_independent():
     chart = catalog_chart("catenoid")
     u, v = sample_grid(chart, 4, 4)
-    _, inv_grid = frame_and_invariants(chart, u, v, order=5)
-    _, inv_one = frame_and_invariants(chart, u[2, 3], v[2, 3], order=5)
+    _, inv_grid = frame_and_invariants(chart.lift_at(u, v, order=5))
+    _, inv_one = frame_and_invariants(chart.lift_at(u[2, 3], v[2, 3],
+                                                    order=5))
     assert abs(inv_grid.mu_left.value[2, 3] - inv_one.mu_left.value) < 1e-13
     assert abs(inv_grid.theta.value[2, 3] - inv_one.theta.value) < 1e-13
 
@@ -252,8 +267,8 @@ def test_scale_consistency():
     chart = catalog_chart("catenoid")
     doubled = scaled_chart(chart, 2.0)
     u, v = sample_grid(chart, 4, 4)
-    _, inv = frame_and_invariants(chart, u, v, order=5)
-    _, inv2 = frame_and_invariants(doubled, 2 * u, 2 * v, order=5)
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=5))
+    _, inv2 = frame_and_invariants(doubled.lift_at(2 * u, 2 * v, order=5))
     # energy density against du dv scales like the inverse square
     assert np.max(np.abs(inv2.kappa_pair.value - inv.kappa_pair.value / 4)) \
         < 1e-12
@@ -265,8 +280,8 @@ def test_motion_invariance_of_invariant_scalars():
         Motion.plane_rotation(2, 4, 0.35))
     moved = moved_chart(chart, motion)
     th, ph = strip_points()
-    _, a = frame_and_invariants(chart, th, ph, order=6)
-    _, b = frame_and_invariants(moved, th, ph, order=6)
+    _, a = frame_and_invariants(chart.lift_at(th, ph, order=6))
+    _, b = frame_and_invariants(moved.lift_at(th, ph, order=6))
     for field in ("s", "beta", "kappa_pair", "kappa_iso", "theta",
                   "mu_left", "mu_right", "rho_left"):
         x = getattr(a, field).value
@@ -277,7 +292,7 @@ def test_motion_invariance_of_invariant_scalars():
 def test_willmore_operators_flag_cylinder():
     chart = cylinder_chart()
     u, v = sample_grid(chart, 5, 5)
-    _, inv = frame_and_invariants(chart, u, v, order=6)
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=6))
     w1, w2 = willmore_operators(inv)
     assert np.max(np.abs(w1.value)) > 1e-2 or np.max(np.abs(w2.value)) > 1e-2
 
@@ -287,6 +302,6 @@ def test_corrupted_frame_breaks_structure():
     # frame identity <L, R> = -1
     chart = catalog_chart("torus", t=T)
     th, ph = strip_points()
-    fr = frame_at(chart, th, ph, order=5)
+    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
     bad = fr.L * 1.01
     assert np.max(np.abs((inner(bad, fr.R) + 1.0).value)) > 1e-3

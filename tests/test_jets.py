@@ -125,6 +125,13 @@ def test_division_by_small_constant_raises():
         a / b
 
 
+def test_division_by_nan_constant_raises():
+    U, _ = seed_point(np.nan, 0.0, 4)
+    b = U + 2.0
+    with pytest.raises(DomainError):
+        b.reciprocal()
+
+
 def test_integer_power_at_zero_constant_term():
     # u^3 at the origin must work: nilpotent base, integer exponent
     U, _ = seed_point(0.0, 0.0, 6)

@@ -8,7 +8,7 @@ from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, DomainError, NotWillmore,
                               UnknownIdentifier)
-from lightcone.frames import frame_at, invariants
+from lightcone.frames import frame_and_invariants
 from lightcone.jets import seed_point
 from lightcone.transforms import (adjoint_left, adjoint_right, apply_chain,
                                   duality_report, full_second_envelope,
@@ -90,7 +90,8 @@ def test_polar_charts_are_willmore(torus, catenoid):
     for base in (torus, catenoid):
         for ch in (polar_left(base), polar_right(base)):
             u, v = sample_grid(ch, 16, 16)
-            rep = willmore_report(invariants(frame_at(ch, u, v, order=6)))
+            _, inv = frame_and_invariants(ch.lift_at(u, v, order=6))
+            rep = willmore_report(inv)
             assert rep.max_abs < 1e-6, ch.name
 
 
@@ -110,8 +111,8 @@ def test_catenoid_polars_are_null_umbilic(catenoid):
     pL = polar_left(catenoid)
     pR = polar_right(catenoid)
     u, v = sample_grid(pL, 6, 6)
-    invL = invariants(frame_at(pL, u, v, order=6))
-    invR = invariants(frame_at(pR, u, v, order=6))
+    _, invL = frame_and_invariants(pL.lift_at(u, v, order=6))
+    _, invR = frame_and_invariants(pR.lift_at(u, v, order=6))
     assert np.all(invL.umbilic_left)
     assert np.min(np.abs(invL.lambda1.value)) > 0.5
     assert np.all(invR.umbilic_right)
