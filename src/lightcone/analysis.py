@@ -19,7 +19,6 @@ from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
 from .frames import (adjoint_vector, conformal_gauss_data, pair_density,
                      willmore_operators)
-from .jets import inner
 
 SINGULAR_INTEGRAND = 1e6
 WILLMORE_GATE = 1e-6
@@ -371,7 +370,7 @@ def omega_report(frame, inv, side=None, swillmore_gate=SWILLMORE_GATE):
 
     yhat = adjoint_vector(frame, inv, side)
     yhzz = yhat.z().z()
-    cross = inner(yhzz, yhzz) + core * rho * 2.0
+    cross = yhzz.inner(yhzz) + core * rho * 2.0
 
     exclude = degenerate if np.any(degenerate) else None
     mx, mn = _stats([core.zbar().value], exclude=exclude)

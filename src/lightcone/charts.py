@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotOnQuadric, ParameterOutOfRange, UnknownIdentifier
-from .jets import Jet2, JetVec6, inner, seed_point
+from .errors import (NonFinite, NotOnQuadric, ParameterOutOfRange,
+                     UnknownIdentifier)
+from .jets import Jet2, JetVec6, seed_point
 
 DEFAULT_ORDER = 8
 QUADRIC_TOL = 1e-10
@@ -39,8 +40,8 @@ def _as_jets(components):
 
 
 def _quadric_deviation(q, target):
-    dev = q.c.copy()
-    dev[..., 0, 0] -= target
+    dev = q.coef.copy()
+    dev[0, 0] -= target
     return float(np.max(np.abs(dev)))
 
 
@@ -110,8 +111,16 @@ class SurfaceChart:
         return self._lift(U, V)
 
     def lift_at(self, u, v, order=DEFAULT_ORDER):
+        """Raw lift at the points (u, v).  Raises NonFinite where a
+        coefficient of the lift is NaN or Inf."""
         U, V = seed_point(u, v, order)
-        return self.evaluate(U, V)
+        raw = self.evaluate(U, V)
+        bad = ~np.all(np.isfinite(raw.coef), axis=(0, 1, -1))
+        if np.any(bad):
+            raise NonFinite("chart lift is not finite",
+                            count=int(np.count_nonzero(bad)),
+                            points=int(bad.size))
+        return raw
 
     def __repr__(self):
         return "SurfaceChart({!r}, domain={}, periodic={})".format(
@@ -150,9 +159,9 @@ def validate_chart(chart, nu=8, nv=8, order=2):
     w = chart.lift_at(u, v, order=max(order, 2))
     wz = w.z()
     norm2 = np.sum(np.abs(w.value) ** 2, axis=-1)
-    cone = np.max(np.abs(inner(w, w).value) / norm2)
-    e = inner(wz, wz.conj()).value.real
-    f = np.abs(inner(wz, wz).value)
+    cone = np.max(np.abs(w.inner(w).value) / norm2)
+    e = wz.inner(wz.conj()).value.real
+    f = np.abs(wz.inner(wz).value)
     dz2 = np.sum(np.abs(wz.value) ** 2, axis=-1)
     return {
         "lightcone_deviation": float(cone),

@@ -42,6 +42,11 @@ class NotOnQuadric(LightconeError):
     or a lift leaves the light cone."""
 
 
+class NonFinite(LightconeError):
+    """A computed quantity holds NaN or Inf, as the lift of a chart whose
+    coordinates overflow does."""
+
+
 class NotSpacelike(LightconeError):
     """The induced metric is not positive definite: <Y_z, Y_zbar> is not
     bounded away from zero, or the chart is not conformal."""

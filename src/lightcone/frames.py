@@ -19,7 +19,7 @@ import numpy as np
 from .ambient import SIGNS
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
                      NotSpacelike)
-from .jets import Jet2, JetVec6, inner, jet_where
+from .jets import Jet2, JetVec6, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
@@ -44,7 +44,7 @@ def canonical_lift(raw):
     """
     rz = raw.z()
     rzb = raw.zbar()
-    g2 = (inner(rz, rzb) * 2.0).real
+    g2 = (rz.inner(rzb) * 2.0).real
     scale = np.sum(np.abs(rz.value) ** 2, axis=-1)
     ratio = g2.value.real / np.maximum(scale, 1e-300)
     # written so that a NaN ratio fails the gate too
@@ -52,15 +52,6 @@ def canonical_lift(raw):
         raise NotSpacelike("induced metric is not positive",
                            worst=float(np.min(ratio)))
     return raw.truncated(raw.order - 1) * g2.power(-0.5)
-
-
-def _component_at(w, idx):
-    """Extract component jets of w along a per-point index array."""
-    idx = np.asarray(idx)
-    if idx.ndim == 0:
-        return Jet2(w.c[..., int(idx), :, :])
-    sel = np.broadcast_to(idx, w.batch_shape)[..., None, None, None]
-    return Jet2(np.take_along_axis(w.c, sel, axis=-3)[..., 0, :, :])
 
 
 class FrameData:
@@ -98,7 +89,7 @@ def frame_field(Y):
     Yu = Y.du()
     Yv = Y.dv()
     Yzzb = Yz.zbar()
-    N = Yzzb * 2.0 + Y * (inner(Yzzb, Yzzb) * 2.0)
+    N = Yzzb * 2.0 + Y * (Yzzb.inner(Yzzb) * 2.0)
 
     order = N.order
     Yt = Y.truncated(order)
@@ -146,10 +137,10 @@ def frame_field(Y):
     def project_off_tangent(idx):
         sgn = SIGNS[idx]
         one_hot = JetVec6.constant(eye[idx], order)
-        cn = _component_at(N, idx) * sgn
-        cu = _component_at(Yut, idx) * sgn
-        cv = _component_at(Yvt, idx) * sgn
-        cy = _component_at(Yt, idx) * sgn
+        cn = N.component(idx) * sgn
+        cu = Yut.component(idx) * sgn
+        cv = Yvt.component(idx) * sgn
+        cy = Yt.component(idx) * sgn
         return one_hot - (Yt * (-cn) + Yut * cu + Yvt * cv + N * (-cy))
 
     na = project_off_tangent(ia)
@@ -160,20 +151,24 @@ def frame_field(Y):
     # margins; the jet-level Gram-Schmidt below then needs no branches
     qa = np.take_along_axis(q, ia[..., None], axis=-1)[..., 0]
     qb = np.take_along_axis(q, ib[..., None], axis=-1)[..., 0]
-    cab = inner(na, nb).value.real
+    cab = na.inner(nb).value.real
     phi = 0.5 * np.arctan2(2.0 * cab, qa - qb)
     m1 = na * np.cos(phi) + nb * np.sin(phi)
     m2 = na * (-np.sin(phi)) + nb * np.cos(phi)
 
-    q1 = inner(m1, m1).real
+    q1 = m1.inner(m1).real
     f1 = m1 * q1.power(-0.5)
-    m2 = m2 - f1 * inner(m2, f1)
-    q2 = -inner(m2, m2).real
+    m2 = m2 - f1 * m2.inner(f1)
+    q2 = -m2.inner(m2).real
     f2 = m2 * q2.power(-0.5)
 
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     L = (f2 - f1) * inv_sqrt2
     R = (f2 + f1) * inv_sqrt2
+    # the gauge step below needs none of these; freeing them first
+    # lowers the memory peak of a frame, and so of a transform chain,
+    # whose innermost frames are built at the highest order
+    del Yzzb, Yt, Yut, Yvt, na, nb, m1, m2, f1, f2
 
     rows = np.stack([Yval, Yuval, Yvval, Nval,
                      L.value.real, R.value.real], axis=-2)
@@ -267,15 +262,15 @@ def invariants(frame):
     """Extract the invariant scalars from an adapted frame."""
     Yzz = frame.Yz.z()
     Yzzb = frame.Yz.zbar()
-    lambda1 = -inner(Yzz, frame.R)
-    lambda2 = -inner(Yzz, frame.L)
-    s = inner(Yzz, frame.N) * 2.0
-    alpha = -inner(frame.L.z(), frame.R)
+    lambda1 = -Yzz.inner(frame.R)
+    lambda2 = -Yzz.inner(frame.L)
+    s = Yzz.inner(frame.N) * 2.0
+    alpha = -frame.L.z().inner(frame.R)
     abar = alpha.conj()
     gamma1 = lambda1.zbar() + lambda1 * abar
     gamma2 = lambda2.zbar() - lambda2 * abar
     beta = (lambda1 * lambda2.conj() + lambda2 * lambda1.conj()).real
-    kappa_pair = inner(Yzzb, Yzzb).real
+    kappa_pair = Yzzb.inner(Yzzb).real
     kappa_iso = lambda1 * lambda2 * (-2.0)
 
     floor = UMBILIC_TOL * (1.0 + np.abs(s.value))
@@ -341,7 +336,7 @@ def pair_density(raw):
     density against du dv.  Cheap: needs no frame, raw order 3."""
     Y = canonical_lift(raw)
     Yzzb = Y.z().zbar()
-    return inner(Yzzb, Yzzb).real
+    return Yzzb.inner(Yzzb).real
 
 
 def willmore_operators(inv):
@@ -427,6 +422,6 @@ def conformal_gauss_data(frame):
             bj[..., j, :] = vals_zb[..., j, :]
             total = total + gram_det(ai, bj)
     quarter = 2.0 * np.real(total)
-    kp = np.real(inner(Yzzb, Yzzb).value)
+    kp = np.real(Yzzb.inner(Yzzb).value)
     return {"gram_GG": np.real(gram_gg), "quarter_dG2": quarter,
             "kappa_pair": kp}

@@ -4,16 +4,28 @@ A ``Jet2`` holds the Taylor coefficients a[j, k] of a scalar function
 
     f(u0 + du, v0 + dv) = sum_{j+k <= K} a[j, k] du^j dv^k
 
-as a complex array of shape (..., K+1, K+1); leading axes are batch
-dimensions (one jet per grid point). Entries with j + k > K are kept
-identically zero. All operations are exact truncations of the series
-operations, so derivatives read off a jet carry no discretization error,
-only rounding.
+for a batch of base points (one jet per grid point).  Entries with
+j + k > K are kept identically zero.  All operations are exact
+truncations of the series operations, so derivatives read off a jet
+carry no discretization error, only rounding.
+
+Storage is coefficient-first: ``jet.coef`` is a complex array of shape
+(K+1, K+1, *batch), so ``coef[j, k]`` is one contiguous batch vector.
+The truncated product is then one loop over the C(K+2, 2) coefficients
+a[p, q] of the left factor, each step adding a[p, q] times the leading
+block of the right factor to the matching block of the result (the
+Taylor-mode kernel of Griewank & Walther, *Evaluating Derivatives*,
+ch. 13).  ``jet.c`` is the same coefficients seen batch-first, shape
+(*batch, K+1, K+1): a writable view of the storage, not a copy, and the
+constructors ``Jet2(c)`` and ``JetVec6(c)`` take that layout.
 
 Analytic functions (exp, sin, sqrt, powers, ...) are composed through
-their Taylor series evaluated on the nilpotent part of the argument.
-Division and non-integer powers require the constant term to be bounded
-away from zero and raise DomainError otherwise.
+their Taylor series evaluated on the nilpotent part n of the argument,
+by Horner's rule.  The partial sum that is multiplied by n^m only
+matters up to order K - m, so each Horner step runs at the order the
+result needs from it.  Division and non-integer powers require the
+constant term to be bounded away from zero and raise DomainError
+otherwise.
 
 Wirtinger derivatives follow z = u + iv:
 
@@ -34,50 +46,92 @@ DIVISION_TOL = 1e-10
 _MASKS = {}
 
 
-def _mask(order):
-    """Boolean (K+1, K+1) array, True where j + k <= K. Cached."""
+def _mask(order, trailing=0):
+    """Boolean array, True where j + k <= K, shaped (K+1, K+1) plus
+    ``trailing`` unit axes so it broadcasts over coefficient-first
+    storage.  The (K+1, K+1) table is cached."""
     m = _MASKS.get(order)
     if m is None:
         j = np.arange(order + 1)
         m = (j[:, None] + j[None, :]) <= order
         _MASKS[order] = m
-    return m
+    return m.reshape(m.shape + (1,) * trailing)
+
+
+def _widen(s, ndim):
+    """Coefficient-first array s with unit batch axes inserted after the
+    coefficient axes until it has ndim axes, so the batch axes of two
+    operands line up from the right."""
+    extra = ndim - s.ndim
+    if extra <= 0:
+        return s
+    return s.reshape(s.shape[:2] + (1,) * extra + s.shape[2:])
+
+
+def _batch_first(s, vector=False):
+    """Writable batch-first view (*batch, [6,] K+1, K+1) of storage."""
+    if vector:
+        return np.moveaxis(s, (0, 1, -1), (-2, -1, -3))
+    return np.moveaxis(s, (0, 1), (-2, -1))
+
+
+def _coefficient_first(c, vector=False):
+    """Contiguous coefficient-first copy of a batch-first array."""
+    c = np.asarray(c, dtype=np.complex128)
+    if vector:
+        return np.ascontiguousarray(np.moveaxis(c, (-3, -2, -1), (-1, 0, 1)))
+    return np.ascontiguousarray(np.moveaxis(c, (-2, -1), (0, 1)))
 
 
 def _mul(a, b):
-    """Truncated product of coefficient arrays with equal trailing shape."""
-    order = a.shape[-1] - 1
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.zeros(batch + a.shape[-2:], dtype=np.complex128)
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            out[..., p:, q:] += a[..., p:p + 1, q:q + 1] \
-                * b[..., :order + 1 - p, :order + 1 - q]
-    out *= _mask(order)
+    """Truncated product of coefficient-first arrays at the order of b.
+
+    a may have a lower order than b; its terms above that order count as
+    zero.  Trailing axes broadcast.  Each output coefficient sums its
+    terms in the order of increasing (p, q) of a, and only the triangle
+    j + k <= K is kept.
+    """
+    order = b.shape[0] - 1
+    top = a.shape[0] - 1
+    ndim = max(a.ndim, b.ndim)
+    a, b = _widen(a, ndim), _widen(b, ndim)
+    batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.zeros((order + 1, order + 1) + batch, dtype=np.complex128)
+    blocks = [b[:m + 1, :m + 1] for m in range(order + 1)]
+    for p in range(top + 1):
+        row = a[p]
+        for q in range(top + 1 - p):
+            m = order - p - q
+            out[p:p + m + 1, q:q + m + 1] += row[q] * blocks[m]
+    out *= _mask(order, len(batch))
     return out
 
 
-def _du(c):
-    order = c.shape[-1] - 1
+def _du(s):
+    order = s.shape[0] - 1
     if order == 0:
         raise OrderExhausted("derivative of an order-0 jet")
-    w = np.arange(1, order + 1).reshape(-1, 1)
-    out = c[..., 1:, :order] * w
-    return out * _mask(order - 1)
+    w = np.arange(1, order + 1).reshape((-1, 1) + (1,) * (s.ndim - 2))
+    out = s[1:, :order] * w
+    out *= _mask(order - 1, s.ndim - 2)
+    return out
 
 
-def _dv(c):
-    order = c.shape[-1] - 1
+def _dv(s):
+    order = s.shape[0] - 1
     if order == 0:
         raise OrderExhausted("derivative of an order-0 jet")
-    w = np.arange(1, order + 1).reshape(1, -1)
-    out = c[..., :order, 1:] * w
-    return out * _mask(order - 1)
+    w = np.arange(1, order + 1).reshape((1, -1) + (1,) * (s.ndim - 2))
+    out = s[:order, 1:] * w
+    out *= _mask(order - 1, s.ndim - 2)
+    return out
 
 
-def _truncate(c, order):
-    new = c[..., :order + 1, :order + 1]
-    return new * _mask(order)
+def _truncate(s, order):
+    """s at order ``order``, or s itself when that is its order."""
+    if s.shape[0] - 1 == order:
+        return s
+    return s[:order + 1, :order + 1] * _mask(order, s.ndim - 2)
 
 
 def _check_divisor(c0, what):
@@ -92,21 +146,37 @@ def _check_divisor(c0, what):
 
 class Jet2:
     """One truncated Taylor expansion per batch point. Immutable by
-    convention: every operation returns a new jet."""
+    convention: every operation returns a new jet.
 
-    __slots__ = ("c",)
+    ``coef`` holds the coefficients coefficient-first, (K+1, K+1, *batch);
+    ``c`` is the batch-first view (*batch, K+1, K+1) of the same memory.
+    """
+
+    __slots__ = ("coef",)
 
     def __init__(self, c):
-        self.c = np.asarray(c, dtype=np.complex128)
+        """Jet from batch-first coefficients (*batch, K+1, K+1)."""
+        self.coef = _coefficient_first(c)
+
+    @classmethod
+    def _wrap(cls, coef):
+        jet = object.__new__(cls)
+        jet.coef = coef
+        return jet
+
+    @property
+    def c(self):
+        return _batch_first(self.coef)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def constant(cls, value, order):
         value = np.asarray(value, dtype=np.complex128)
-        c = np.zeros(value.shape + (order + 1, order + 1), dtype=np.complex128)
-        c[..., 0, 0] = value
-        return cls(c)
+        s = np.zeros((order + 1, order + 1) + value.shape,
+                     dtype=np.complex128)
+        s[0, 0] = value
+        return cls._wrap(s)
 
     @classmethod
     def variable(cls, value, order, axis):
@@ -115,24 +185,24 @@ class Jet2:
         jet = cls.constant(value, order)
         if order >= 1:
             if axis == 0:
-                jet.c[..., 1, 0] = 1.0
+                jet.coef[1, 0] = 1.0
             else:
-                jet.c[..., 0, 1] = 1.0
+                jet.coef[0, 1] = 1.0
         return jet
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self):
-        return self.c.shape[-1] - 1
+        return self.coef.shape[0] - 1
 
     @property
     def value(self):
-        return self.c[..., 0, 0]
+        return self.coef[0, 0]
 
     @property
     def batch_shape(self):
-        return self.c.shape[:-2]
+        return self.coef.shape[2:]
 
     def truncated(self, order):
         if order > self.order:
@@ -141,34 +211,36 @@ class Jet2:
                 % (self.order, order))
         if order == self.order:
             return self
-        return Jet2(_truncate(self.c, order))
+        return Jet2._wrap(_truncate(self.coef, order))
 
     def nilpotent_norm(self):
         """Max absolute size of the non-constant coefficients."""
-        c = self.c.copy()
-        c[..., 0, 0] = 0
-        if c.size == 0:
+        s = self.coef.copy()
+        s[0, 0] = 0
+        if s.size == 0:
             return 0.0
-        return float(np.max(np.abs(c)))
+        return float(np.max(np.abs(s)))
 
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other):
-        """Return (self_c, other_c) at a common order."""
+        """Return (self.coef, other.coef) at a common order, with their
+        batch axes lined up."""
         if isinstance(other, JetVec6):
             return NotImplemented
         if not isinstance(other, Jet2):
             other = Jet2.constant(other, self.order)
         order = min(self.order, other.order)
-        return _truncate(self.c, order) if order < self.order else self.c, \
-            _truncate(other.c, order) if order < other.order else other.c
+        a, b = _truncate(self.coef, order), _truncate(other.coef, order)
+        ndim = max(a.ndim, b.ndim)
+        return _widen(a, ndim), _widen(b, ndim)
 
     def __add__(self, other):
         pair = self._coerce(other)
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        return Jet2(a + b)
+        return Jet2._wrap(a + b)
 
     __radd__ = __add__
 
@@ -177,24 +249,22 @@ class Jet2:
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        return Jet2(a - b)
+        return Jet2._wrap(a - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet2(-self.c)
+        return Jet2._wrap(-self.coef)
 
     def __mul__(self, other):
         if isinstance(other, JetVec6):
             return other.__mul__(self)
         if isinstance(other, Jet2):
             a, b = self._coerce(other)
-            return Jet2(_mul(a, b))
+            return Jet2._wrap(_mul(a, b))
         other = np.asarray(other, dtype=np.complex128)
-        if other.ndim:
-            other = other[..., None, None]
-        return Jet2(self.c * other)
+        return Jet2._wrap(_widen(self.coef, other.ndim + 2) * other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -213,42 +283,50 @@ class Jet2:
     # -- calculus ----------------------------------------------------------
 
     def du(self):
-        return Jet2(_du(self.c))
+        return Jet2._wrap(_du(self.coef))
 
     def dv(self):
-        return Jet2(_dv(self.c))
+        return Jet2._wrap(_dv(self.coef))
 
     def z(self):
-        return Jet2(0.5 * (_du(self.c) - 1j * _dv(self.c)))
+        return Jet2._wrap(0.5 * (_du(self.coef) - 1j * _dv(self.coef)))
 
     def zbar(self):
-        return Jet2(0.5 * (_du(self.c) + 1j * _dv(self.c)))
+        return Jet2._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
 
     def conj(self):
         """Jet of the conjugated function (coefficients conjugate)."""
-        return Jet2(np.conj(self.c))
+        return Jet2._wrap(np.conj(self.coef))
 
     @property
     def real(self):
-        return Jet2(0.5 * (self.c + np.conj(self.c)))
+        return Jet2._wrap(0.5 * (self.coef + np.conj(self.coef)))
 
     @property
     def imag(self):
-        return Jet2((self.c - np.conj(self.c)) / 2j)
+        return Jet2._wrap((self.coef - np.conj(self.coef)) / 2j)
 
     # -- analytic composition ----------------------------------------------
 
     def _compose(self, derivs):
         """Horner evaluation of sum_m derivs[m] n^m, n = self minus its
-        constant term. derivs[m] already includes the 1/m! factor."""
-        n = self.c.copy()
-        n[..., 0, 0] = 0
-        out = Jet2.constant(np.broadcast_to(derivs[-1], self.batch_shape),
-                            self.order).c.copy()
-        for m in range(self.order - 1, -1, -1):
-            out = _mul(out, n)
-            out[..., 0, 0] += derivs[m]
-        return Jet2(out)
+        constant term. derivs[m] already includes the 1/m! factor.
+
+        The partial sum P_m = derivs[m] + n P_{m+1} is multiplied by n^m
+        on its way to the result, and n^m has no terms below order m, so
+        P_m is formed at order K - m only.  Each coefficient kept sums
+        the same terms in the same order as a full-order Horner step,
+        less those that multiply the zero constant term of n.
+        """
+        order = self.order
+        n = self.coef.copy()
+        n[0, 0] = 0
+        out = np.zeros((1, 1) + self.batch_shape, dtype=np.complex128)
+        out[0, 0] = derivs[order]
+        for m in range(order - 1, -1, -1):
+            out = _mul(out, n[:order - m + 1, :order - m + 1])
+            out[0, 0] += derivs[m]
+        return Jet2._wrap(out)
 
     def _series(self, cycle):
         """Compose with the analytic function whose m-th derivative at
@@ -346,34 +424,40 @@ def jet_where(mask, a, b):
     (False). Works for Jet2 and JetVec6 alike.
     """
     mask = np.asarray(mask, dtype=bool)
-    if isinstance(a, JetVec6):
-        order = min(a.order, b.order)
-        return JetVec6(np.where(mask[..., None, None, None],
-                                _vec_truncate(a.c, order),
-                                _vec_truncate(b.c, order)))
     order = min(a.order, b.order)
-    return Jet2(np.where(mask[..., None, None],
-                         _truncate(a.c, order) if order < a.order else a.c,
-                         _truncate(b.c, order) if order < b.order else b.c))
-
-
-def _vec_truncate(c, order):
-    if c.shape[-1] - 1 == order:
-        return c
-    return _truncate(c, order)
+    sa, sb = _truncate(a.coef, order), _truncate(b.coef, order)
+    vector = isinstance(a, JetVec6)
+    m = mask.reshape((1, 1) + mask.shape + ((1,) if vector else ()))
+    ndim = max(m.ndim, sa.ndim, sb.ndim)
+    out = np.where(_widen(m, ndim), _widen(sa, ndim), _widen(sb, ndim))
+    return type(a)._wrap(out)
 
 
 class JetVec6:
     """Six jets forming one R^{4,2}-vector-valued map per batch point.
 
-    Stored as one array of shape (..., 6, K+1, K+1); the component axis
-    rides along as an extra batch axis for all coefficient kernels.
+    ``coef`` holds the coefficients coefficient-first with the component
+    axis last, (K+1, K+1, *batch, 6), so the product kernel treats the
+    component axis as one more batch axis and ``inner`` and
+    ``transformed`` contract it in place.  ``c`` is the batch-first view
+    (*batch, 6, K+1, K+1) of the same memory.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("coef",)
 
     def __init__(self, c):
-        self.c = np.asarray(c, dtype=np.complex128)
+        """Vector jet from batch-first coefficients (*batch, 6, K+1, K+1)."""
+        self.coef = _coefficient_first(c, vector=True)
+
+    @classmethod
+    def _wrap(cls, coef):
+        vec = object.__new__(cls)
+        vec.coef = coef
+        return vec
+
+    @property
+    def c(self):
+        return _batch_first(self.coef, vector=True)
 
     @classmethod
     def from_components(cls, comps):
@@ -381,104 +465,113 @@ class JetVec6:
             raise ValueError("need exactly 6 components")
         order = min(j.order for j in comps)
         batch = np.broadcast_shapes(*[j.batch_shape for j in comps])
-        parts = [np.broadcast_to(_truncate(j.c, order) if j.order > order
-                                 else j.c, batch + (order + 1, order + 1))
+        parts = [np.broadcast_to(_truncate(j.coef, order),
+                                 (order + 1, order + 1) + batch)
                  for j in comps]
-        return cls(np.stack(parts, axis=-3))
+        return cls._wrap(np.stack(parts, axis=-1))
 
     @classmethod
     def constant(cls, vec, order):
         vec = np.asarray(vec, dtype=np.complex128)
-        c = np.zeros(vec.shape + (order + 1, order + 1), dtype=np.complex128)
-        c[..., 0, 0] = vec
-        return cls(c)
+        s = np.zeros((order + 1, order + 1) + vec.shape, dtype=np.complex128)
+        s[0, 0] = vec
+        return cls._wrap(s)
 
     @property
     def order(self):
-        return self.c.shape[-1] - 1
+        return self.coef.shape[0] - 1
 
     @property
     def value(self):
-        return self.c[..., :, 0, 0]
+        return self.coef[0, 0]
 
     @property
     def batch_shape(self):
-        return self.c.shape[:-3]
+        return self.coef.shape[2:-1]
 
-    def component(self, i):
-        return Jet2(self.c[..., i, :, :])
+    def component(self, index):
+        """Component jet: one index for every point, or an index array
+        broadcasting against the batch shape that picks one per point."""
+        index = np.asarray(index)
+        if index.ndim == 0:
+            return Jet2._wrap(self.coef[..., int(index)])
+        sel = np.broadcast_to(index, self.batch_shape)[None, None, ..., None]
+        return Jet2._wrap(np.take_along_axis(self.coef, sel, axis=-1)[..., 0])
 
     def truncated(self, order):
-        if order == self.order:
-            return self
-        return JetVec6(_truncate(self.c, order))
+        return JetVec6._wrap(_truncate(self.coef, order))
 
     def transformed(self, matrix):
         """Apply a 6x6 matrix on the right (row vector convention)."""
         matrix = np.asarray(matrix, dtype=np.complex128)
-        return JetVec6(np.einsum("...jkl,ji->...ikl", self.c, matrix))
+        return JetVec6._wrap(np.einsum("...j,ji->...i", self.coef, matrix))
+
+    def _pair(self, other):
+        """Storage of self and other at a common order, batch axes
+        lined up."""
+        order = min(self.order, other.order)
+        a, b = _truncate(self.coef, order), _truncate(other.coef, order)
+        ndim = max(a.ndim, b.ndim)
+        return _widen(a, ndim), _widen(b, ndim)
 
     def __add__(self, other):
-        order = min(self.order, other.order)
-        return JetVec6(_vec_truncate(self.c, order)
-                       + _vec_truncate(other.c, order))
+        a, b = self._pair(other)
+        return JetVec6._wrap(a + b)
 
     def __sub__(self, other):
-        order = min(self.order, other.order)
-        return JetVec6(_vec_truncate(self.c, order)
-                       - _vec_truncate(other.c, order))
+        a, b = self._pair(other)
+        return JetVec6._wrap(a - b)
 
     def __neg__(self):
-        return JetVec6(-self.c)
+        return JetVec6._wrap(-self.coef)
+
+    def _scalar(self, other):
+        """Storage and a per-point scalar array, lined up to broadcast."""
+        other = np.asarray(other, dtype=np.complex128)
+        if other.ndim:
+            other = other[..., None]
+        return _widen(self.coef, other.ndim + 2), other
 
     def __mul__(self, other):
         """Scale by a scalar jet or a plain scalar."""
         if isinstance(other, Jet2):
             order = min(self.order, other.order)
-            oc = _truncate(other.c, order) if other.order > order else other.c
-            return JetVec6(_mul(_vec_truncate(self.c, order),
-                                oc[..., None, :, :]))
-        other = np.asarray(other, dtype=np.complex128)
-        if other.ndim:
-            other = other[..., None, None, None]
-        return JetVec6(self.c * other)
+            return JetVec6._wrap(_mul(_truncate(self.coef, order),
+                                      _truncate(other.coef, order)[..., None]))
+        s, other = self._scalar(other)
+        return JetVec6._wrap(s * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other.reciprocal()
-        return JetVec6(self.c / other)
+        s, other = self._scalar(other)
+        return JetVec6._wrap(s / other)
 
     def inner(self, other):
         """Bilinear signature-(4,2) inner product, returning a Jet2."""
-        order = min(self.order, other.order)
-        prod = _mul(_vec_truncate(self.c, order), _vec_truncate(other.c, order))
-        return Jet2(np.einsum("...ijk,i->...jk", prod, SIGNS))
+        a, b = self._pair(other)
+        return Jet2._wrap(np.einsum("...i,i->...", _mul(a, b), SIGNS))
 
     def du(self):
-        return JetVec6(_du(self.c))
+        return JetVec6._wrap(_du(self.coef))
 
     def dv(self):
-        return JetVec6(_dv(self.c))
+        return JetVec6._wrap(_dv(self.coef))
 
     def z(self):
-        return JetVec6(0.5 * (_du(self.c) - 1j * _dv(self.c)))
+        return JetVec6._wrap(0.5 * (_du(self.coef) - 1j * _dv(self.coef)))
 
     def zbar(self):
-        return JetVec6(0.5 * (_du(self.c) + 1j * _dv(self.c)))
+        return JetVec6._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
 
     def conj(self):
-        return JetVec6(np.conj(self.c))
+        return JetVec6._wrap(np.conj(self.coef))
 
     @property
     def real(self):
-        return JetVec6(0.5 * (self.c + np.conj(self.c)))
+        return JetVec6._wrap(0.5 * (self.coef + np.conj(self.coef)))
 
     def __repr__(self):
         return "JetVec6(order=%d, batch=%s)" % (self.order, self.batch_shape)
-
-
-def inner(a, b):
-    """Module-level alias: signed inner product of two JetVec6."""
-    return a.inner(b)

@@ -53,19 +53,19 @@ def _affine_data(J, axis):
     it is refused.  Order-zero jets carry no axis information and are
     taken to be the plain coordinate of their slot.
     """
-    c = J.c
-    value = c[..., 0, 0]
+    c = J.coef
+    value = c[0, 0]
     if J.order >= 1:
-        cu = c[..., 1, 0]
-        cv = c[..., 0, 1]
+        cu = c[1, 0]
+        cv = c[0, 1]
     else:
         cu = np.full_like(value, 1.0 if axis == 0 else 0.0)
         cv = np.full_like(value, 0.0 if axis == 0 else 1.0)
     rest = c.copy()
-    rest[..., 0, 0] = 0.0
+    rest[0, 0] = 0.0
     if J.order >= 1:
-        rest[..., 1, 0] = 0.0
-        rest[..., 0, 1] = 0.0
+        rest[1, 0] = 0.0
+        rest[0, 1] = 0.0
     scale = 1.0 + float(np.max(np.abs(c)))
     if float(np.max(np.abs(rest))) > 1e-12 * scale:
         raise DomainError(

@@ -6,9 +6,10 @@ from lightcone.charts import (catalog_chart, embed_flat, embed_hyperbolic,
                               embed_sphere, grid_axis, moved_chart,
                               rational_parameter, sample_grid, scaled_chart,
                               validate_chart, CATALOG)
-from lightcone.errors import (NotOnQuadric, ParameterOutOfRange,
+from lightcone.dsl import chart_from_source
+from lightcone.errors import (NonFinite, NotOnQuadric, ParameterOutOfRange,
                               UnknownIdentifier)
-from lightcone.jets import inner, seed_point
+from lightcone.jets import seed_point
 
 import oracles
 
@@ -66,7 +67,7 @@ def test_unknown_catalog_name():
 def test_embed_flat_is_null():
     U, V = seed_point(0.3, -0.8, 3)
     w = embed_flat([U, V, U * V, U.exp()])
-    q = inner(w, w)
+    q = w.inner(w)
     assert np.max(np.abs(q.c)) < 1e-12
 
 
@@ -82,7 +83,7 @@ def test_embed_sphere_null_and_quadric_guard():
     good = [U.cosh() * V.cos(), U.cosh() * V.sin(),
             0.0 * U, 0.0 * U, U.sinh()]
     w = embed_sphere(good)
-    assert np.max(np.abs(inner(w, w).c)) < 1e-12
+    assert np.max(np.abs(w.inner(w).c)) < 1e-12
     bad = list(good)
     bad[0] = bad[0] * 1.001
     with pytest.raises(NotOnQuadric):
@@ -93,7 +94,7 @@ def test_embed_hyperbolic_null_and_quadric_guard():
     U, V = seed_point(0.7, 0.2, 3)
     good = [0.0 * U, 0.0 * U, 0.0 * U, V.cos(), V.sin()]
     w = embed_hyperbolic(good)
-    assert np.max(np.abs(inner(w, w).c)) < 1e-12
+    assert np.max(np.abs(w.inner(w).c)) < 1e-12
     bad = list(good)
     bad[3] = bad[3] + 0.01
     with pytest.raises(NotOnQuadric):
@@ -123,9 +124,9 @@ def test_moved_chart_preserves_inner_products():
     u, v = sample_grid(chart, 4, 4)
     w0 = chart.lift_at(u, v, order=1)
     w1 = moved.lift_at(u, v, order=1)
-    assert np.max(np.abs(inner(w1, w1).value)) < 1e-12
-    g0 = inner(w0.z(), w0.z().conj()).value
-    g1 = inner(w1.z(), w1.z().conj()).value
+    assert np.max(np.abs(w1.inner(w1).value)) < 1e-12
+    g0 = w0.z().inner(w0.z().conj()).value
+    g1 = w1.z().inner(w1.z().conj()).value
     assert np.max(np.abs(g0 - g1)) < 1e-12
     assert np.max(np.abs(w1.value - w0.value @ motion.matrix)) < 1e-12
 
@@ -146,3 +147,12 @@ def test_rational_parameter():
     assert rational_parameter(2.0) == (2, 1)
     assert rational_parameter(1.25) == (5, 4)
     assert rational_parameter(np.sqrt(2.0)) is None
+
+
+def test_overflowing_lift_raises_nonfinite():
+    # exp(800) overflows: the second point's lift is Inf/NaN, the first
+    # is finite
+    chart = chart_from_source("r3 [exp(800*u)*cos(v), exp(800*u)*sin(v), u]")
+    with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+        chart.lift_at(np.array([0.0, 1.0]), np.zeros(2), order=2)
+    assert info.value.context == {"count": 1, "points": 2}

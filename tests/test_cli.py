@@ -306,7 +306,7 @@ def test_overflowing_chart_errors_as_strict_json(capsys, tmp_path):
     # exactly one document: no numpy warnings ahead of it, no NaN in it
     payload = json.loads(err, parse_constant=_reject_constant)
     VALIDATOR.validate(payload)
-    assert payload["error"] == "NotSpacelike"
+    assert payload["error"] == "NonFinite"
 
 
 @pytest.mark.parametrize("argv,builds", [

@@ -10,7 +10,6 @@ from lightcone.frames import (adjoint_vector, canonical_lift,
                               conformal_gauss_data, envelope_vector,
                               frame_and_invariants, frame_field,
                               pair_density, willmore_operators)
-from lightcone.jets import inner
 
 import oracles
 
@@ -36,9 +35,9 @@ def test_canonical_lift_identities():
         u, v = sample_grid(chart, 5, 5)
         Y = canonical_lift(chart.lift_at(u, v, order=5))
         Yz = Y.z()
-        assert np.max(np.abs(inner(Y, Y).c)) < 1e-12
-        assert np.max(np.abs(inner(Yz, Yz).c)) < 1e-12
-        assert np.max(np.abs((inner(Yz, Y.zbar()) - 0.5).c)) < 1e-12
+        assert np.max(np.abs(Y.inner(Y).c)) < 1e-12
+        assert np.max(np.abs(Yz.inner(Yz).c)) < 1e-12
+        assert np.max(np.abs((Yz.inner(Y.zbar()) - 0.5).c)) < 1e-12
 
 
 def test_canonical_lift_rejects_non_spacelike():
@@ -123,21 +122,21 @@ def test_frame_identities_as_jets():
     Yu = fr.Yu.truncated(k)
     Yv = fr.Yv.truncated(k)
     checks = [
-        inner(fr.N, fr.N),
-        inner(fr.N, Y) + 1.0,
-        inner(fr.N, Yu),
-        inner(fr.N, Yv),
-        inner(fr.L, fr.L),
-        inner(fr.R, fr.R),
-        inner(fr.L, fr.R) + 1.0,
-        inner(fr.L, Y),
-        inner(fr.L, Yu),
-        inner(fr.L, Yv),
-        inner(fr.L, fr.N),
-        inner(fr.R, Y),
-        inner(fr.R, Yu),
-        inner(fr.R, Yv),
-        inner(fr.R, fr.N),
+        fr.N.inner(fr.N),
+        fr.N.inner(Y) + 1.0,
+        fr.N.inner(Yu),
+        fr.N.inner(Yv),
+        fr.L.inner(fr.L),
+        fr.R.inner(fr.R),
+        fr.L.inner(fr.R) + 1.0,
+        fr.L.inner(Y),
+        fr.L.inner(Yu),
+        fr.L.inner(Yv),
+        fr.L.inner(fr.N),
+        fr.R.inner(Y),
+        fr.R.inner(Yu),
+        fr.R.inner(Yv),
+        fr.R.inner(fr.N),
     ]
     for j, c in enumerate(checks):
         assert np.max(np.abs(c.c)) < 1e-11, j
@@ -164,9 +163,9 @@ def test_gauge_reference_chain_walks_past_dead_axes():
     fr = frame_field(canonical_lift(chart.lift_at(0.0, phi, order=5)))
     assert fr.gauge_fallback
     assert int(fr.gauge_axis) not in (3, 4)
-    assert abs(complex(inner(fr.L, fr.L).value)) < 1e-12
-    assert abs(complex(inner(fr.R, fr.R).value)) < 1e-12
-    assert abs(complex(inner(fr.L, fr.R).value) + 1.0) < 1e-12
+    assert abs(complex(fr.L.inner(fr.L).value)) < 1e-12
+    assert abs(complex(fr.R.inner(fr.R).value)) < 1e-12
+    assert abs(complex(fr.L.inner(fr.R).value) + 1.0) < 1e-12
     axis = int(fr.gauge_axis)
     pL = SIGNS[axis] * fr.L.value.real[axis]
     pR = SIGNS[axis] * fr.R.value.real[axis]
@@ -204,12 +203,12 @@ def test_adjoint_identities_any_chart():
         fr, inv = frame_and_invariants(chart.lift_at(u, v, order=7))
         yhat = adjoint_vector(fr, inv, "left")
         k = yhat.order
-        assert np.max(np.abs(inner(yhat, yhat).c)) < 1e-11
-        assert np.max(np.abs((inner(fr.Y.truncated(k), yhat) + 1.0).c)) < 1e-11
+        assert np.max(np.abs(yhat.inner(yhat).c)) < 1e-11
+        assert np.max(np.abs((fr.Y.truncated(k).inner(yhat) + 1.0).c)) < 1e-11
         mu_half = inv.mu_left.truncated(k) * 0.5
-        assert np.max(np.abs((inner(fr.Yz.truncated(k), yhat) - mu_half).c)) \
+        assert np.max(np.abs((fr.Yz.truncated(k).inner(yhat) - mu_half).c)) \
             < 1e-11
-        assert np.max(np.abs(inner(yhat, fr.L.z().truncated(k)).c)) < 1e-11
+        assert np.max(np.abs(yhat.inner(fr.L.z().truncated(k)).c)) < 1e-11
 
 
 def test_envelope_orthogonal_to_left_congruence():
@@ -218,11 +217,11 @@ def test_envelope_orthogonal_to_left_congruence():
     fr, inv = frame_and_invariants(chart.lift_at(u, v, order=8))
     env = envelope_vector(fr, inv)
     k = env.order
-    assert np.max(np.abs(inner(env, fr.L.truncated(k)).value)) < 1e-9
-    assert np.max(np.abs(inner(env, fr.L.z().truncated(k)).value)) < 1e-9
+    assert np.max(np.abs(env.inner(fr.L.truncated(k)).value)) < 1e-9
+    assert np.max(np.abs(env.inner(fr.L.z().truncated(k)).value)) < 1e-9
     zzb = fr.L.z().zbar().truncated(k)
-    assert np.max(np.abs(inner(env, zzb).value)) < 1e-9
-    assert np.max(np.abs(inner(env, env).value)) < 1e-9
+    assert np.max(np.abs(env.inner(zzb).value)) < 1e-9
+    assert np.max(np.abs(env.inner(env).value)) < 1e-9
 
 
 def test_envelope_equals_adjoint_on_torus():
@@ -304,4 +303,4 @@ def test_corrupted_frame_breaks_structure():
     th, ph = strip_points()
     fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
     bad = fr.L * 1.01
-    assert np.max(np.abs((inner(bad, fr.R) + 1.0).value)) > 1e-3
+    assert np.max(np.abs((bad.inner(fr.R) + 1.0).value)) > 1e-3

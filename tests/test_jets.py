@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lightcone.ambient import SIGNS
 from lightcone.errors import DomainError, OrderExhausted
-from lightcone.jets import Jet2, JetVec6, inner, jet_where, seed_point
+from lightcone.jets import Jet2, JetVec6, jet_where, seed_point
 
 import oracles
 
@@ -225,8 +225,8 @@ def test_nilpotent_norm():
 def test_vec_inner_signature():
     e = [JetVec6.constant(np.eye(6)[i], 2) for i in range(6)]
     for i in range(6):
-        assert inner(e[i], e[i]).value == pytest.approx(SIGNS[i])
-    assert inner(e[0], e[4]).value == pytest.approx(0.0)
+        assert e[i].inner(e[i]).value == pytest.approx(SIGNS[i])
+    assert e[0].inner(e[4]).value == pytest.approx(0.0)
 
 
 def test_vec_from_components_and_back():
@@ -240,8 +240,8 @@ def test_vec_from_components_and_back():
 def test_vec_derivative_commutes_with_inner():
     U, V = seed_point(0.3, 0.4, 4)
     w = JetVec6.from_components([U, V, U * V, U.sin(), V.cos(), U.exp()])
-    lhs = inner(w, w).du()
-    rhs = inner(w.du(), w) + inner(w, w.du())
+    lhs = w.inner(w).du()
+    rhs = w.du().inner(w) + w.inner(w.du())
     assert np.allclose(lhs.c, rhs.c, atol=1e-10)
 
 
@@ -274,3 +274,153 @@ def test_vec_z_matches_component_z():
     U, V = seed_point(0.2, 0.7, 4)
     w = JetVec6.from_components([U * V, U, V, U + V, U * U, V * V])
     assert np.allclose(w.z().component(0).c, (U * V).z().c, atol=0)
+
+
+# properties against an independent reference
+
+orders = st.integers(0, 16)
+seeds = st.integers(0, 2 ** 32 - 1)
+batches = st.sampled_from([(), (3,), (2, 3)])
+# batch shapes of two operands; the last three broadcast
+batch_pairs = st.sampled_from([((), ()), ((3,), (3,)), ((2, 3), (2, 3)),
+                               ((2, 3), (3,)), ((3,), (2, 3)),
+                               ((), (2, 3)), ((2, 1), (3,))])
+
+
+def coefficients(rng, order, batch, shape=()):
+    """Random batch-first coefficients (*batch, *shape, K+1, K+1),
+    zero above the triangle j + k <= K."""
+    size = batch + shape + (order + 1, order + 1)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    j = np.arange(order + 1)
+    return c * ((j[:, None] + j[None, :]) <= order)
+
+
+def as_dict(c):
+    """Coefficient dictionary {(j, k): batch array} of a batch-first
+    coefficient array."""
+    order = c.shape[-1] - 1
+    return {(j, k): c[..., j, k]
+            for j in range(order + 1) for k in range(order + 1 - j)}
+
+
+def reference_product(a, b, order):
+    """Truncated Cauchy product of two coefficient dictionaries."""
+    out = {}
+    for (j1, k1), x in a.items():
+        for (j2, k2), y in b.items():
+            if j1 + k1 + j2 + k2 <= order:
+                key = (j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def assert_matches(c, ref, order):
+    """Batch-first c equals the dictionary ref on the triangle and is
+    zero above it.  The product sums the terms of each coefficient in
+    the order of reference_product, left factor outermost, so the two
+    agree exactly, not only to rounding."""
+    assert c.shape[-2:] == (order + 1, order + 1)
+    want = np.zeros(c.shape, dtype=complex)
+    for (j, k), value in ref.items():
+        want[..., j, k] = value
+    assert np.array_equal(c, want)
+
+
+@given(orders, orders, batch_pairs, seeds)
+@settings(max_examples=60)
+def test_product_matches_reference(ka, kb, shapes, seed):
+    rng = np.random.default_rng(seed)
+    ca = coefficients(rng, ka, shapes[0])
+    cb = coefficients(rng, kb, shapes[1])
+    order = min(ka, kb)
+    got = (Jet2(ca) * Jet2(cb)).c
+    assert got.shape[:-2] == np.broadcast_shapes(*shapes)
+    assert_matches(got, reference_product(as_dict(ca), as_dict(cb), order),
+                   order)
+
+
+@given(orders, batch_pairs, seeds)
+@settings(max_examples=30)
+def test_scalar_times_vector_matches_reference(order, shapes, seed):
+    rng = np.random.default_rng(seed)
+    cs = coefficients(rng, order, shapes[0])
+    cw = coefficients(rng, order, shapes[1], (6,))
+    s, w = Jet2(cs), JetVec6(cw)
+    for got in ((s * w).c, (w * s).c):
+        assert got.shape[:-3] == np.broadcast_shapes(*shapes)
+        for i in range(6):
+            # the vector's coefficients are the left factor either way
+            ref = reference_product(as_dict(cw[..., i, :, :]), as_dict(cs),
+                                    order)
+            assert_matches(got[..., i, :, :], ref, order)
+
+
+@given(orders, batch_pairs, seeds)
+@settings(max_examples=30)
+def test_inner_matches_reference(order, shapes, seed):
+    rng = np.random.default_rng(seed)
+    ca = coefficients(rng, order, shapes[0], (6,))
+    cb = coefficients(rng, order, shapes[1], (6,))
+    ref = {}
+    for i in range(6):
+        part = reference_product(as_dict(ca[..., i, :, :]),
+                                 as_dict(cb[..., i, :, :]), order)
+        for key, value in part.items():
+            ref[key] = ref.get(key, 0) + SIGNS[i] * value
+    got = JetVec6(ca).inner(JetVec6(cb)).c
+    assert got.shape[:-2] == np.broadcast_shapes(*shapes)
+    assert_matches(got, ref, order)
+
+
+def decaying_jet(rng, batch, order=16, unit=False):
+    """Jet whose degree-d coefficients shrink like 2**-d.  With unit,
+    its constant term lies in the annulus 1 <= |c0| <= 2."""
+    c = coefficients(rng, order, batch)
+    j = np.arange(order + 1)
+    c = c * 0.5 ** (j[:, None] + j[None, :])
+    if unit:
+        c[..., 0, 0] = rng.uniform(1, 2, batch) \
+            * np.exp(2j * np.pi * rng.uniform(size=batch))
+    return Jet2(c)
+
+
+@given(seeds, batches)
+@settings(max_examples=20)
+def test_composition_identities_at_order_16(seed, batch):
+    # each case: two factors, the identity's left and right side; the
+    # rounding of a product grows with the size of its factors
+    rng = np.random.default_rng(seed)
+    f = decaying_jet(rng, batch)
+    g = decaying_jet(rng, batch, unit=True)
+    one = Jet2.constant(np.ones(batch), 16)
+    e, ei = f.exp(), (-f).exp()
+    s, c = f.sin(), f.cos()
+    sh, ch = f.sinh(), f.cosh()
+    r, h = g.power(-1), g.power(0.5)
+    cases = [(e, ei, e * ei, one),
+             (s, c, s * s + c * c, one),
+             (sh, ch, ch * ch - sh * sh, one),
+             (r, g, r * g, one),
+             (h, h, h ** 2, g)]
+    for a, b, lhs, rhs in cases:
+        assert lhs.order == 16
+        size = max(1.0, np.max(np.abs(a.c)), np.max(np.abs(b.c)))
+        assert np.max(np.abs(lhs.c - rhs.c)) < 1e-12 * size ** 2
+
+
+@given(batches, st.integers(1, 6), seeds)
+@settings(max_examples=20)
+def test_writes_through_c_are_visible(batch, order, seed):
+    rng = np.random.default_rng(seed)
+    f = Jet2(coefficients(rng, order, batch))
+    assert f.c.shape == batch + (order + 1, order + 1)
+    f.c[..., 0, 0] = 7.0
+    f.c[..., 1, 0] = -2.0
+    assert np.all(f.value == 7.0)
+    assert np.all(f.du().value == -2.0)
+    w = JetVec6(coefficients(rng, order, batch, (6,)))
+    assert w.c.shape == batch + (6, order + 1, order + 1)
+    w.c[..., 2, 0, 0] = -3.0
+    assert np.all(w.value[..., 2] == -3.0)
+    assert np.all(w.component(2).value == -3.0)
