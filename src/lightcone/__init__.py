@@ -2,8 +2,7 @@
 cone of R^{4,2}: frames, invariants, Willmore functionals, polar and
 adjoint transforms."""
 
-from .ambient import (ETA, SIGNS, Motion, ProjectivePoint, apply_motion,
-                      inner, projective_distance)
+from .ambient import ETA, SIGNS, Motion, inner, projective_distance
 from .analysis import (EnergyResult, ResidualReport, gauss_metric_report,
                        harmonicity_report, homogeneous_torus_energy,
                        integrability_residual, omega_report,
@@ -24,10 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG", "ETA", "EnergyResult", "FrameData", "InvariantSet", "Jet2",
-    "JetVec6", "LightconeError", "Motion", "ProjectivePoint",
-    "ResidualReport", "SIGNS", "SurfaceChart", "TransformedSurface",
-    "adjoint_left", "adjoint_right", "apply_chain", "apply_motion",
-    "canonical_lift", "catalog_chart", "chart_from_source",
+    "JetVec6", "LightconeError", "Motion", "ResidualReport", "SIGNS",
+    "SurfaceChart", "TransformedSurface", "adjoint_left", "adjoint_right",
+    "apply_chain", "canonical_lift", "catalog_chart", "chart_from_source",
     "classify_point", "duality_report", "frame_and_invariants",
     "full_second_envelope", "gauss_metric_report", "harmonicity_report",
     "homogeneous_torus_energy", "inner", "integrability_residual",

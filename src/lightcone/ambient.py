@@ -99,28 +99,6 @@ def lightcone_deviation(p):
     return num / den
 
 
-class ProjectivePoint:
-    """A point of the projectivized light cone, stored by representative.
-
-    Thin wrapper: most code passes raw arrays; this class pins down the
-    equivalence (nonzero scale, either sign) where an API returns points
-    rather than frames.
-    """
-
-    def __init__(self, rep):
-        self.rep = normalized(rep)
-
-    def distance(self, other):
-        other_rep = other.rep if isinstance(other, ProjectivePoint) else other
-        return projective_distance(self.rep, other_rep)
-
-    def moved(self, motion):
-        return ProjectivePoint(motion.apply(self.rep))
-
-    def __repr__(self):
-        return "ProjectivePoint(%s)" % np.array2string(self.rep, precision=6)
-
-
 class Motion:
     """A conformal motion: T in O(4,2) acting by [x] -> [x T].
 
@@ -179,13 +157,6 @@ class Motion:
 
     def inverse(self):
         return Motion(ETA @ self.matrix.T @ ETA)
-
-
-def apply_motion(motion, x):
-    """Functional form of Motion.apply; accepts a raw matrix too."""
-    if not isinstance(motion, Motion):
-        motion = Motion(motion)
-    return motion.apply(x)
 
 
 def _expm(a):

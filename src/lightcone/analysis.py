@@ -295,9 +295,9 @@ def harmonicity_report(frame, inv, side=None):
     yhat = adjoint_vector(frame, inv, side)
 
     Yv = frame.Y.value.real
-    Yz = frame.Y.z().value
-    Yzb = frame.Y.zbar().value
-    Yzzb = frame.Y.z().zbar().value
+    Yz = frame.Yz.value
+    Yzb = frame.Yzb.value
+    Yzzb = frame.Yz.zbar().value
     Hv = yhat.value.real
     Hz = yhat.z().value
     Hzb = yhat.zbar().value

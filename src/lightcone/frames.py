@@ -42,8 +42,13 @@ def canonical_lift(raw):
     is consumed by the normalization).  Raises NotSpacelike where the
     induced metric degenerates or flips sign.
     """
-    rz = raw.z()
-    rzb = raw.zbar()
+    ru = raw.du()
+    rv = raw.dv()
+    rz = (ru - rv * 1j) * 0.5
+    rzb = (ru + rv * 1j) * 0.5
+    # the u, v derivatives are not needed below; freeing them keeps the
+    # memory peak of a large, low-order lift where it is without them
+    del ru, rv
     g2 = (rz.inner(rzb) * 2.0).real
     scale = np.sum(np.abs(rz.value) ** 2, axis=-1)
     ratio = g2.value.real / np.maximum(scale, 1e-300)
@@ -84,10 +89,10 @@ def frame_field(Y):
     diagonalizing the best candidate pair at value level, then
     orthonormalizing as jets so the frame identities hold exactly.
     """
-    Yz = Y.z()
-    Yzb = Y.zbar()
     Yu = Y.du()
     Yv = Y.dv()
+    Yz = (Yu - Yv * 1j) * 0.5
+    Yzb = (Yu + Yv * 1j) * 0.5
     Yzzb = Yz.zbar()
     N = Yzzb * 2.0 + Y * (Yzzb.inner(Yzzb) * 2.0)
 
@@ -243,19 +248,6 @@ class InvariantSet:
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
-
-    def classification(self):
-        """Per-point label: generic, left_umbilic (lambda2 ~ 0),
-        right_umbilic (lambda1 ~ 0), or umbilic (both)."""
-        shape = np.broadcast_shapes(np.shape(self.umbilic_left),
-                                    np.shape(self.umbilic_right))
-        out = np.full(shape, "generic", dtype=object)
-        left = np.broadcast_to(self.umbilic_left, shape)
-        right = np.broadcast_to(self.umbilic_right, shape)
-        out[left] = "left_umbilic"
-        out[right] = "right_umbilic"
-        out[left & right] = "umbilic"
-        return out
 
 
 def invariants(frame):

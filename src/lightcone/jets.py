@@ -33,6 +33,16 @@ Wirtinger derivatives follow z = u + iv:
 
 ``JetVec6`` bundles six jets into an R^{4,2} vector of functions, with
 the bilinear signature-(4,2) inner product of the ambient module.
+
+Both types derive from ``_Jet``, which holds everything they do alike:
+construction, ``order`` and ``value``, truncation, addition and
+subtraction at the lower of two orders, the u, v and Wirtinger
+derivatives, conjugation and the real part.  Its class flag ``_vector``
+says whether the storage carries the trailing component axis; it is
+the only difference those operations see.  Each subclass keeps its own
+products: ``Jet2`` multiplies, divides and composes scalar jets and
+takes plain scalars in sums, ``JetVec6`` scales by scalar jets and
+forms the inner product.
 """
 
 import numpy as np
@@ -144,19 +154,23 @@ def _check_divisor(c0, what):
             min_abs=float(np.min(np.abs(c0))), tolerance=DIVISION_TOL)
 
 
-class Jet2:
-    """One truncated Taylor expansion per batch point. Immutable by
-    convention: every operation returns a new jet.
+class _Jet:
+    """What both jet types do alike.  Immutable by convention: every
+    operation returns a new jet.
 
-    ``coef`` holds the coefficients coefficient-first, (K+1, K+1, *batch);
-    ``c`` is the batch-first view (*batch, K+1, K+1) of the same memory.
+    ``coef`` holds the coefficients coefficient-first; ``_vector`` is
+    True when a trailing component axis follows the batch axes.
     """
 
     __slots__ = ("coef",)
+    _vector = False
+
+    # -- construction ---------------------------------------------------
 
     def __init__(self, c):
-        """Jet from batch-first coefficients (*batch, K+1, K+1)."""
-        self.coef = _coefficient_first(c)
+        """Jet from batch-first coefficients, (*batch, K+1, K+1) for a
+        Jet2 and (*batch, 6, K+1, K+1) for a JetVec6."""
+        self.coef = _coefficient_first(c, self._vector)
 
     @classmethod
     def _wrap(cls, coef):
@@ -166,9 +180,7 @@ class Jet2:
 
     @property
     def c(self):
-        return _batch_first(self.coef)
-
-    # -- construction ---------------------------------------------------
+        return _batch_first(self.coef, self._vector)
 
     @classmethod
     def constant(cls, value, order):
@@ -177,6 +189,86 @@ class Jet2:
                      dtype=np.complex128)
         s[0, 0] = value
         return cls._wrap(s)
+
+    # -- basic queries ---------------------------------------------------
+
+    @property
+    def order(self):
+        return self.coef.shape[0] - 1
+
+    @property
+    def value(self):
+        return self.coef[0, 0]
+
+    def truncated(self, order):
+        if order > self.order:
+            raise OrderExhausted(
+                "cannot extend a jet of order %d to order %d"
+                % (self.order, order))
+        if order == self.order:
+            return self
+        return self._wrap(_truncate(self.coef, order))
+
+    # -- ring operations --------------------------------------------------
+
+    def _pair(self, other):
+        """Return (self.coef, other.coef) at a common order, with their
+        batch axes lined up."""
+        order = min(self.order, other.order)
+        a, b = _truncate(self.coef, order), _truncate(other.coef, order)
+        ndim = max(a.ndim, b.ndim)
+        return _widen(a, ndim), _widen(b, ndim)
+
+    def __add__(self, other):
+        pair = self._pair(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        a, b = pair
+        return self._wrap(a + b)
+
+    def __sub__(self, other):
+        pair = self._pair(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        a, b = pair
+        return self._wrap(a - b)
+
+    def __neg__(self):
+        return self._wrap(-self.coef)
+
+    # -- calculus ----------------------------------------------------------
+
+    def du(self):
+        return self._wrap(_du(self.coef))
+
+    def dv(self):
+        return self._wrap(_dv(self.coef))
+
+    def z(self):
+        return self._wrap(0.5 * (_du(self.coef) - 1j * _dv(self.coef)))
+
+    def zbar(self):
+        return self._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
+
+    def conj(self):
+        """Jet of the conjugated function (coefficients conjugate)."""
+        return self._wrap(np.conj(self.coef))
+
+    @property
+    def real(self):
+        return self._wrap(0.5 * (self.coef + np.conj(self.coef)))
+
+
+class Jet2(_Jet):
+    """One truncated Taylor expansion per batch point.
+
+    ``coef`` holds the coefficients coefficient-first, (K+1, K+1, *batch);
+    ``c`` is the batch-first view (*batch, K+1, K+1) of the same memory.
+    """
+
+    __slots__ = ()
+
+    # -- construction ---------------------------------------------------
 
     @classmethod
     def variable(cls, value, order, axis):
@@ -193,25 +285,8 @@ class Jet2:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def order(self):
-        return self.coef.shape[0] - 1
-
-    @property
-    def value(self):
-        return self.coef[0, 0]
-
-    @property
     def batch_shape(self):
         return self.coef.shape[2:]
-
-    def truncated(self, order):
-        if order > self.order:
-            raise OrderExhausted(
-                "cannot extend a jet of order %d to order %d"
-                % (self.order, order))
-        if order == self.order:
-            return self
-        return Jet2._wrap(_truncate(self.coef, order))
 
     def nilpotent_norm(self):
         """Max absolute size of the non-constant coefficients."""
@@ -221,47 +296,31 @@ class Jet2:
             return 0.0
         return float(np.max(np.abs(s)))
 
+    @property
+    def imag(self):
+        return Jet2._wrap((self.coef - np.conj(self.coef)) / 2j)
+
     # -- ring operations --------------------------------------------------
 
-    def _coerce(self, other):
-        """Return (self.coef, other.coef) at a common order, with their
-        batch axes lined up."""
+    def _pair(self, other):
+        """As ``_Jet._pair``, with plain scalars taken as constant jets;
+        NotImplemented for a JetVec6, which handles mixed products."""
         if isinstance(other, JetVec6):
             return NotImplemented
         if not isinstance(other, Jet2):
             other = Jet2.constant(other, self.order)
-        order = min(self.order, other.order)
-        a, b = _truncate(self.coef, order), _truncate(other.coef, order)
-        ndim = max(a.ndim, b.ndim)
-        return _widen(a, ndim), _widen(b, ndim)
+        return super()._pair(other)
 
-    def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return Jet2._wrap(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return Jet2._wrap(a - b)
+    __radd__ = _Jet.__add__
 
     def __rsub__(self, other):
         return (-self).__add__(other)
-
-    def __neg__(self):
-        return Jet2._wrap(-self.coef)
 
     def __mul__(self, other):
         if isinstance(other, JetVec6):
             return other.__mul__(self)
         if isinstance(other, Jet2):
-            a, b = self._coerce(other)
+            a, b = self._pair(other)
             return Jet2._wrap(_mul(a, b))
         other = np.asarray(other, dtype=np.complex128)
         return Jet2._wrap(_widen(self.coef, other.ndim + 2) * other)
@@ -279,32 +338,6 @@ class Jet2:
 
     def __pow__(self, exponent):
         return self.power(exponent)
-
-    # -- calculus ----------------------------------------------------------
-
-    def du(self):
-        return Jet2._wrap(_du(self.coef))
-
-    def dv(self):
-        return Jet2._wrap(_dv(self.coef))
-
-    def z(self):
-        return Jet2._wrap(0.5 * (_du(self.coef) - 1j * _dv(self.coef)))
-
-    def zbar(self):
-        return Jet2._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
-
-    def conj(self):
-        """Jet of the conjugated function (coefficients conjugate)."""
-        return Jet2._wrap(np.conj(self.coef))
-
-    @property
-    def real(self):
-        return Jet2._wrap(0.5 * (self.coef + np.conj(self.coef)))
-
-    @property
-    def imag(self):
-        return Jet2._wrap((self.coef - np.conj(self.coef)) / 2j)
 
     # -- analytic composition ----------------------------------------------
 
@@ -426,14 +459,13 @@ def jet_where(mask, a, b):
     mask = np.asarray(mask, dtype=bool)
     order = min(a.order, b.order)
     sa, sb = _truncate(a.coef, order), _truncate(b.coef, order)
-    vector = isinstance(a, JetVec6)
-    m = mask.reshape((1, 1) + mask.shape + ((1,) if vector else ()))
+    m = mask.reshape((1, 1) + mask.shape + ((1,) if a._vector else ()))
     ndim = max(m.ndim, sa.ndim, sb.ndim)
     out = np.where(_widen(m, ndim), _widen(sa, ndim), _widen(sb, ndim))
     return type(a)._wrap(out)
 
 
-class JetVec6:
+class JetVec6(_Jet):
     """Six jets forming one R^{4,2}-vector-valued map per batch point.
 
     ``coef`` holds the coefficients coefficient-first with the component
@@ -443,21 +475,8 @@ class JetVec6:
     (*batch, 6, K+1, K+1) of the same memory.
     """
 
-    __slots__ = ("coef",)
-
-    def __init__(self, c):
-        """Vector jet from batch-first coefficients (*batch, 6, K+1, K+1)."""
-        self.coef = _coefficient_first(c, vector=True)
-
-    @classmethod
-    def _wrap(cls, coef):
-        vec = object.__new__(cls)
-        vec.coef = coef
-        return vec
-
-    @property
-    def c(self):
-        return _batch_first(self.coef, vector=True)
+    __slots__ = ()
+    _vector = True
 
     @classmethod
     def from_components(cls, comps):
@@ -469,21 +488,6 @@ class JetVec6:
                                  (order + 1, order + 1) + batch)
                  for j in comps]
         return cls._wrap(np.stack(parts, axis=-1))
-
-    @classmethod
-    def constant(cls, vec, order):
-        vec = np.asarray(vec, dtype=np.complex128)
-        s = np.zeros((order + 1, order + 1) + vec.shape, dtype=np.complex128)
-        s[0, 0] = vec
-        return cls._wrap(s)
-
-    @property
-    def order(self):
-        return self.coef.shape[0] - 1
-
-    @property
-    def value(self):
-        return self.coef[0, 0]
 
     @property
     def batch_shape(self):
@@ -498,32 +502,10 @@ class JetVec6:
         sel = np.broadcast_to(index, self.batch_shape)[None, None, ..., None]
         return Jet2._wrap(np.take_along_axis(self.coef, sel, axis=-1)[..., 0])
 
-    def truncated(self, order):
-        return JetVec6._wrap(_truncate(self.coef, order))
-
     def transformed(self, matrix):
         """Apply a 6x6 matrix on the right (row vector convention)."""
         matrix = np.asarray(matrix, dtype=np.complex128)
         return JetVec6._wrap(np.einsum("...j,ji->...i", self.coef, matrix))
-
-    def _pair(self, other):
-        """Storage of self and other at a common order, batch axes
-        lined up."""
-        order = min(self.order, other.order)
-        a, b = _truncate(self.coef, order), _truncate(other.coef, order)
-        ndim = max(a.ndim, b.ndim)
-        return _widen(a, ndim), _widen(b, ndim)
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return JetVec6._wrap(a + b)
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return JetVec6._wrap(a - b)
-
-    def __neg__(self):
-        return JetVec6._wrap(-self.coef)
 
     def _scalar(self, other):
         """Storage and a per-point scalar array, lined up to broadcast."""
@@ -553,25 +535,6 @@ class JetVec6:
         """Bilinear signature-(4,2) inner product, returning a Jet2."""
         a, b = self._pair(other)
         return Jet2._wrap(np.einsum("...i,i->...", _mul(a, b), SIGNS))
-
-    def du(self):
-        return JetVec6._wrap(_du(self.coef))
-
-    def dv(self):
-        return JetVec6._wrap(_dv(self.coef))
-
-    def z(self):
-        return JetVec6._wrap(0.5 * (_du(self.coef) - 1j * _dv(self.coef)))
-
-    def zbar(self):
-        return JetVec6._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
-
-    def conj(self):
-        return JetVec6._wrap(np.conj(self.coef))
-
-    @property
-    def real(self):
-        return JetVec6._wrap(0.5 * (self.coef + np.conj(self.coef)))
 
     def __repr__(self):
         return "JetVec6(order=%d, batch=%s)" % (self.order, self.batch_shape)

@@ -25,23 +25,17 @@ ENVELOPE_ORDER_COST = 5
 PROBE_GRID = 8
 PROBE_ORDER = 6
 
-_COSTS = {
-    "polar_left": POLAR_ORDER_COST,
-    "polar_right": POLAR_ORDER_COST,
-    "adjoint_left": ADJOINT_ORDER_COST,
-    "adjoint_right": ADJOINT_ORDER_COST,
-    "second_envelope": ENVELOPE_ORDER_COST,
+# step name: (short tag, order cost, needs a Willmore base, side whose
+# umbilic mask gates it)
+_STEPS = {
+    "polar_left": ("L", POLAR_ORDER_COST, False, "left"),
+    "polar_right": ("R", POLAR_ORDER_COST, False, "right"),
+    "adjoint_left": ("adjL", ADJOINT_ORDER_COST, True, "left"),
+    "adjoint_right": ("adjR", ADJOINT_ORDER_COST, True, "right"),
+    "second_envelope": ("env", ENVELOPE_ORDER_COST, False, "left"),
 }
 
-_TAGS = {
-    "L": "polar_left",
-    "R": "polar_right",
-    "adjL": "adjoint_left",
-    "adjR": "adjoint_right",
-    "env": "second_envelope",
-}
-
-_SHORT = {step: tag for tag, step in _TAGS.items()}
+_TAGS = {entry[0]: step for step, entry in _STEPS.items()}
 
 
 def _affine_data(J, axis):
@@ -88,23 +82,17 @@ def _reseed(U, V, extra):
 
 
 def _step_lift(base, step):
-    cost = _COSTS[step]
-    needs_inv = step not in ("polar_left", "polar_right")
+    _, cost, _, side = _STEPS[step]
 
     def lift(U, V):
         U2, V2 = _reseed(U, V, cost)
         frame = frame_field(canonical_lift(base.evaluate(U2, V2)))
-        inv = invariants(frame) if needs_inv else None
-        if step == "polar_left":
-            out = frame.L
-        elif step == "polar_right":
-            out = frame.R
-        elif step == "adjoint_left":
-            out = adjoint_vector(frame, inv, "left")
-        elif step == "adjoint_right":
-            out = adjoint_vector(frame, inv, "right")
+        if step.startswith("polar"):
+            out = frame.L if side == "left" else frame.R
+        elif step == "second_envelope":
+            out = envelope_vector(frame, invariants(frame))
         else:
-            out = envelope_vector(frame, inv)
+            out = adjoint_vector(frame, invariants(frame), side)
         return out.truncated(U.order)
 
     return lift
@@ -123,64 +111,57 @@ class TransformedSurface(SurfaceChart):
     def __init__(self, base, step):
         self.base = base
         self.steps = tuple(getattr(base, "steps", ())) + (step,)
-        self.order_cost = sum(_COSTS[s] for s in self.steps)
+        self.order_cost = sum(_STEPS[s][1] for s in self.steps)
         meta = dict(base.meta)
         meta.pop("torus_pq", None)
         meta["steps"] = list(self.steps)
-        super().__init__(base.name + "+" + _SHORT[step],
+        super().__init__(base.name + "+" + _STEPS[step][0],
                          _step_lift(base, step), base.domain,
                          base.periodic, params=base.params, meta=meta)
 
 
-def _probe(chart):
+def _transformed(chart, step):
+    """Gate ``step`` on a probe sample of ``chart``, then apply it.
+
+    Adjoint steps need a Willmore base; every step needs its side's
+    direction to be non-degenerate somewhere on the probe grid.
+    """
+    _, _, willmore, side = _STEPS[step]
     u, v = sample_grid(chart, PROBE_GRID, PROBE_GRID)
     _, inv = frame_and_invariants(chart.lift_at(u, v, order=PROBE_ORDER))
-    return inv
-
-
-def _polar(chart, side):
-    inv = _probe(chart)
+    if willmore:
+        report = willmore_report(inv)
+        if report.max_abs > WILLMORE_GATE:
+            raise NotWillmore("adjoint transforms need a Willmore base chart",
+                              chart=chart.name, residual=report.max_abs,
+                              gate=WILLMORE_GATE)
     mask = inv.umbilic_left if side == "left" else inv.umbilic_right
     if np.all(mask):
         raise DegenerateTransform(
-            "the %s polar direction degenerates everywhere" % side,
+            "the %s %s direction degenerates everywhere"
+            % (side, "adjoint" if willmore else "polar"),
             chart=chart.name, side=side)
-    return TransformedSurface(chart, "polar_" + side)
+    return TransformedSurface(chart, step)
 
 
 def polar_left(chart):
     """Chart tracing the left null normal direction [L]."""
-    return _polar(chart, "left")
+    return _transformed(chart, "polar_left")
 
 
 def polar_right(chart):
     """Chart tracing the right null normal direction [R]."""
-    return _polar(chart, "right")
+    return _transformed(chart, "polar_right")
 
 
-def _adjoint(chart, side, willmore_gate=WILLMORE_GATE):
-    inv = _probe(chart)
-    report = willmore_report(inv)
-    if report.max_abs > willmore_gate:
-        raise NotWillmore("adjoint transforms need a Willmore base chart",
-                          chart=chart.name, residual=report.max_abs,
-                          gate=willmore_gate)
-    mask = inv.umbilic_left if side == "left" else inv.umbilic_right
-    if np.all(mask):
-        raise DegenerateTransform(
-            "the %s adjoint direction degenerates everywhere" % side,
-            chart=chart.name, side=side)
-    return TransformedSurface(chart, "adjoint_" + side)
-
-
-def adjoint_left(chart, willmore_gate=WILLMORE_GATE):
+def adjoint_left(chart):
     """Chart of the adjoint built on the left mu direction."""
-    return _adjoint(chart, "left", willmore_gate)
+    return _transformed(chart, "adjoint_left")
 
 
-def adjoint_right(chart, willmore_gate=WILLMORE_GATE):
+def adjoint_right(chart):
     """Chart of the adjoint built on the right mu direction."""
-    return _adjoint(chart, "right", willmore_gate)
+    return _transformed(chart, "adjoint_right")
 
 
 def full_second_envelope(chart):
@@ -190,21 +171,7 @@ def full_second_envelope(chart):
     output is orthogonal to L, L_z, L_zbar and L_zzbar unconditionally
     and coincides with adjoint_left exactly on Willmore charts.
     """
-    inv = _probe(chart)
-    if np.all(inv.umbilic_left):
-        raise DegenerateTransform(
-            "the left polar direction degenerates everywhere",
-            chart=chart.name, side="left")
-    return TransformedSurface(chart, "second_envelope")
-
-
-_BUILDERS = {
-    "polar_left": polar_left,
-    "polar_right": polar_right,
-    "adjoint_left": adjoint_left,
-    "adjoint_right": adjoint_right,
-    "second_envelope": full_second_envelope,
-}
+    return _transformed(chart, "second_envelope")
 
 
 def apply_chain(chart, tags):
@@ -218,10 +185,10 @@ def apply_chain(chart, tags):
     out = chart
     for tag in tags:
         step = _TAGS.get(tag, tag)
-        if step not in _BUILDERS:
+        if step not in _STEPS:
             raise UnknownIdentifier("unknown transform tag", tag=str(tag),
                                     available=sorted(_TAGS))
-        out = _BUILDERS[step](out)
+        out = _transformed(out, step)
     return out
 
 

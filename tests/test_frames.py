@@ -6,7 +6,7 @@ from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
                               scaled_chart)
 from lightcone.dsl import chart_from_source
 from lightcone.errors import NormalPlaneDegenerate, NotSpacelike
-from lightcone.frames import (adjoint_vector, canonical_lift,
+from lightcone.frames import (adjoint_vector, canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
                               frame_and_invariants, frame_field,
                               pair_density, willmore_operators)
@@ -98,7 +98,7 @@ def test_torus_invariants_match_oracle():
     assert np.max(np.abs(inv.sigma_left.value + oi["sigma"])) < 1e-12
     assert not np.any(inv.umbilic_left)
     assert not np.any(inv.umbilic_right)
-    assert np.all(inv.classification() == "generic")
+    assert np.all(classify_point(inv) == "generic")
 
 
 def test_torus_adjoint_anchors_at_origin():
@@ -179,7 +179,7 @@ def test_plane_chart_is_umbilic():
     _, inv = frame_and_invariants(plane.lift_at(u, v, order=5))
     assert np.all(inv.umbilic_left)
     assert np.all(inv.umbilic_right)
-    assert np.all(inv.classification() == "umbilic")
+    assert np.all(classify_point(inv) == "umbilic")
     assert np.max(np.abs(inv.theta.value)) < 1e-20
     assert np.max(np.abs(inv.s.value)) < 1e-12
 
@@ -190,7 +190,7 @@ def test_laguerre_chart_left_umbilic_willmore():
     _, inv = frame_and_invariants(chart.lift_at(u, v, order=6))
     assert np.all(inv.umbilic_left)
     assert not np.any(inv.umbilic_right)
-    assert np.all(inv.classification() == "left_umbilic")
+    assert np.all(classify_point(inv) == "null_umbilic")
     w1, _ = willmore_operators(inv)
     assert np.max(np.abs(w1.value)) < 1e-12
 

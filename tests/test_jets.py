@@ -200,6 +200,16 @@ def test_truncated():
                        atol=0)
 
 
+@pytest.mark.parametrize("vector", [False, True])
+def test_truncated_above_order_raises(vector):
+    rng = np.random.default_rng(3)
+    shape = (2, 6, 4, 4) if vector else (2, 4, 4)
+    f = (JetVec6 if vector else Jet2)(rng.standard_normal(shape))
+    assert f.truncated(3).order == 3
+    with pytest.raises(OrderExhausted):
+        f.truncated(4)
+
+
 def test_jet_where_scalar_jets():
     a = Jet2.constant(np.ones(4), 3)
     b = Jet2.constant(np.zeros(4), 3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightcone.ambient import Motion, apply_motion, projective_distance
+from lightcone.ambient import Motion, projective_distance
 from lightcone.analysis import willmore_energy, willmore_report
 from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
                               scaled_chart, validate_chart)
@@ -79,7 +79,7 @@ def test_polar_and_adjoint_commute_with_motions(torus):
     u, v = sample_grid(torus, 5, 5)
     for build in (polar_left, adjoint_left):
         moved_then_build = chart_values(build(moved_chart(torus, motion)), u, v)
-        build_then_moved = apply_motion(motion, chart_values(build(torus), u, v))
+        build_then_moved = motion.apply(chart_values(build(torus), u, v))
         assert np.max(projective_distance(moved_then_build,
                                           build_then_moved)) < 1e-10
 
