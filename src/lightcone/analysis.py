@@ -17,8 +17,8 @@ import numpy as np
 from .ambient import SIGNS
 from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
-from .frames import (adjoint_vector, conformal_gauss_data, pair_density,
-                     willmore_operators)
+from .frames import (INVARIANTS_ORDER, adjoint_vector, conformal_gauss_data,
+                     pair_density, willmore_operators)
 
 SINGULAR_INTEGRAND = 1e6
 WILLMORE_GATE = 1e-6
@@ -115,6 +115,11 @@ def residual_scale(inv):
     return (np.abs(inv.lambda1.value) + np.abs(inv.lambda2.value)
             + np.abs(inv.gamma1.value) + np.abs(inv.gamma2.value)
             + np.abs(inv.s.value) + 1.0)
+
+
+#: raw lift order ``willmore_report`` needs: it reads gamma.zbar(), one
+#: derivative beyond ``frames.INVARIANTS_ORDER``
+WILLMORE_ORDER = INVARIANTS_ORDER + 1
 
 
 def willmore_report(inv):

@@ -22,16 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import frames
-from .analysis import (gauss_metric_report, homogeneous_torus_energy,
-                       integrability_residual, structure_residual,
-                       swillmore_report, theta_report, willmore_energy,
-                       willmore_report)
+from .analysis import (WILLMORE_ORDER, gauss_metric_report,
+                       homogeneous_torus_energy, integrability_residual,
+                       structure_residual, swillmore_report, theta_report,
+                       willmore_energy, willmore_report)
 from .ambient import projective_distance
 from .charts import CATALOG, catalog_chart, sample_grid
 from .dsl import chart_from_source
 from .errors import (LightconeError, NotWillmore, ParameterOutOfRange,
                      UnknownIdentifier)
-from .frames import classify_point, frame_and_invariants
+from .frames import (INVARIANTS_ORDER, classify_point,
+                     frame_and_invariants)
 from .transforms import apply_chain, duality_report
 
 DEFAULT_GRID = (16, 16)
@@ -51,8 +52,9 @@ GATE_DEFAULTS = {
 POINT_TOLS = ("umbilic", "gauge")
 
 # jet order each command actually consumes
-ORDER_FLOOR = {"invariants": 4, "verify": 5, "transform": 5,
-               "energy": 3, "mesh": 0, "catalog-list": 0}
+ORDER_FLOOR = {"invariants": INVARIANTS_ORDER, "verify": WILLMORE_ORDER,
+               "transform": WILLMORE_ORDER, "energy": 3, "mesh": 0,
+               "catalog-list": 0}
 ORDER_CAP = 12
 
 CONFIG_KEYS = ("surface", "dsl", "param", "grid", "order", "tol", "chain",

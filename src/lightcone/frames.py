@@ -250,6 +250,11 @@ class InvariantSet:
             setattr(self, name, kw[name])
 
 
+#: raw lift order from which ``invariants`` forms every field, down to
+#: the order-0 alpha, gamma and mu and the umbilic masks
+INVARIANTS_ORDER = 4
+
+
 def invariants(frame):
     """Extract the invariant scalars from an adapted frame."""
     Yzz = frame.Yz.z()

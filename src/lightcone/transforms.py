@@ -11,19 +11,20 @@ re-canonicalize it before the frame construction.
 import numpy as np
 
 from .ambient import projective_distance
-from .analysis import WILLMORE_GATE, residual_scale, willmore_report
+from .analysis import (WILLMORE_GATE, WILLMORE_ORDER, residual_scale,
+                       willmore_report)
 from .charts import DEFAULT_ORDER, SurfaceChart, sample_grid
 from .errors import (DegenerateTransform, DomainError, NotWillmore,
                      UnknownIdentifier)
-from .frames import (adjoint_vector, canonical_lift, envelope_vector,
-                     frame_and_invariants, frame_field, invariants)
+from .frames import (INVARIANTS_ORDER, adjoint_vector, canonical_lift,
+                     envelope_vector, frame_and_invariants, frame_field,
+                     invariants)
 from .jets import seed_point
 
 POLAR_ORDER_COST = 3
 ADJOINT_ORDER_COST = 4
 ENVELOPE_ORDER_COST = 5
 PROBE_GRID = 8
-PROBE_ORDER = 6
 
 # step name: (short tag, order cost, needs a Willmore base, side whose
 # umbilic mask gates it)
@@ -124,11 +125,14 @@ def _transformed(chart, step):
     """Gate ``step`` on a probe sample of ``chart``, then apply it.
 
     Adjoint steps need a Willmore base; every step needs its side's
-    direction to be non-degenerate somewhere on the probe grid.
+    direction to be non-degenerate somewhere on the probe grid.  The
+    probe lifts at the order its gates read: the umbilic masks need
+    ``INVARIANTS_ORDER``, the Willmore residual ``WILLMORE_ORDER``.
     """
     _, _, willmore, side = _STEPS[step]
+    order = WILLMORE_ORDER if willmore else INVARIANTS_ORDER
     u, v = sample_grid(chart, PROBE_GRID, PROBE_GRID)
-    _, inv = frame_and_invariants(chart.lift_at(u, v, order=PROBE_ORDER))
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=order))
     if willmore:
         report = willmore_report(inv)
         if report.max_abs > WILLMORE_GATE:

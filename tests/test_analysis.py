@@ -8,8 +8,9 @@ from lightcone.charts import CATALOG, catalog_chart, moved_chart, \
 from lightcone.ambient import Motion
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, IntegrandSingular,
-                              NotSWillmore, NotWillmore)
-from lightcone.frames import frame_and_invariants, pair_density
+                              NotSWillmore, NotWillmore, OrderExhausted)
+from lightcone.frames import (INVARIANTS_ORDER, frame_and_invariants,
+                              pair_density)
 
 
 def frame_inv(chart, nu=8, nv=8, order=8):
@@ -109,6 +110,23 @@ def test_cylinder_is_not_willmore(cylinder_data):
     report = an.willmore_report(inv)
     assert report.max_abs > 1e-3
     assert report.lines["right"] > report.lines["left"]
+
+
+def test_gate_orders_are_the_least_that_work(torus_data):
+    # the transform probe lifts at these orders; one order less cannot
+    # form what its gates read, and the order changes no value read
+    _, full = torus_data
+    low = {k: frame_inv(catalog_chart("torus", t=2.0), order=k)[1]
+           for k in (INVARIANTS_ORDER, an.WILLMORE_ORDER)}
+    for inv in low.values():
+        assert np.array_equal(inv.umbilic_left, full.umbilic_left)
+        assert np.array_equal(inv.umbilic_right, full.umbilic_right)
+    assert (an.willmore_report(low[an.WILLMORE_ORDER]).max_abs
+            == an.willmore_report(full).max_abs)
+    with pytest.raises(OrderExhausted):
+        an.willmore_report(low[INVARIANTS_ORDER])
+    with pytest.raises(OrderExhausted):
+        frame_inv(catalog_chart("torus", t=2.0), order=INVARIANTS_ORDER - 1)
 
 
 def test_torus_swillmore_deviation_matches_closed_form(torus_data):
