@@ -33,9 +33,7 @@ def _as_jets(components):
             out.append(c)
         else:
             out.append(Jet2.constant(
-                np.broadcast_to(np.asarray(c, dtype=np.complex128),
-                                template.batch_shape),
-                template.order))
+                np.broadcast_to(c, template.batch_shape), template.order))
     return out
 
 

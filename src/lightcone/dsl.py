@@ -292,8 +292,7 @@ def evaluate(node, env):
         if isinstance(right, Jet2):
             if not isinstance(left, Jet2):
                 left = Jet2.constant(
-                    np.broadcast_to(np.complex128(left), right.batch_shape),
-                    right.order)
+                    np.broadcast_to(left, right.batch_shape), right.order)
             return left / right
         return left * (1.0 / right)
     # exponentiation: the exponent must come out constant
@@ -336,9 +335,8 @@ def chart_from_source(text, params=None, name="dsl", domain=None,
         env.update(params)
         comps = [evaluate(e, env) for e in exprs]
         jets = [c if isinstance(c, Jet2)
-                else Jet2.constant(
-                    np.broadcast_to(np.complex128(c), U.batch_shape),
-                    U.order)
+                else Jet2.constant(np.broadcast_to(c, U.batch_shape),
+                                   U.order)
                 for c in comps]
         return embed(jets)
 

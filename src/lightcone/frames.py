@@ -35,6 +35,16 @@ GAUGE_FALLBACK = 3
 GAUGE_AXES = (4, 3, 2, 1, 0, 5)
 
 
+def _laplacian(Yu, Yv):
+    """Y_zzbar = (Y_uu + Y_vv) / 4 from the first derivatives of Y.
+
+    It is real when Y is.  For a real Y it equals the real part of
+    Y_z.zbar() bit for bit, less the imaginary part of that form, which
+    is rounding noise: du dv and dv du round differently.
+    """
+    return (Yu.du() + Yv.dv()) * 0.25
+
+
 def canonical_lift(raw):
     """Scale a raw light cone lift to the canonical one.
 
@@ -93,7 +103,7 @@ def frame_field(Y):
     Yv = Y.dv()
     Yz = (Yu - Yv * 1j) * 0.5
     Yzb = (Yu + Yv * 1j) * 0.5
-    Yzzb = Yz.zbar()
+    Yzzb = _laplacian(Yu, Yv)
     N = Yzzb * 2.0 + Y * (Yzzb.inner(Yzzb) * 2.0)
 
     order = N.order
@@ -332,7 +342,7 @@ def pair_density(raw):
     """<Y_zzbar, Y_zzbar> of the canonical lift, the Willmore energy
     density against du dv.  Cheap: needs no frame, raw order 3."""
     Y = canonical_lift(raw)
-    Yzzb = Y.z().zbar()
+    Yzzb = _laplacian(Y.du(), Y.dv())
     return Yzzb.inner(Yzzb).real
 
 

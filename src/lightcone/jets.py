@@ -9,7 +9,7 @@ j + k > K are kept identically zero.  All operations are exact
 truncations of the series operations, so derivatives read off a jet
 carry no discretization error, only rounding.
 
-Storage is coefficient-first: ``jet.coef`` is a complex array of shape
+Storage is coefficient-first: ``jet.coef`` is an array of shape
 (K+1, K+1, *batch), so ``coef[j, k]`` is one contiguous batch vector.
 The truncated product is then one loop over the C(K+2, 2) coefficients
 a[p, q] of the left factor, each step adding a[p, q] times the leading
@@ -18,6 +18,14 @@ Taylor-mode kernel of Griewank & Walther, *Evaluating Derivatives*,
 ch. 13).  ``jet.c`` is the same coefficients seen batch-first, shape
 (*batch, K+1, K+1): a writable view of the storage, not a copy, and the
 constructors ``Jet2(c)`` and ``JetVec6(c)`` take that layout.
+
+The storage dtype follows the data: float64 for a jet that is real by
+construction, complex128 only where an operation makes it complex (the
+Wirtinger derivatives, a complex scalar, a fractional power of a
+negative number).  One product kernel serves both, and numpy's type
+promotion picks its result type, so a product of two real jets does one
+real multiply-add per term.  A real jet's ``.c`` takes real values
+only; on a real jet ``conj()`` and ``.real`` return the jet itself.
 
 Analytic functions (exp, sin, sqrt, powers, ...) are composed through
 their Taylor series evaluated on the nilpotent part n of the argument,
@@ -85,12 +93,20 @@ def _batch_first(s, vector=False):
     return np.moveaxis(s, (0, 1), (-2, -1))
 
 
+def _dtype(x):
+    """Storage dtype for data x: complex128 if x is complex, else
+    float64."""
+    return np.complex128 if np.iscomplexobj(x) else np.float64
+
+
 def _coefficient_first(c, vector=False):
     """Contiguous coefficient-first copy of a batch-first array."""
-    c = np.asarray(c, dtype=np.complex128)
+    c = np.asarray(c)
     if vector:
-        return np.ascontiguousarray(np.moveaxis(c, (-3, -2, -1), (-1, 0, 1)))
-    return np.ascontiguousarray(np.moveaxis(c, (-2, -1), (0, 1)))
+        c = np.moveaxis(c, (-3, -2, -1), (-1, 0, 1))
+    else:
+        c = np.moveaxis(c, (-2, -1), (0, 1))
+    return np.array(c, dtype=_dtype(c), order="C")
 
 
 def _mul(a, b):
@@ -106,7 +122,8 @@ def _mul(a, b):
     ndim = max(a.ndim, b.ndim)
     a, b = _widen(a, ndim), _widen(b, ndim)
     batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    out = np.zeros((order + 1, order + 1) + batch, dtype=np.complex128)
+    out = np.zeros((order + 1, order + 1) + batch,
+                   dtype=np.result_type(a, b))
     blocks = [b[:m + 1, :m + 1] for m in range(order + 1)]
     for p in range(top + 1):
         row = a[p]
@@ -184,9 +201,9 @@ class _Jet:
 
     @classmethod
     def constant(cls, value, order):
-        value = np.asarray(value, dtype=np.complex128)
+        value = np.asarray(value)
         s = np.zeros((order + 1, order + 1) + value.shape,
-                     dtype=np.complex128)
+                     dtype=_dtype(value))
         s[0, 0] = value
         return cls._wrap(s)
 
@@ -251,12 +268,18 @@ class _Jet:
         return self._wrap(0.5 * (_du(self.coef) + 1j * _dv(self.coef)))
 
     def conj(self):
-        """Jet of the conjugated function (coefficients conjugate)."""
+        """Jet of the conjugated function (coefficients conjugate); a
+        real jet is its own conjugate."""
+        if not np.iscomplexobj(self.coef):
+            return self
         return self._wrap(np.conj(self.coef))
 
     @property
     def real(self):
-        return self._wrap(0.5 * (self.coef + np.conj(self.coef)))
+        """Real part as a float64 jet; a real jet is its own."""
+        if not np.iscomplexobj(self.coef):
+            return self
+        return self._wrap(np.ascontiguousarray(self.coef.real))
 
 
 class Jet2(_Jet):
@@ -298,7 +321,8 @@ class Jet2(_Jet):
 
     @property
     def imag(self):
-        return Jet2._wrap((self.coef - np.conj(self.coef)) / 2j)
+        """Imaginary part as a float64 jet."""
+        return Jet2._wrap(np.ascontiguousarray(self.coef.imag))
 
     # -- ring operations --------------------------------------------------
 
@@ -322,7 +346,7 @@ class Jet2(_Jet):
         if isinstance(other, Jet2):
             a, b = self._pair(other)
             return Jet2._wrap(_mul(a, b))
-        other = np.asarray(other, dtype=np.complex128)
+        other = np.asarray(other)
         return Jet2._wrap(_widen(self.coef, other.ndim + 2) * other)
 
     def __rmul__(self, other):
@@ -330,7 +354,7 @@ class Jet2(_Jet):
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
-            return self * (1.0 / np.asarray(other, dtype=np.complex128))
+            return self * (1.0 / np.asarray(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -354,7 +378,8 @@ class Jet2(_Jet):
         order = self.order
         n = self.coef.copy()
         n[0, 0] = 0
-        out = np.zeros((1, 1) + self.batch_shape, dtype=np.complex128)
+        out = np.zeros((1, 1) + self.batch_shape,
+                       dtype=np.result_type(self.coef, *derivs))
         out[0, 0] = derivs[order]
         for m in range(order - 1, -1, -1):
             out = _mul(out, n[:order - m + 1, :order - m + 1])
@@ -428,6 +453,10 @@ class Jet2(_Jet):
     def _binomial(self, a):
         c0 = self.value
         _check_divisor(c0, "power or division")
+        if (np.isrealobj(c0) and not float(a).is_integer()
+                and np.any(c0 < 0)):
+            # a fractional power of a negative number is complex
+            c0 = c0.astype(np.complex128)
         derivs = []
         coef = np.ones_like(c0)
         for m in range(self.order + 1):
@@ -504,12 +533,12 @@ class JetVec6(_Jet):
 
     def transformed(self, matrix):
         """Apply a 6x6 matrix on the right (row vector convention)."""
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = np.asarray(matrix)
         return JetVec6._wrap(np.einsum("...j,ji->...i", self.coef, matrix))
 
     def _scalar(self, other):
         """Storage and a per-point scalar array, lined up to broadcast."""
-        other = np.asarray(other, dtype=np.complex128)
+        other = np.asarray(other)
         if other.ndim:
             other = other[..., None]
         return _widen(self.coef, other.ndim + 2), other

@@ -147,6 +147,16 @@ def test_transform_round_trip_torus(capsys):
     assert dev == pytest.approx(T * T / (8.0 * TAU**3), abs=1e-10)
 
 
+def test_transform_chain_on_torus_five_halves(capsys):
+    # t = 5/2 once failed its final Willmore gate (2.6e-6 against 1e-6)
+    code, bundle = run_json(capsys, "transform", "--surface", "torus",
+                            "--param", "t=2.5", "--grid", "4x4",
+                            "--chain", "L,R,L")
+    assert code == 0
+    assert bundle["passed"]
+    assert bundle["gates"]["willmore_final"]["value"] < 1e-12
+
+
 def test_transform_off_willmore_skips_duality(capsys, tmp_path):
     path = tmp_path / "cylinder.lc"
     path.write_text(CYLINDER_SRC)
@@ -307,6 +317,18 @@ def test_overflowing_chart_errors_as_strict_json(capsys, tmp_path):
     payload = json.loads(err, parse_constant=_reject_constant)
     VALIDATOR.validate(payload)
     assert payload["error"] == "NonFinite"
+
+
+def test_imaginary_chart_is_not_spacelike(capsys, tmp_path):
+    # sqrt(u - 2) is imaginary on the whole domain: the lift turns
+    # complex rather than NaN, and its metric is negative
+    path = tmp_path / "imaginary.lc"
+    path.write_text("r3 [sqrt(u-2)*cos(v), sqrt(u-2)*sin(v), u]")
+    payload = run_error(capsys, "verify", "--dsl", str(path),
+                        "--grid", "4x4")
+    assert payload["error"] == "NotSpacelike"
+    assert payload["context"]["worst"] == pytest.approx(
+        -0.9128544814738153, abs=1e-12)
 
 
 @pytest.mark.parametrize("argv,builds", [

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from lightcone.ambient import SIGNS, Motion
-from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
-                              scaled_chart)
+from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
+                              sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
 from lightcone.errors import NormalPlaneDegenerate, NotSpacelike
 from lightcone.frames import (adjoint_vector, canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
                               frame_and_invariants, frame_field,
                               pair_density, willmore_operators)
+from lightcone.transforms import apply_chain
 
 import oracles
 
@@ -38,6 +39,29 @@ def test_canonical_lift_identities():
         assert np.max(np.abs(Y.inner(Y).c)) < 1e-12
         assert np.max(np.abs(Yz.inner(Yz).c)) < 1e-12
         assert np.max(np.abs((Yz.inner(Y.zbar()) - 0.5).c)) < 1e-12
+
+
+REAL_CHARTS = dict(
+    {name: (lambda name=name: catalog_chart(name)) for name in CATALOG},
+    dsl_catenoid=lambda: chart_from_source(
+        "r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]",
+        domain=((-1.0, 1.0), (0.0, 2 * np.pi)), periodic=(False, True)),
+    torus_L=lambda: apply_chain(catalog_chart("torus"), "L"))
+
+
+@pytest.mark.parametrize("name", sorted(REAL_CHARTS))
+def test_real_charts_keep_real_storage(name):
+    # Y, N, L and R are real vectors of R^{4,2}; only the Wirtinger
+    # derivatives and the invariants are complex
+    chart = REAL_CHARTS[name]()
+    u, v = sample_grid(chart, 4, 4)
+    raw = chart.lift_at(u, v, order=5)
+    frame, inv = frame_and_invariants(raw)
+    for jet in (raw, canonical_lift(raw), frame.Y, frame.N, frame.L,
+                frame.R):
+        assert jet.coef.dtype == np.float64
+    assert frame.Yz.coef.dtype == np.complex128
+    assert inv.lambda1.coef.dtype == np.complex128
 
 
 def test_canonical_lift_rejects_non_spacelike():

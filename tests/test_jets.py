@@ -224,6 +224,43 @@ def test_real_imag_split():
     assert np.allclose(back.c, f.c, atol=0)
 
 
+def test_storage_dtype_follows_data():
+    U, V = seed_point(0.3, 0.7, 4)
+    f = (U * V).sin() + U.exp() / (V + 2) - V.sqrt() * 3
+    assert f.coef.dtype == np.float64
+    assert Jet2.constant(2, 3).coef.dtype == np.float64
+    assert Jet2(np.ones((4, 4), dtype=int)).coef.dtype == np.float64
+    # a real jet is its own conjugate and its own real part
+    assert f.conj() is f and f.real is f
+    g = f.z()
+    assert g.coef.dtype == np.complex128
+    assert (f * 1j).coef.dtype == np.complex128
+    assert g.real.coef.dtype == g.imag.coef.dtype == np.float64
+    assert np.array_equal(g.real.c, g.c.real)
+    assert np.array_equal(g.imag.c, g.c.imag)
+    w = JetVec6.from_components([U, V, U * V, f, U - V, f * f])
+    assert w.coef.dtype == np.float64
+    for real in (w * f, f * w, w / f, w * 2.0, w.transformed(np.eye(6)),
+                 w.inner(w), w.du(), jet_where(U.value > 0, w, w * 2.0)):
+        assert real.coef.dtype == np.float64
+    for cplx in (w * g, w * 1j, w.z(), w.transformed(np.eye(6) * 1j),
+                 JetVec6.from_components([U, V, U, V, U, g])):
+        assert cplx.coef.dtype == np.complex128
+
+
+def test_fractional_power_of_negative_real_is_complex():
+    # the principal branch, as for a complex jet: no NaN
+    U, _ = seed_point(-4.0, 0.0, 4)
+    r = U.power(0.5)
+    assert r.coef.dtype == np.complex128
+    assert r.value == pytest.approx(2j)
+    assert np.max(np.abs((r * r - U).c)) < 1e-12
+    assert np.array_equal(r.c, (U * (1 + 0j)).power(0.5).c)
+    # integer powers of a negative real stay real
+    assert U.power(-3).coef.dtype == np.float64
+    assert (-U).power(0.5).coef.dtype == np.float64
+
+
 def test_nilpotent_norm():
     U, _ = seed_point(2.0, 0.0, 3)
     assert U.nilpotent_norm() == pytest.approx(1.0)
@@ -297,11 +334,18 @@ batch_pairs = st.sampled_from([((), ()), ((3,), (3,)), ((2, 3), (2, 3)),
                                ((), (2, 3)), ((2, 1), (3,))])
 
 
-def coefficients(rng, order, batch, shape=()):
+# whether each of two operands is real (float64 storage) or complex
+kinds = st.sampled_from([(False, False), (True, True), (True, False),
+                         (False, True)])
+
+
+def coefficients(rng, order, batch, shape=(), real=False):
     """Random batch-first coefficients (*batch, *shape, K+1, K+1),
-    zero above the triangle j + k <= K."""
+    zero above the triangle j + k <= K; complex unless real."""
     size = batch + shape + (order + 1, order + 1)
-    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    c = rng.standard_normal(size)
+    if not real:
+        c = c + 1j * rng.standard_normal(size)
     j = np.arange(order + 1)
     return c * ((j[:, None] + j[None, :]) <= order)
 
@@ -337,28 +381,40 @@ def assert_matches(c, ref, order):
     assert np.array_equal(c, want)
 
 
-@given(orders, orders, batch_pairs, seeds)
+def assert_dtype(got, real):
+    """A product is float64 when both factors are real, else complex."""
+    assert got.dtype == (np.float64 if all(real) else np.complex128)
+
+
+@given(orders, orders, batch_pairs, kinds, seeds)
 @settings(max_examples=60)
-def test_product_matches_reference(ka, kb, shapes, seed):
+def test_product_matches_reference(ka, kb, shapes, real, seed):
     rng = np.random.default_rng(seed)
-    ca = coefficients(rng, ka, shapes[0])
-    cb = coefficients(rng, kb, shapes[1])
+    ca = coefficients(rng, ka, shapes[0], real=real[0])
+    cb = coefficients(rng, kb, shapes[1], real=real[1])
     order = min(ka, kb)
     got = (Jet2(ca) * Jet2(cb)).c
     assert got.shape[:-2] == np.broadcast_shapes(*shapes)
+    assert_dtype(got, real)
     assert_matches(got, reference_product(as_dict(ca), as_dict(cb), order),
                    order)
+    if all(real):
+        # the same factors stored as complex take the complex path
+        cplx = (Jet2(ca + 0j) * Jet2(cb + 0j)).c
+        assert cplx.dtype == np.complex128
+        assert np.array_equal(got, cplx.real)
 
 
-@given(orders, batch_pairs, seeds)
+@given(orders, batch_pairs, kinds, seeds)
 @settings(max_examples=30)
-def test_scalar_times_vector_matches_reference(order, shapes, seed):
+def test_scalar_times_vector_matches_reference(order, shapes, real, seed):
     rng = np.random.default_rng(seed)
-    cs = coefficients(rng, order, shapes[0])
-    cw = coefficients(rng, order, shapes[1], (6,))
+    cs = coefficients(rng, order, shapes[0], real=real[0])
+    cw = coefficients(rng, order, shapes[1], (6,), real=real[1])
     s, w = Jet2(cs), JetVec6(cw)
     for got in ((s * w).c, (w * s).c):
         assert got.shape[:-3] == np.broadcast_shapes(*shapes)
+        assert_dtype(got, real)
         for i in range(6):
             # the vector's coefficients are the left factor either way
             ref = reference_product(as_dict(cw[..., i, :, :]), as_dict(cs),
@@ -366,12 +422,12 @@ def test_scalar_times_vector_matches_reference(order, shapes, seed):
             assert_matches(got[..., i, :, :], ref, order)
 
 
-@given(orders, batch_pairs, seeds)
+@given(orders, batch_pairs, kinds, seeds)
 @settings(max_examples=30)
-def test_inner_matches_reference(order, shapes, seed):
+def test_inner_matches_reference(order, shapes, real, seed):
     rng = np.random.default_rng(seed)
-    ca = coefficients(rng, order, shapes[0], (6,))
-    cb = coefficients(rng, order, shapes[1], (6,))
+    ca = coefficients(rng, order, shapes[0], (6,), real=real[0])
+    cb = coefficients(rng, order, shapes[1], (6,), real=real[1])
     ref = {}
     for i in range(6):
         part = reference_product(as_dict(ca[..., i, :, :]),
@@ -380,7 +436,16 @@ def test_inner_matches_reference(order, shapes, seed):
             ref[key] = ref.get(key, 0) + SIGNS[i] * value
     got = JetVec6(ca).inner(JetVec6(cb)).c
     assert got.shape[:-2] == np.broadcast_shapes(*shapes)
-    assert_matches(got, ref, order)
+    assert_dtype(got, real)
+    if not all(real):
+        assert_matches(got, ref, order)
+        return
+    # numpy sums the six signed terms of a float contraction in an order
+    # of its own (SIMD), so a real inner product matches to rounding
+    cplx = JetVec6(ca + 0j).inner(JetVec6(cb + 0j)).c
+    assert_matches(cplx, ref, order)
+    size = max(1.0, float(np.max(np.abs(cplx))))
+    assert np.max(np.abs(got - cplx.real)) <= 1e-14 * size
 
 
 def decaying_jet(rng, batch, order=16, unit=False):
