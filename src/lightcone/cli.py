@@ -12,6 +12,7 @@ is still written, with exit status 1.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -434,7 +435,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than a small command's own work
     common = _Parser(add_help=False)
     common.add_argument("--surface", metavar="NAME")
     common.add_argument("--param", action="append", metavar="K=V")
