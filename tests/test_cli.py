@@ -148,7 +148,8 @@ def test_transform_round_trip_torus(capsys):
 
 
 def test_transform_chain_on_torus_five_halves(capsys):
-    # t = 5/2 once failed its final Willmore gate (2.6e-6 against 1e-6)
+    # on the benchmark's 4x4 grid; on the default 16x16 grid the chain
+    # still misses the gate (about 2e-6), see the gauge item in ROADMAP
     code, bundle = run_json(capsys, "transform", "--surface", "torus",
                             "--param", "t=2.5", "--grid", "4x4",
                             "--chain", "L,R,L")
