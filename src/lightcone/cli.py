@@ -12,7 +12,6 @@ is still written, with exit status 1.
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -434,10 +433,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache
 def _build_parser():
-    # built once per process: parsing leaves the parser unchanged, and
-    # building it (about 1 ms) was most of main's own time
     common = _Parser(add_help=False)
     common.add_argument("--surface", metavar="NAME")
     common.add_argument("--param", action="append", metavar="K=V")
