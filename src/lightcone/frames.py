@@ -73,14 +73,15 @@ class FrameData:
     """Adapted frame along a chart, all entries jets of equal order
     except Y (one higher) and its first derivatives."""
 
-    __slots__ = ("Y", "Yz", "Yzb", "Yu", "Yv", "N", "L", "R",
+    __slots__ = ("Y", "Yz", "Yzb", "Yzzb", "Yu", "Yv", "N", "L", "R",
                  "orientation_det", "gauge_axis", "gauge_fallback")
 
-    def __init__(self, Y, Yz, Yzb, Yu, Yv, N, L, R, orientation_det,
+    def __init__(self, Y, Yz, Yzb, Yzzb, Yu, Yv, N, L, R, orientation_det,
                  gauge_axis):
         self.Y = Y
         self.Yz = Yz
         self.Yzb = Yzb
+        self.Yzzb = Yzzb
         self.Yu = Yu
         self.Yv = Yv
         self.N = N
@@ -183,7 +184,7 @@ def frame_field(Y):
     # the gauge step below needs none of these; freeing them first
     # lowers the memory peak of a frame, and so of a transform chain,
     # whose innermost frames are built at the highest order
-    del Yzzb, Yt, Yut, Yvt, na, nb, m1, m2, f1, f2
+    del Yt, Yut, Yvt, na, nb, m1, m2, f1, f2
 
     rows = np.stack([Yval, Yuval, Yvval, Nval,
                      L.value.real, R.value.real], axis=-2)
@@ -193,7 +194,7 @@ def frame_field(Y):
 
     L, R, gauge_axis = _gauge(L, R)
 
-    return FrameData(Y, Yz, Yzb, Yu, Yv, N, L, R,
+    return FrameData(Y, Yz, Yzb, Yzzb, Yu, Yv, N, L, R,
                      orientation_det=np.abs(det), gauge_axis=gauge_axis)
 
 
@@ -268,7 +269,6 @@ INVARIANTS_ORDER = 4
 def invariants(frame):
     """Extract the invariant scalars from an adapted frame."""
     Yzz = frame.Yz.z()
-    Yzzb = frame.Yz.zbar()
     lambda1 = -Yzz.inner(frame.R)
     lambda2 = -Yzz.inner(frame.L)
     s = Yzz.inner(frame.N) * 2.0
@@ -277,7 +277,7 @@ def invariants(frame):
     gamma1 = lambda1.zbar() + lambda1 * abar
     gamma2 = lambda2.zbar() - lambda2 * abar
     beta = (lambda1 * lambda2.conj() + lambda2 * lambda1.conj()).real
-    kappa_pair = Yzzb.inner(Yzzb).real
+    kappa_pair = frame.Yzzb.inner(frame.Yzzb).real
     kappa_iso = lambda1 * lambda2 * (-2.0)
 
     floor = UMBILIC_TOL * (1.0 + np.abs(s.value))

@@ -57,11 +57,13 @@ def test_real_charts_keep_real_storage(name):
     u, v = sample_grid(chart, 4, 4)
     raw = chart.lift_at(u, v, order=5)
     frame, inv = frame_and_invariants(raw)
-    for jet in (raw, canonical_lift(raw), frame.Y, frame.N, frame.L,
-                frame.R):
+    for jet in (raw, canonical_lift(raw), frame.Y, frame.Yzzb, frame.N,
+                frame.L, frame.R, inv.kappa_pair):
         assert jet.coef.dtype == np.float64
     assert frame.Yz.coef.dtype == np.complex128
     assert inv.lambda1.coef.dtype == np.complex128
+    # the frame's Y_zzbar is the real part of Y_z.zbar(), bit for bit
+    assert np.array_equal(frame.Yzzb.coef, frame.Yz.zbar().real.coef)
 
 
 def test_canonical_lift_rejects_non_spacelike():
