@@ -17,11 +17,10 @@ import numpy as np
 from .ambient import SIGNS
 from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
-from .frames import (INVARIANTS_ORDER, adjoint_vector, conformal_gauss_data,
-                     pair_density, willmore_operators)
+from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
+                     conformal_gauss_data, pair_density, willmore_operators)
 
 SINGULAR_INTEGRAND = 1e6
-WILLMORE_GATE = 1e-6
 SWILLMORE_GATE = 1e-6
 
 
@@ -148,17 +147,18 @@ def swillmore_report(inv):
                           lines={"deviation": mx})
 
 
-def _require_willmore(inv, gate):
+def require_willmore(inv, gate, message, **context):
+    """Raise NotWillmore, carrying ``context``, the residual and the
+    gate, when the Willmore residual of ``inv`` is above ``gate``."""
     worst = willmore_report(inv).max_abs
     if worst > gate:
-        raise NotWillmore("Willmore residual exceeds the gate",
-                          residual=worst, gate=gate)
+        raise NotWillmore(message, **context, residual=worst, gate=gate)
 
 
-def theta_report(inv, willmore_gate=WILLMORE_GATE):
+def theta_report(inv, tol=Tolerances()):
     """Relative antiholomorphy of the quartic form; only meaningful on
-    Willmore charts, hence gated."""
-    _require_willmore(inv, willmore_gate)
+    Willmore charts, hence gated by ``tol.willmore``."""
+    require_willmore(inv, tol.willmore, "Willmore residual exceeds the gate")
     absolute = np.abs(inv.theta.zbar().value)
     relative = absolute / (np.abs(inv.theta.value) + 1e-12)
     both = inv.umbilic_left & inv.umbilic_right

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import frames
 from .analysis import (WILLMORE_ORDER, gauss_metric_report,
                        homogeneous_torus_energy, integrability_residual,
                        structure_residual, swillmore_report, theta_report,
@@ -31,24 +30,13 @@ from .charts import CATALOG, catalog_chart, sample_grid
 from .dsl import chart_from_source
 from .errors import (LightconeError, NotWillmore, ParameterOutOfRange,
                      UnknownIdentifier)
-from .frames import INVARIANTS_ORDER, classify_point, frame_and_invariants
+from .frames import (INVARIANTS_ORDER, Tolerances, classify_point,
+                     frame_and_invariants)
 from .transforms import apply_chain, duality_report
 
 DEFAULT_GRID = (16, 16)
 DEFAULT_ORDER = 6
 MESH_INFINITY = 1e-12
-
-# residual gates the verify/transform/energy bundles are scored against
-GATE_DEFAULTS = {
-    "structure": 1e-8,
-    "integrability": 1e-8,
-    "willmore": 1e-6,
-    "gauss_metric": 1e-8,
-    "theta": 1e-8,
-    "energy": 1e-8,
-}
-# process-scoped extraction tolerances, applied to the frames module
-POINT_TOLS = ("umbilic", "gauge")
 
 # jet order each command actually consumes
 ORDER_FLOOR = {"invariants": INVARIANTS_ORDER, "verify": WILLMORE_ORDER,
@@ -132,17 +120,15 @@ class RunConfig:
         tols = {str(k): _number(v, "tol")
                 for k, v in (file_cfg.get("tol") or {}).items()}
         tols.update(_parse_bindings(args.tol, "tol"))
-        bad = sorted(set(tols) - set(GATE_DEFAULTS) - set(POINT_TOLS))
+        bad = sorted(set(tols) - set(Tolerances._fields))
         if bad:
-            raise UnknownIdentifier(
-                "unknown tolerance names", names=bad,
-                available=sorted(set(GATE_DEFAULTS) | set(POINT_TOLS)))
+            raise UnknownIdentifier("unknown tolerance names", names=bad,
+                                    available=sorted(Tolerances._fields))
         for name, value in sorted(tols.items()):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterOutOfRange(
                     "tolerance must be finite and not negative",
                     tol="%s=%r" % (name, value))
-        tols = {**GATE_DEFAULTS, **tols}
 
         nu, nv = _parse_grid(pick(args.grid, "grid", "%dx%d" % DEFAULT_GRID))
         return cls(
@@ -152,7 +138,7 @@ class RunConfig:
             params=params,
             nu=nu, nv=nv,
             order=int(pick(args.order, "order", DEFAULT_ORDER)),
-            tols=tols,
+            tols=Tolerances(**tols),
             chain=pick(args.chain, "chain"),
             abs_integrand=pick(args.abs_integrand, "abs_integrand", False),
             out=pick(args.out, "out"),
@@ -269,7 +255,8 @@ def _num(x):
 def cmd_invariants(cfg):
     chart = _build_chart(cfg)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    _, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order))
+    _, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order),
+                                  cfg.tols)
     labels = classify_point(inv)
     fields = [inv.lambda1.value, inv.lambda2.value, inv.s.value,
               inv.alpha.value, inv.gamma1.value, inv.gamma2.value]
@@ -292,7 +279,8 @@ def cmd_invariants(cfg):
 def cmd_verify(cfg):
     chart = _build_chart(cfg)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order))
+    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order),
+                                      cfg.tols)
     grid = _grid_spec(chart, U)
     reports = {
         "structure": _stamped(structure_residual(frame, inv), grid),
@@ -303,22 +291,17 @@ def cmd_verify(cfg):
     }
     skipped = {}
     try:
-        reports["theta"] = _stamped(
-            theta_report(inv, willmore_gate=cfg.tols["willmore"]), grid)
+        reports["theta"] = _stamped(theta_report(inv, cfg.tols), grid)
     except NotWillmore as exc:
         reports["theta"] = None
         skipped["theta"] = exc.message
 
     # the S-Willmore deviation is a classification, not an identity, so
     # it is reported but never gated
-    gates = {name: _gate(reports[name]["max_abs"], cfg.tols[tol_name])
-             for name, tol_name in (("structure", "structure"),
-                                    ("integrability", "integrability"),
-                                    ("willmore", "willmore"),
-                                    ("gauss_metric", "gauss_metric"))}
-    if reports["theta"] is not None:
-        gates["theta"] = _gate(reports["theta"]["max_abs"],
-                               cfg.tols["theta"])
+    gates = {name: _gate(reports[name]["max_abs"], getattr(cfg.tols, name))
+             for name in ("structure", "integrability", "willmore",
+                          "gauss_metric", "theta")
+             if reports[name] is not None}
     passed = all(g["passed"] for g in gates.values())
     _emit_json(cfg, {"surface": _surface_block(chart, cfg),
                      "reports": reports, "skipped": skipped,
@@ -331,10 +314,10 @@ def cmd_transform(cfg):
         raise ParameterOutOfRange("transform needs --chain",
                                   chain=cfg.chain)
     chart = _build_chart(cfg)
-    final = apply_chain(chart, cfg.chain)
+    final = apply_chain(chart, cfg.chain, cfg.tols)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
     raw = final.lift_at(U, V, order=cfg.order)
-    _, inv = frame_and_invariants(raw)
+    _, inv = frame_and_invariants(raw, cfg.tols)
     final_willmore = _stamped(willmore_report(inv), _grid_spec(final, U))
     base_vals = np.real(chart.lift_at(U, V, order=0).value)
     # a lift's values do not depend on its order, so the one sample
@@ -347,11 +330,10 @@ def cmd_transform(cfg):
     duality = None
     try:
         duality = duality_report(chart, grid=(cfg.nu, cfg.nv),
-                                 order=cfg.order,
-                                 willmore_gate=cfg.tols["willmore"]).as_dict()
+                                 order=cfg.order, tol=cfg.tols).as_dict()
         # a chain off a Willmore chart must land on a Willmore chart
         gates["willmore_final"] = _gate(final_willmore["max_abs"],
-                                        cfg.tols["willmore"])
+                                        cfg.tols.willmore)
     except NotWillmore as exc:
         skipped["duality"] = exc.message
 
@@ -379,7 +361,7 @@ def cmd_energy(cfg):
         rel = abs(result.value - ref) / abs(ref)
         reference = {"p": int(p), "q": int(q), "value": float(ref),
                      "rel_err": float(rel)}
-        gates["energy"] = _gate(rel, cfg.tols["energy"])
+        gates["energy"] = _gate(rel, cfg.tols.energy)
     passed = all(g["passed"] for g in gates.values())
     _emit_json(cfg, {"surface": _surface_block(chart, cfg),
                      "energy": result.as_dict(),
@@ -484,14 +466,9 @@ def _error_json(payload):
 
 def main(argv=None):
     parser = _build_parser()
-    saved = (frames.UMBILIC_TOL, frames.GAUGE_TOL)
     try:
         args = parser.parse_args(argv)
         cfg = RunConfig.from_args(args)
-        if "umbilic" in cfg.tols:
-            frames.UMBILIC_TOL = float(cfg.tols["umbilic"])
-        if "gauge" in cfg.tols:
-            frames.GAUGE_TOL = float(cfg.tols["gauge"])
         # non-finite values surface through the gates as errors, not
         # as warnings ahead of the one JSON document on stderr
         with np.errstate(all="ignore"):
@@ -507,8 +484,6 @@ def main(argv=None):
         _error_json({"error": type(exc).__name__, "message": str(exc),
                      "context": {}})
         return 2
-    finally:
-        frames.UMBILIC_TOL, frames.GAUGE_TOL = saved
 
 
 if __name__ == "__main__":

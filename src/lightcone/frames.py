@@ -14,6 +14,8 @@ Frame conventions, fixed once:
     axis W0, with <L, W0> < 0.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .ambient import SIGNS
@@ -23,15 +25,35 @@ from .jets import Jet2, JetVec6, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
-GAUGE_TOL = 1e-8
-UMBILIC_TOL = 1e-8
+
+
+class Tolerances(NamedTuple):
+    """Every tolerance a caller can set; ``--tol NAME=VAL`` takes
+    exactly these fields.
+
+    The first six gate the reports of the same name (``energy`` the
+    relative error against a closed form); ``willmore`` also gates the
+    adjoint transform probes and the theta and duality reports.
+    ``umbilic`` is the floor, relative to 1 + |s|, under which a lambda
+    counts as zero, and ``gauge`` the least pairing a reference axis
+    needs with both null normals.
+    """
+
+    structure: float = 1e-8
+    integrability: float = 1e-8
+    willmore: float = 1e-6
+    gauss_metric: float = 1e-8
+    theta: float = 1e-8
+    energy: float = 1e-8
+    umbilic: float = 1e-8
+    gauge: float = 1e-8
+
 
 # reference axes for the gauge, tried in order: primary e_4 (first
 # timelike direction), then e_3, then the rest.  Some axis always
 # works: <L, R> = -1 is a sum of six componentwise products, so the
 # dominant slot pairs away from zero with both null directions.
 GAUGE_PRIMARY = 4
-GAUGE_FALLBACK = 3
 GAUGE_AXES = (4, 3, 2, 1, 0, 5)
 
 
@@ -92,7 +114,7 @@ class FrameData:
         self.gauge_fallback = gauge_axis != GAUGE_PRIMARY
 
 
-def frame_field(Y):
+def frame_field(Y, *, tol=Tolerances()):
     """Build the adapted frame from a canonical lift.
 
     N, L, R come out two orders below Y.  The normal plane basis is
@@ -192,17 +214,17 @@ def frame_field(Y):
     swap = det < 0
     L, R = jet_where(swap, R, L), jet_where(swap, L, R)
 
-    L, R, gauge_axis = _gauge(L, R)
+    L, R, gauge_axis = _gauge(L, R, tol)
 
     return FrameData(Y, Yz, Yzb, Yzzb, Yu, Yv, N, L, R,
                      orientation_det=np.abs(det), gauge_axis=gauge_axis)
 
 
-def _gauge(L, R):
+def _gauge(L, R, tol):
     """Balance L and R against a reference axis and fix their sign.
 
     Per point the reference is the first axis in GAUGE_AXES whose
-    pairings with both L and R clear the tolerance (the pairing with
+    pairings with both L and R clear ``tol.gauge`` (the pairing with
     e_i is SIGNS[i] times component i).  The scale makes the two
     pairings equal in magnitude, the joint sign makes <L, W0> negative.
     Returns the gauged pair and the chosen axis per point.
@@ -214,8 +236,8 @@ def _gauge(L, R):
     for axis in GAUGE_AXES:
         qL = L.component(axis) * SIGNS[axis]
         qR = R.component(axis) * SIGNS[axis]
-        ok = ((np.abs(qL.value) >= GAUGE_TOL)
-              & (np.abs(qR.value) >= GAUGE_TOL) & (chosen < 0))
+        ok = ((np.abs(qL.value) >= tol.gauge)
+              & (np.abs(qR.value) >= tol.gauge) & (chosen < 0))
         if pL is None:
             pL, pR = qL, qR
         else:
@@ -266,8 +288,9 @@ class InvariantSet:
 INVARIANTS_ORDER = 4
 
 
-def invariants(frame):
-    """Extract the invariant scalars from an adapted frame."""
+def invariants(frame, tol=Tolerances()):
+    """Extract the invariant scalars from an adapted frame; the umbilic
+    masks come from ``tol.umbilic``."""
     Yzz = frame.Yz.z()
     lambda1 = -Yzz.inner(frame.R)
     lambda2 = -Yzz.inner(frame.L)
@@ -280,7 +303,7 @@ def invariants(frame):
     kappa_pair = frame.Yzzb.inner(frame.Yzzb).real
     kappa_iso = lambda1 * lambda2 * (-2.0)
 
-    floor = UMBILIC_TOL * (1.0 + np.abs(s.value))
+    floor = tol.umbilic * (1.0 + np.abs(s.value))
     umb_right = np.abs(lambda1.value) < floor
     umb_left = np.abs(lambda2.value) < floor
     one = Jet2.constant(np.ones(lambda1.batch_shape), lambda1.order)
@@ -316,12 +339,12 @@ def invariants(frame):
         umbilic_left=umb_left, umbilic_right=umb_right)
 
 
-def frame_and_invariants(raw):
+def frame_and_invariants(raw, tol=Tolerances()):
     """Adapted frame and invariant scalars of a raw light cone lift,
     such as ``chart.lift_at(u, v, order)``; the frame is built once
     and every check runs on this pair."""
-    frame = frame_field(canonical_lift(raw))
-    return frame, invariants(frame)
+    frame = frame_field(canonical_lift(raw), tol=tol)
+    return frame, invariants(frame, tol)
 
 
 def classify_point(inv):

@@ -11,14 +11,12 @@ re-canonicalize it before the frame construction.
 import numpy as np
 
 from .ambient import projective_distance
-from .analysis import (WILLMORE_GATE, WILLMORE_ORDER, residual_scale,
-                       willmore_report)
+from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
 from .charts import DEFAULT_ORDER, SurfaceChart, sample_grid
-from .errors import (DegenerateTransform, DomainError, NotWillmore,
-                     UnknownIdentifier)
-from .frames import (INVARIANTS_ORDER, adjoint_vector, canonical_lift,
-                     envelope_vector, frame_and_invariants, frame_field,
-                     invariants)
+from .errors import DegenerateTransform, DomainError, UnknownIdentifier
+from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
+                     canonical_lift, envelope_vector, frame_and_invariants,
+                     frame_field, invariants)
 from .jets import seed_point
 
 POLAR_ORDER_COST = 3
@@ -82,18 +80,18 @@ def _reseed(U, V, extra):
     return dA * ucu + dB * ucv + uval, dA * vcu + dB * vcv + vval
 
 
-def _step_lift(base, step):
+def _step_lift(base, step, tol):
     _, cost, _, side = _STEPS[step]
 
     def lift(U, V):
         U2, V2 = _reseed(U, V, cost)
-        frame = frame_field(canonical_lift(base.evaluate(U2, V2)))
+        frame = frame_field(canonical_lift(base.evaluate(U2, V2)), tol=tol)
         if step.startswith("polar"):
             out = frame.L if side == "left" else frame.R
         elif step == "second_envelope":
-            out = envelope_vector(frame, invariants(frame))
+            out = envelope_vector(frame, invariants(frame, tol))
         else:
-            out = adjoint_vector(frame, invariants(frame), side)
+            out = adjoint_vector(frame, invariants(frame, tol), side)
         return out.truncated(U.order)
 
     return lift
@@ -106,10 +104,11 @@ class TransformedSurface(SurfaceChart):
     ``steps`` records the applied step names outermost-last;
     ``order_cost`` is the total extra jet order one evaluation spends
     internally, so a chain evaluated at order k runs the innermost
-    chart at k + order_cost.
+    chart at k + order_cost.  Each step builds its frames with the
+    tolerances ``tol``.
     """
 
-    def __init__(self, base, step):
+    def __init__(self, base, step, tol=Tolerances()):
         self.base = base
         self.steps = tuple(getattr(base, "steps", ())) + (step,)
         self.order_cost = sum(_STEPS[s][1] for s in self.steps)
@@ -117,35 +116,34 @@ class TransformedSurface(SurfaceChart):
         meta.pop("torus_pq", None)
         meta["steps"] = list(self.steps)
         super().__init__(base.name + "+" + _STEPS[step][0],
-                         _step_lift(base, step), base.domain,
+                         _step_lift(base, step, tol), base.domain,
                          base.periodic, params=base.params, meta=meta)
 
 
-def _transformed(chart, step):
+def _transformed(chart, step, tol=Tolerances()):
     """Gate ``step`` on a probe sample of ``chart``, then apply it.
 
     Adjoint steps need a Willmore base; every step needs its side's
     direction to be non-degenerate somewhere on the probe grid.  The
     probe lifts at the order its gates read: the umbilic masks need
     ``INVARIANTS_ORDER``, the Willmore residual ``WILLMORE_ORDER``.
+    The probe, and the step's own frames, use the tolerances ``tol``.
     """
     _, _, willmore, side = _STEPS[step]
     order = WILLMORE_ORDER if willmore else INVARIANTS_ORDER
     u, v = sample_grid(chart, PROBE_GRID, PROBE_GRID)
-    _, inv = frame_and_invariants(chart.lift_at(u, v, order=order))
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=order), tol)
     if willmore:
-        report = willmore_report(inv)
-        if report.max_abs > WILLMORE_GATE:
-            raise NotWillmore("adjoint transforms need a Willmore base chart",
-                              chart=chart.name, residual=report.max_abs,
-                              gate=WILLMORE_GATE)
+        require_willmore(inv, tol.willmore,
+                         "adjoint transforms need a Willmore base chart",
+                         chart=chart.name)
     mask = inv.umbilic_left if side == "left" else inv.umbilic_right
     if np.all(mask):
         raise DegenerateTransform(
             "the %s %s direction degenerates everywhere"
             % (side, "adjoint" if willmore else "polar"),
             chart=chart.name, side=side)
-    return TransformedSurface(chart, step)
+    return TransformedSurface(chart, step, tol)
 
 
 def polar_left(chart):
@@ -178,11 +176,12 @@ def full_second_envelope(chart):
     return _transformed(chart, "second_envelope")
 
 
-def apply_chain(chart, tags):
+def apply_chain(chart, tags, tol=Tolerances()):
     """Fold transform steps over a chart.
 
     ``tags`` is a sequence or comma-separated string of short tags
-    (L, R, adjL, adjR, env) or full step names.
+    (L, R, adjL, adjR, env) or full step names.  Every probe and step
+    frame of the chain uses the tolerances ``tol``.
     """
     if isinstance(tags, str):
         tags = [t.strip() for t in tags.split(",") if t.strip()]
@@ -192,7 +191,7 @@ def apply_chain(chart, tags):
         if step not in _STEPS:
             raise UnknownIdentifier("unknown transform tag", tag=str(tag),
                                     available=sorted(_TAGS))
-        out = _transformed(out, step)
+        out = _transformed(out, step, tol)
     return out
 
 
@@ -254,20 +253,19 @@ def _central_sphere_residual(frame, w):
 
 
 def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), order=DEFAULT_ORDER,
-                   willmore_gate=WILLMORE_GATE):
+                   tol=Tolerances()):
     """Duality diagnostics of a Willmore chart over a grid.
 
     The S-condition deviation is the raw sup of the adjoint direction
     discriminant; the other three measure how far the two adjoints are
-    from one coinciding dual surface on the central sphere.
+    from one coinciding dual surface on the central sphere.  The chart
+    must pass ``tol.willmore``.
     """
     u, v = sample_grid(chart, *grid)
-    frame, inv = frame_and_invariants(chart.lift_at(u, v, order=order))
-    report = willmore_report(inv)
-    if report.max_abs > willmore_gate:
-        raise NotWillmore("duality diagnostics need a Willmore chart",
-                          chart=chart.name, residual=report.max_abs,
-                          gate=willmore_gate)
+    frame, inv = frame_and_invariants(chart.lift_at(u, v, order=order), tol)
+    require_willmore(inv, tol.willmore,
+                     "duality diagnostics need a Willmore chart",
+                     chart=chart.name)
     mask = inv.umbilic_left | inv.umbilic_right
     if np.all(mask):
         raise DegenerateTransform(

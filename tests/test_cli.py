@@ -133,6 +133,21 @@ def test_verify_tol_overrides_open_gates(capsys, tmp_path):
     assert bundle["gates"]["willmore"]["tol"] == 1.0
 
 
+def test_transform_probe_reads_willmore_tol(capsys, tmp_path):
+    # the adjoint probe gates its base with the --tol value, as verify
+    # does, not with the default
+    path = tmp_path / "cyl.lc"
+    path.write_text(CYLINDER_SRC)
+    argv = ("transform", "--dsl", str(path), "--grid", "4x4",
+            "--chain", "adjL")
+    payload = run_error(capsys, *argv, "--tol", "willmore=0.01")
+    assert payload["error"] == "NotWillmore"
+    assert payload["context"]["gate"] == 0.01
+    code, bundle = run_json(capsys, *argv, "--tol", "willmore=1e9")
+    assert code == 0
+    assert bundle["chain"] == ["adjoint_left"]
+
+
 def test_transform_round_trip_torus(capsys):
     code, bundle = run_json(capsys, "transform", "--surface", "torus",
                             "--param", "t=2", "--chain", "L,R",
@@ -266,14 +281,17 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
 
 
 def test_point_tolerances_thread_and_restore(capsys):
-    saved = (frames.UMBILIC_TOL, frames.GAUGE_TOL)
-    code, out, _ = run(capsys, "invariants", "--surface", "torus",
-                       "--param", "t=2", "--grid", "4x4",
-                       "--tol", "umbilic=10.0")
+    argv = ("invariants", "--surface", "torus", "--param", "t=2",
+            "--grid", "4x4")
+    code, out, _ = run(capsys, *argv, "--tol", "umbilic=10.0")
     assert code == 0
     header, rows = parse_csv(out)
     assert set(column(header, rows, "classification")) == {"umbilic"}
-    assert (frames.UMBILIC_TOL, frames.GAUGE_TOL) == saved
+    # nothing of the first run leaks into the next one
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert set(column(header, rows, "classification")) == {"generic"}
 
 
 def test_unknown_surface_is_machine_readable(capsys):
@@ -345,9 +363,9 @@ def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
     calls = []
     original = frames.frame_field
 
-    def counted(Y):
+    def counted(Y, **kw):
         calls.append(Y.order)
-        return original(Y)
+        return original(Y, **kw)
 
     for module in (frames, transforms):
         monkeypatch.setattr(module, "frame_field", counted)

@@ -15,3 +15,10 @@ def test_readme_library_snippet_runs(capsys):
     # the snippet prints the invariants, then a Willmore residual that
     # sits at rounding level on the torus
     assert float(printed[1]) < 1e-12
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})

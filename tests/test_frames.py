@@ -6,7 +6,8 @@ from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
 from lightcone.errors import NormalPlaneDegenerate, NotSpacelike
-from lightcone.frames import (adjoint_vector, canonical_lift, classify_point,
+from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
+                              canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
                               frame_and_invariants, frame_field,
                               pair_density, willmore_operators)
@@ -330,3 +331,15 @@ def test_corrupted_frame_breaks_structure():
     fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
     bad = fr.L * 1.01
     assert np.max(np.abs((bad.inner(fr.R) + 1.0).value)) > 1e-3
+
+
+def test_tolerances_hold_per_call():
+    # two calls in one process, each with its own umbilic floor
+    chart = catalog_chart("torus", t=T)
+    u, v = sample_grid(chart, 4, 4)
+    raw = chart.lift_at(u, v, order=INVARIANTS_ORDER)
+    _, loose = frame_and_invariants(raw, Tolerances(umbilic=10.0))
+    _, default = frame_and_invariants(raw)
+    assert np.all(loose.umbilic_left & loose.umbilic_right)
+    assert not np.any(default.umbilic_left | default.umbilic_right)
+    assert set(classify_point(default).ravel()) == {"generic"}

@@ -6,11 +6,13 @@ from lightcone.analysis import willmore_energy, willmore_report
 from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
                               scaled_chart, validate_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (DegenerateTransform, DomainError, NotWillmore,
+from lightcone.errors import (DegenerateTransform, DomainError,
+                              GaugeReferenceDegenerate, NotWillmore,
                               UnknownIdentifier)
-from lightcone.frames import frame_and_invariants
+from lightcone.frames import Tolerances, frame_and_invariants
 from lightcone.jets import seed_point
-from lightcone.transforms import (adjoint_left, adjoint_right, apply_chain,
+from lightcone.transforms import (TransformedSurface, adjoint_left,
+                                  adjoint_right, apply_chain,
                                   duality_report, full_second_envelope,
                                   inverse_check, polar_left, polar_right)
 
@@ -235,3 +237,16 @@ def test_duality_report_catenoid(catenoid):
     assert rep.adjoint_coincidence < 1e-7
     assert rep.sigma_residual < 1e-7
     assert rep.central_sphere_residual < 1e-7
+
+
+def test_chain_tolerances_reach_probe_and_step_frames(torus):
+    # no reference axis pairs with the null normals above 1e9
+    strict = Tolerances(gauge=1e9)
+    with pytest.raises(GaugeReferenceDegenerate):
+        apply_chain(torus, "L", strict)
+    step = TransformedSurface(torus, "polar_left", strict)
+    u, v = sample_grid(torus, 4, 4)
+    with pytest.raises(GaugeReferenceDegenerate):
+        step.lift_at(u, v, order=0)
+    chart = apply_chain(torus, "L")
+    assert np.all(np.isfinite(chart.lift_at(u, v, order=0).value))
