@@ -14,11 +14,12 @@ leave here without a grid spec; the CLI stamps its own.
 
 import numpy as np
 
-from .ambient import SIGNS
+from .ambient import SIGNS, gram_matrix
 from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
-                     conformal_gauss_data, pair_density, willmore_operators)
+                     conformal_gauss_data, pair_density, side_field,
+                     willmore_operators)
 
 SINGULAR_INTEGRAND = 1e6
 SWILLMORE_GATE = 1e-6
@@ -133,13 +134,8 @@ def willmore_report(inv):
         "left": float(np.max(a1)), "right": float(np.max(a2))})
 
 
-def swillmore_deviation(inv):
-    """Raw sup of |lambda1 gamma2 - lambda2 gamma1|, zero exactly when
-    the two adjoint directions coincide."""
-    return float(np.max(np.abs(inv.swillmore_disc.value)))
-
-
 def swillmore_report(inv):
+    """Sup of |lambda1 gamma2 - lambda2 gamma1|, the S-Willmore gap."""
     both = inv.umbilic_left & inv.umbilic_right
     mx, mn = _stats([inv.swillmore_disc.value])
     return ResidualReport("swillmore", mx, mn,
@@ -171,7 +167,7 @@ def theta_report(inv, tol=Tolerances()):
 
 def mu_riccati_residual(inv, side="left"):
     """|mu_z - mu^2/2 - s| for one adjoint direction."""
-    mu = inv.mu_left if side == "left" else inv.mu_right
+    mu = side_field(inv, "mu", side)
     res = mu.z() - mu * mu * 0.5 - inv.s
     return float(np.max(np.abs(res.value)))
 
@@ -292,8 +288,8 @@ def harmonicity_report(frame, inv, side=None):
     """
     if side is None:
         side = adjoint_side(inv)
-    rho = inv.rho_left if side == "left" else inv.rho_right
-    degenerate = inv.umbilic_left if side == "left" else inv.umbilic_right
+    rho = side_field(inv, "rho", side)
+    degenerate = side_field(inv, "umbilic", side)
     if np.all(degenerate):
         raise DegenerateTransform(
             "adjoint direction degenerates on the whole grid", side=side)
@@ -325,7 +321,7 @@ def harmonicity_report(frame, inv, side=None):
     _, _, vh = np.linalg.svd(rows)
     h = vh[..., 2:, :].real
 
-    g = np.einsum("...ic,c,...jc->...ij", h, SIGNS, h)
+    g = gram_matrix(h, h)
     basis_up = _wedge(h, np.broadcast_to(Hv[..., None, :], h.shape))
     basis_dn = _wedge(np.broadcast_to(Yv[..., None, :], h.shape), h)
     rhs_up = 0.5 * np.einsum("...pq,...ipq,p,q->...i", Rw, basis_up,
@@ -358,7 +354,7 @@ def omega_report(frame, inv, side=None, swillmore_gate=SWILLMORE_GATE):
     """The form 4 (rho lambda1 lambda2)^2, its antiholomorphy defect and
     the adjoint second-derivative cross-check.  Requires coincident
     adjoint directions and both lambdas bounded away from zero."""
-    dev = swillmore_deviation(inv)
+    dev = swillmore_report(inv).max_abs
     if dev > swillmore_gate:
         raise NotSWillmore("adjoint directions do not coincide",
                            deviation=dev, gate=swillmore_gate)
@@ -369,7 +365,7 @@ def omega_report(frame, inv, side=None, swillmore_gate=SWILLMORE_GATE):
             points=int(np.sum(degenerate)))
     if side is None:
         side = adjoint_side(inv)
-    rho = inv.rho_left if side == "left" else inv.rho_right
+    rho = side_field(inv, "rho", side)
     core = rho * inv.lambda1 * inv.lambda2
     omega = core * core * 4.0
 

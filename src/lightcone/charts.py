@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ambient import lightcone_deviation
 from .errors import (NonFinite, NotOnQuadric, ParameterOutOfRange,
                      UnknownIdentifier)
 from .jets import Jet2, JetVec6, seed_point
@@ -156,8 +157,7 @@ def validate_chart(chart, nu=8, nv=8, order=2):
     u, v = sample_grid(chart, nu, nv)
     w = chart.lift_at(u, v, order=max(order, 2))
     wz = w.z()
-    norm2 = np.sum(np.abs(w.value) ** 2, axis=-1)
-    cone = np.max(np.abs(w.inner(w).value) / norm2)
+    cone = np.max(lightcone_deviation(w.value))
     e = wz.inner(wz.conj()).value.real
     f = np.abs(wz.inner(wz).value)
     dz2 = np.sum(np.abs(wz.value) ** 2, axis=-1)

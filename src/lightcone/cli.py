@@ -124,11 +124,7 @@ class RunConfig:
         if bad:
             raise UnknownIdentifier("unknown tolerance names", names=bad,
                                     available=sorted(Tolerances._fields))
-        for name, value in sorted(tols.items()):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterOutOfRange(
-                    "tolerance must be finite and not negative",
-                    tol="%s=%r" % (name, value))
+        tols = Tolerances(**tols)
 
         nu, nv = _parse_grid(pick(args.grid, "grid", "%dx%d" % DEFAULT_GRID))
         return cls(
@@ -138,7 +134,7 @@ class RunConfig:
             params=params,
             nu=nu, nv=nv,
             order=int(pick(args.order, "order", DEFAULT_ORDER)),
-            tols=Tolerances(**tols),
+            tols=tols,
             chain=pick(args.chain, "chain"),
             abs_integrand=pick(args.abs_integrand, "abs_integrand", False),
             out=pick(args.out, "out"),
@@ -188,18 +184,18 @@ def _build_chart(cfg):
     return catalog_chart(cfg.surface, **cfg.params)
 
 
-def _surface_block(chart, cfg):
-    block = {
-        "name": chart.name,
+def _chart_block(name, chart):
+    return {
+        "name": name,
         "params": {k: float(v) for k, v in sorted(chart.params.items())},
         "domain": [[float(a), float(b)] for a, b in chart.domain],
         "periodic": [bool(p) for p in chart.periodic],
-        "grid": {"nu": cfg.nu, "nv": cfg.nv},
-        "order": cfg.order,
     }
-    if chart.meta.get("steps"):
-        block["steps"] = list(chart.meta["steps"])
-    return block
+
+
+def _surface_block(chart, cfg):
+    return dict(_chart_block(chart.name, chart),
+                grid={"nu": cfg.nu, "nv": cfg.nv}, order=cfg.order)
 
 
 def _grid_spec(chart, U):
@@ -392,15 +388,7 @@ def cmd_mesh(cfg):
 
 
 def cmd_catalog_list(cfg):
-    entries = []
-    for name in sorted(CATALOG):
-        chart = CATALOG[name]()
-        entries.append({
-            "name": name,
-            "params": {k: float(v) for k, v in sorted(chart.params.items())},
-            "domain": [[float(a), float(b)] for a, b in chart.domain],
-            "periodic": [bool(p) for p in chart.periodic],
-        })
+    entries = [_chart_block(name, CATALOG[name]()) for name in sorted(CATALOG)]
     _emit_json(cfg, {"catalog": entries})
     return 0
 

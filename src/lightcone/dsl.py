@@ -290,9 +290,6 @@ def evaluate(node, env):
         return left * right
     if op == "/":
         if isinstance(right, Jet2):
-            if not isinstance(left, Jet2):
-                left = Jet2.constant(
-                    np.broadcast_to(left, right.batch_shape), right.order)
             return left / right
         return left * (1.0 / right)
     # exponentiation: the exponent must come out constant

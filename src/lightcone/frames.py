@@ -18,27 +18,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import SIGNS
+from .ambient import SIGNS, gram_wedge_inner
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
-                     NotSpacelike)
+                     NotSpacelike, ParameterOutOfRange)
 from .jets import Jet2, JetVec6, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
 
 
-class Tolerances(NamedTuple):
-    """Every tolerance a caller can set; ``--tol NAME=VAL`` takes
-    exactly these fields.
-
-    The first six gate the reports of the same name (``energy`` the
-    relative error against a closed form); ``willmore`` also gates the
-    adjoint transform probes and the theta and duality reports.
-    ``umbilic`` is the floor, relative to 1 + |s|, under which a lambda
-    counts as zero, and ``gauge`` the least pairing a reference axis
-    needs with both null normals.
-    """
-
+class _ToleranceFields(NamedTuple):
     structure: float = 1e-8
     integrability: float = 1e-8
     willmore: float = 1e-6
@@ -47,6 +36,35 @@ class Tolerances(NamedTuple):
     energy: float = 1e-8
     umbilic: float = 1e-8
     gauge: float = 1e-8
+
+
+class Tolerances(_ToleranceFields):
+    """Every tolerance a caller can set; ``--tol NAME=VAL`` takes
+    exactly these fields.
+
+    The first six gate the reports of the same name (``energy`` the
+    relative error against a closed form); ``willmore`` also gates the
+    adjoint transform probes and the theta and duality reports.
+    ``umbilic`` is the floor, relative to 1 + |s|, under which a lambda
+    counts as zero, and ``gauge`` the least pairing a reference axis
+    needs with both null normals.  Fields must be finite and not negative.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in sorted(self._asdict().items()):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ParameterOutOfRange(
+                    "tolerance must be finite and not negative",
+                    tol="%s=%r" % (name, value))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Route ``_replace`` through the checks of ``__new__``."""
+        return cls(*iterable)
 
 
 # reference axes for the gauge, tried in order: primary e_4 (first
@@ -379,18 +397,20 @@ def willmore_operators(inv):
     return w1, w2
 
 
+def side_field(inv, name, side):
+    """``inv.<name>_<side>``, where ``side`` is 'left' or 'right'."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return getattr(inv, name + "_" + side)
+
+
 def adjoint_vector(frame, inv, side="left"):
     """The adjoint lift built from one of the mu directions.
 
     Null, with <Y, Yhat> = -1 and <Y_z, Yhat> = mu/2, for any chart;
     it only becomes a conformal chart of its own where the surface is
     Willmore (the transform layer checks that gate)."""
-    if side == "left":
-        mu = inv.mu_left
-    elif side == "right":
-        mu = inv.mu_right
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    mu = side_field(inv, "mu", side)
     mubar = mu.conj()
     order = mu.order
     return (frame.Y.truncated(order) * (mu * mubar * 0.5)
@@ -437,11 +457,7 @@ def conformal_gauss_data(frame):
     vals_z = np.stack([w.value for w in dz], axis=-2)
     vals_zb = np.stack([w.value for w in dzb], axis=-2)
 
-    def gram_det(a, b):
-        g = np.einsum("...ic,c,...jc->...ij", a, SIGNS, b)
-        return np.linalg.det(g)
-
-    gram_gg = 4.0 * gram_det(vals, vals)
+    gram_gg = 4.0 * gram_wedge_inner(vals, vals)
 
     total = 0.0
     for i in range(4):
@@ -450,7 +466,7 @@ def conformal_gauss_data(frame):
         for j in range(4):
             bj = vals.copy()
             bj[..., j, :] = vals_zb[..., j, :]
-            total = total + gram_det(ai, bj)
+            total = total + gram_wedge_inner(ai, bj)
     quarter = 2.0 * np.real(total)
     kp = np.real(Yzzb.inner(Yzzb).value)
     return {"gram_GG": np.real(gram_gg), "quarter_dG2": quarter,

@@ -16,7 +16,7 @@ from .charts import DEFAULT_ORDER, SurfaceChart, sample_grid
 from .errors import DegenerateTransform, DomainError, UnknownIdentifier
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      canonical_lift, envelope_vector, frame_and_invariants,
-                     frame_field, invariants)
+                     frame_field, invariants, side_field)
 from .jets import seed_point
 
 POLAR_ORDER_COST = 3
@@ -109,12 +109,10 @@ class TransformedSurface(SurfaceChart):
     """
 
     def __init__(self, base, step, tol=Tolerances()):
-        self.base = base
         self.steps = tuple(getattr(base, "steps", ())) + (step,)
         self.order_cost = sum(_STEPS[s][1] for s in self.steps)
         meta = dict(base.meta)
         meta.pop("torus_pq", None)
-        meta["steps"] = list(self.steps)
         super().__init__(base.name + "+" + _STEPS[step][0],
                          _step_lift(base, step, tol), base.domain,
                          base.periodic, params=base.params, meta=meta)
@@ -137,43 +135,12 @@ def _transformed(chart, step, tol=Tolerances()):
         require_willmore(inv, tol.willmore,
                          "adjoint transforms need a Willmore base chart",
                          chart=chart.name)
-    mask = inv.umbilic_left if side == "left" else inv.umbilic_right
-    if np.all(mask):
+    if np.all(side_field(inv, "umbilic", side)):
         raise DegenerateTransform(
             "the %s %s direction degenerates everywhere"
             % (side, "adjoint" if willmore else "polar"),
             chart=chart.name, side=side)
     return TransformedSurface(chart, step, tol)
-
-
-def polar_left(chart):
-    """Chart tracing the left null normal direction [L]."""
-    return _transformed(chart, "polar_left")
-
-
-def polar_right(chart):
-    """Chart tracing the right null normal direction [R]."""
-    return _transformed(chart, "polar_right")
-
-
-def adjoint_left(chart):
-    """Chart of the adjoint built on the left mu direction."""
-    return _transformed(chart, "adjoint_left")
-
-
-def adjoint_right(chart):
-    """Chart of the adjoint built on the right mu direction."""
-    return _transformed(chart, "adjoint_right")
-
-
-def full_second_envelope(chart):
-    """Second envelope of the left null congruence, no Willmore gate.
-
-    Carries the left-Willmore-operator correction along L, so the
-    output is orthogonal to L, L_z, L_zbar and L_zzbar unconditionally
-    and coincides with adjoint_left exactly on Willmore charts.
-    """
-    return _transformed(chart, "second_envelope")
 
 
 def apply_chain(chart, tags, tol=Tolerances()):

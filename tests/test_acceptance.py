@@ -24,8 +24,7 @@ from lightcone.cli import main as cli_main
 from lightcone.dsl import chart_from_source
 from lightcone.frames import frame_and_invariants
 from lightcone.jets import seed_point
-from lightcone.transforms import (duality_report, inverse_check, polar_left,
-                                  polar_right)
+from lightcone.transforms import apply_chain, duality_report, inverse_check
 
 import oracles
 
@@ -154,10 +153,11 @@ def test_criterion_06_torus_polars_are_willmore():
     chart = catalog_chart("torus", t=T)
     grid = sample_grid(chart, 16, 16)
     worst = 0.0
-    for maker in (polar_left, polar_right):
-        _, inv = frame_and_invariants(maker(chart).lift_at(*grid, order=6))
+    for tag in ("L", "R"):
+        _, inv = frame_and_invariants(
+            apply_chain(chart, tag).lift_at(*grid, order=6))
         res = willmore_report(inv).max_abs
-        assert res < 1e-6, (maker.__name__, res)
+        assert res < 1e-6, (tag, res)
         worst = max(worst, res)
     _passed(6, "polar Willmore residual <= %.2e on 16x16" % worst)
 
@@ -174,10 +174,10 @@ def test_criterion_07_catenoid_duality_and_classical_gauss_map():
     u, v = sample_grid(chart, 8, 8)
     wplus, wminus = oracles.catenoid_polar_pair(u, v)
     worst = 0.0
-    for maker, target in ((polar_left, wplus), (polar_right, wminus)):
-        vals = np.real(maker(chart).lift_at(u, v, order=0).value)
+    for tag, target in (("L", wplus), ("R", wminus)):
+        vals = np.real(apply_chain(chart, tag).lift_at(u, v, order=0).value)
         dist = float(np.max(projective_distance(vals, target)))
-        assert dist < 1e-7, (maker.__name__, dist)
+        assert dist < 1e-7, (tag, dist)
         worst = max(worst, dist)
     _passed(7, "duality fields <= %.2e, Gauss-map match <= %.2e"
             % (max(fields.values()), worst))
@@ -227,9 +227,10 @@ def test_criterion_09_theta_holomorphy_and_omega_cross_check():
 def test_criterion_10_catenoid_polar_energy_vanishes():
     chart = catalog_chart("catenoid")
     worst = 0.0
-    for maker in (polar_left, polar_right):
-        value = willmore_energy(maker(chart), nu=16, nv=16, order=5).value
-        assert abs(value) < 1e-8, (maker.__name__, value)
+    for tag in ("L", "R"):
+        value = willmore_energy(apply_chain(chart, tag), nu=16, nv=16,
+                                order=5).value
+        assert abs(value) < 1e-8, (tag, value)
         worst = max(worst, abs(value))
     _passed(10, "polar energy <= %.2e" % worst)
 

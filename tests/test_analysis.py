@@ -132,7 +132,7 @@ def test_gate_orders_are_the_least_that_work(torus_data):
 def test_torus_swillmore_deviation_matches_closed_form(torus_data):
     _, inv = torus_data
     expected = oracles.torus_invariants(2.0)["swillmore_dev"]
-    assert abs(an.swillmore_deviation(inv) - expected) < 1e-10
+    assert abs(an.swillmore_report(inv).max_abs - expected) < 1e-10
     report = an.swillmore_report(inv)
     assert abs(report.max_abs - expected) < 1e-10
     assert report.degenerate_fraction == 0.0
@@ -140,7 +140,7 @@ def test_torus_swillmore_deviation_matches_closed_form(torus_data):
 
 def test_catenoid_swillmore(catenoid_data):
     _, inv = catenoid_data
-    assert an.swillmore_deviation(inv) < 1e-12
+    assert an.swillmore_report(inv).max_abs < 1e-12
 
 
 def test_theta_holomorphy_on_willmore_charts(torus_data, catenoid_data):
@@ -158,6 +158,16 @@ def test_mu_riccati_on_torus(torus_data):
     _, inv = torus_data
     assert an.mu_riccati_residual(inv, "left") < 1e-10
     assert an.mu_riccati_residual(inv, "right") < 1e-10
+
+
+def test_side_names_are_checked(torus_data):
+    frame, inv = torus_data
+    for check in (lambda side: an.mu_riccati_residual(inv, side),
+                  lambda side: an.harmonicity_report(frame, inv, side),
+                  lambda side: an.omega_report(frame, inv, side,
+                                               swillmore_gate=1.0)):
+        with pytest.raises(ValueError, match="side must be"):
+            check("lft")
 
 
 def test_adjoint_side_prefers_nondegenerate_direction(torus_data):

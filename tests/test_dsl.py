@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightcone.charts import catalog_chart, sample_grid
+from lightcone.charts import (SurfaceChart, catalog_chart, embed_flat,
+                              sample_grid)
 from lightcone.dsl import (chart_from_source, evaluate, free_parameters,
                            parse_expression, parse_program,
                            print_expression, print_program)
@@ -188,3 +189,20 @@ def test_batched_evaluation():
     cat = catalog_chart("catenoid")
     w2 = cat.lift_at(u, v, order=2)
     assert np.max(np.abs(w.c - w2.c)) < 1e-13
+
+
+def test_number_over_jet_matches_reciprocal_bit_for_bit():
+    source = "r3 [2/cosh(u)*cos(v), 2/cosh(u)*sin(v), 1/(2+u)]"
+
+    def lift(U, V):
+        r = U.cosh().reciprocal() * 2.0
+        return embed_flat([r * V.cos(), r * V.sin(), (2.0 + U).reciprocal(),
+                           1.0])
+
+    dsl = chart_from_source(source)
+    ref = SurfaceChart("ref", lift, dsl.domain)
+    u, v = sample_grid(dsl, 8, 8)
+    got = dsl.lift_at(u, v, order=8)
+    want = ref.lift_at(u, v, order=8)
+    assert got.coef.dtype == want.coef.dtype
+    np.testing.assert_array_equal(got.coef, want.coef)

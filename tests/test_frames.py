@@ -5,7 +5,8 @@ from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import NormalPlaneDegenerate, NotSpacelike
+from lightcone.errors import (NormalPlaneDegenerate, NotSpacelike,
+                              ParameterOutOfRange)
 from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                               canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
@@ -343,3 +344,31 @@ def test_tolerances_hold_per_call():
     assert np.all(loose.umbilic_left & loose.umbilic_right)
     assert not np.any(default.umbilic_left | default.umbilic_right)
     assert set(classify_point(default).ravel()) == {"generic"}
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("willmore", float("nan"), "willmore=nan"),
+    ("gauge", -1.0, "gauge=-1.0"),
+    ("umbilic", float("inf"), "umbilic=inf"),
+])
+def test_tolerances_refuse_bad_values_where_built(field, value, shown):
+    with pytest.raises(ParameterOutOfRange) as built:
+        Tolerances(**{field: value})
+    assert built.value.context["tol"] == shown
+    with pytest.raises(ParameterOutOfRange):
+        Tolerances()._replace(**{field: value})
+
+
+def test_tolerances_name_the_first_bad_field_by_name():
+    with pytest.raises(ParameterOutOfRange) as built:
+        Tolerances(willmore=-1.0, gauge=float("nan"))
+    assert built.value.context["tol"] == "gauge=nan"
+    assert Tolerances(gauge=0.0)._replace(willmore=2.0).willmore == 2.0
+
+
+def test_adjoint_vector_checks_the_side_name():
+    chart = catalog_chart("torus", t=T)
+    frame, inv = frame_and_invariants(
+        chart.lift_at(*sample_grid(chart, 4, 4), order=INVARIANTS_ORDER))
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        adjoint_vector(frame, inv, "lft")
