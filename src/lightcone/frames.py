@@ -94,14 +94,14 @@ def canonical_lift(raw):
     """
     ru = raw.du()
     rv = raw.dv()
-    rz = (ru - rv * 1j) * 0.5
-    rzb = (ru + rv * 1j) * 0.5
+    # g2 = 2 <Y_z, Y_zbar> = (<Y_u, Y_u> + <Y_v, Y_v>) / 2, formed from
+    # real products when the lift is real
+    g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
+    scale = np.sum(np.abs((ru.value - rv.value * 1j) * 0.5) ** 2, axis=-1)
     # the u, v derivatives are not needed below; freeing them keeps the
     # memory peak of a large, low-order lift where it is without them
     del ru, rv
-    g2 = (rz.inner(rzb) * 2.0).real
-    scale = np.sum(np.abs(rz.value) ** 2, axis=-1)
-    ratio = g2.value.real / np.maximum(scale, 1e-300)
+    ratio = g2.value / np.maximum(scale, 1e-300)
     # written so that a NaN ratio fails the gate too
     if not np.min(ratio) > SPACELIKE_TOL:
         raise NotSpacelike("induced metric is not positive",

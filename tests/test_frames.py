@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lightcone import jets
 from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, scaled_chart)
@@ -66,6 +67,32 @@ def test_real_charts_keep_real_storage(name):
     assert inv.lambda1.coef.dtype == np.complex128
     # the frame's Y_zzbar is the real part of Y_z.zbar(), bit for bit
     assert np.array_equal(frame.Yzzb.coef, frame.Yz.zbar().real.coef)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_canonical_lift_of_real_chart_takes_real_products(name, monkeypatch):
+    # the metric g2 = (<Y_u, Y_u> + <Y_v, Y_v>) / 2 of a real lift needs
+    # no complex product, and the normaliser g2 ** -0.5 stays float64
+    operands, bases = [], []
+    mul, power = jets._mul, jets.Jet2.power
+
+    def spy_mul(a, b):
+        operands.extend((a.dtype, b.dtype))
+        return mul(a, b)
+
+    def spy_power(self, exponent):
+        bases.append(self.coef.dtype)
+        return power(self, exponent)
+
+    chart = catalog_chart(name)
+    u, v = sample_grid(chart, 4, 4)
+    raw = chart.lift_at(u, v, order=5)
+    monkeypatch.setattr(jets, "_mul", spy_mul)
+    monkeypatch.setattr(jets.Jet2, "power", spy_power)
+    Y = canonical_lift(raw)
+    assert operands and set(operands) == {np.dtype(np.float64)}
+    assert bases == [np.float64]
+    assert Y.coef.dtype == np.float64
 
 
 def test_canonical_lift_rejects_non_spacelike():
