@@ -31,8 +31,12 @@ Analytic functions (exp, sin, sqrt, powers, ...) are composed through
 their Taylor series evaluated on the nilpotent part n of the argument,
 by Horner's rule.  The partial sum that is multiplied by n^m only
 matters up to order K - m, so each Horner step runs at the order the
-result needs from it.  Division and non-integer powers require the
-constant term to be bounded away from zero and raise DomainError
+result needs from it.  When the argument is affine in du and dv, as
+every coordinate seed is, a Horner step needs no product: multiplying
+by n shifts the partial sum one degree up in u and in v, so two
+multiply-adds take the place of the convolution, with the same bits
+(Griewank & Walther, ch. 13).  Division and non-integer powers require
+the constant term to be bounded away from zero and raise DomainError
 otherwise.
 
 Wirtinger derivatives follow z = u + iv:
@@ -374,6 +378,12 @@ class Jet2(_Jet):
         P_m is formed at order K - m only.  Each coefficient kept sums
         the same terms in the same order as a full-order Horner step,
         less those that multiply the zero constant term of n.
+
+        When n is affine, a du + b dv with no coefficient of degree 2 or
+        more (a NaN or an Inf counts as one), multiplying by n only
+        shifts: each step adds P a one degree up in u, then P b one
+        degree up in v.  Those are the nonzero terms of the product, in
+        its order, so on finite data the result is the same bit for bit.
         """
         order = self.order
         n = self.coef.copy()
@@ -381,8 +391,17 @@ class Jet2(_Jet):
         out = np.zeros((1, 1) + self.batch_shape,
                        dtype=np.result_type(self.coef, *derivs))
         out[0, 0] = derivs[order]
+        affine = not (np.any(n[2:, 0]) or np.any(n[0, 2:])
+                      or np.any(n[1:, 1:]))
         for m in range(order - 1, -1, -1):
-            out = _mul(out, n[:order - m + 1, :order - m + 1])
+            r = order - m
+            if affine:
+                new = np.zeros((r + 1, r + 1) + out.shape[2:], out.dtype)
+                new[1:, :r] += out * n[1, 0]
+                new[:r, 1:] += out * n[0, 1]
+                out = new
+            else:
+                out = _mul(out, n[:r + 1, :r + 1])
             out[0, 0] += derivs[m]
         return Jet2._wrap(out)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lightcone import jets
 from lightcone.ambient import SIGNS
 from lightcone.errors import DomainError, OrderExhausted
 from lightcone.jets import Jet2, JetVec6, jet_where, seed_point
@@ -499,3 +500,97 @@ def test_writes_through_c_are_visible(batch, order, seed):
     w.c[..., 2, 0, 0] = -3.0
     assert np.all(w.value[..., 2] == -3.0)
     assert np.all(w.component(2).value == -3.0)
+
+
+# composition with an affine argument: shifted multiply-adds in place of
+# the Horner products, with the same bits
+
+AFFINE_FUNCTIONS = {
+    "exp": Jet2.exp, "sin": Jet2.sin, "cos": Jet2.cos, "sinh": Jet2.sinh,
+    "cosh": Jet2.cosh, "sqrt": lambda f: f.power(0.5),
+    "rsqrt": lambda f: f.power(-0.5), "reciprocal": Jet2.reciprocal}
+
+
+def affine_jet(rng, order, batch, real):
+    """c0 + a du + b dv with 1 <= |c0| <= 2; a or b is zero at about a
+    third of the points each, as on coordinate seeds."""
+    def draw(size=batch):
+        x = rng.standard_normal(size)
+        return x if real else x + 1j * rng.standard_normal(size)
+
+    c = np.zeros(batch + (order + 1, order + 1),
+                 dtype=np.float64 if real else np.complex128)
+    c0 = rng.uniform(1, 2, batch)
+    c[..., 0, 0] = c0 if real else c0 * np.exp(1j * draw())
+    if order:
+        c[..., 1, 0] = draw() * (rng.uniform(size=batch) > 0.3)
+        c[..., 0, 1] = draw() * (rng.uniform(size=batch) > 0.3)
+    return Jet2(c)
+
+
+def horner_reference(jet, derivs):
+    """sum_m derivs[m] n^m by Horner's rule with the product kernel,
+    n = jet minus its constant term."""
+    order = jet.order
+    n = jet.coef.copy()
+    n[0, 0] = 0
+    out = np.zeros((1, 1) + jet.batch_shape,
+                   dtype=np.result_type(jet.coef, *derivs))
+    out[0, 0] = derivs[order]
+    for m in range(order - 1, -1, -1):
+        out = jets._mul(out, n[:order - m + 1, :order - m + 1])
+        out[0, 0] += derivs[m]
+    return out
+
+
+def spy_compose(monkeypatch):
+    """Record (argument, derivs, result, product calls) of every
+    composition."""
+    calls, products = [], []
+    compose, mul = Jet2._compose, jets._mul
+
+    def spy_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    def spy(self, derivs):
+        products.clear()
+        out = compose(self, derivs)
+        calls.append((self, derivs, out, len(products)))
+        return out
+
+    monkeypatch.setattr(jets, "_mul", spy_mul)
+    monkeypatch.setattr(Jet2, "_compose", spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [(), (3, 4)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("name", sorted(AFFINE_FUNCTIONS))
+def test_affine_composition_matches_horner_products(name, real, batch,
+                                                   monkeypatch):
+    rng = np.random.default_rng(sorted(AFFINE_FUNCTIONS).index(name))
+    calls = spy_compose(monkeypatch)
+    for order in range(16):
+        AFFINE_FUNCTIONS[name](affine_jet(rng, order, batch, real))
+    assert len(calls) == 16
+    for jet, derivs, got, products in calls:
+        assert products == 0
+        assert got.coef.shape == jet.coef.shape
+        assert np.array_equal(got.coef, horner_reference(jet, derivs))
+
+
+@pytest.mark.parametrize("entry", [0.5, np.nan, np.inf])
+@pytest.mark.parametrize("where", [(2, 0), (1, 1), (0, 2), (3, 1), (0, 4)])
+def test_curved_or_nonfinite_argument_takes_the_product_path(
+        where, entry, monkeypatch):
+    rng = np.random.default_rng(3)
+    f = affine_jet(rng, 4, (3, 4), real=True)
+    f.c[1, 2, where[0], where[1]] = entry
+    calls = spy_compose(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        f.exp()
+        want = horner_reference(f, calls[0][1])
+    (_, _, got, products), = calls
+    assert products == 4
+    assert np.array_equal(got.coef, want, equal_nan=True)
