@@ -565,9 +565,16 @@ class JetVec6(_Jet):
     def __mul__(self, other):
         """Scale by a scalar jet or a plain scalar."""
         if isinstance(other, Jet2):
+            # the scalar is spread over the vector's full shape, so each
+            # step of the kernel runs over whole blocks, not over the
+            # six components of one lane; the bits are the same
             order = min(self.order, other.order)
-            return JetVec6._wrap(_mul(_truncate(self.coef, order),
-                                      _truncate(other.coef, order)[..., None]))
+            a = _truncate(self.coef, order)
+            b = _truncate(other.coef, order)
+            batch = np.broadcast_shapes(a.shape[2:-1], b.shape[2:])
+            b = np.broadcast_to(_widen(b, len(batch) + 2)[..., None],
+                                b.shape[:2] + batch + (6,))
+            return JetVec6._wrap(_mul(a, np.ascontiguousarray(b)))
         s, other = self._scalar(other)
         return JetVec6._wrap(s * other)
 

@@ -594,3 +594,17 @@ def test_curved_or_nonfinite_argument_takes_the_product_path(
     (_, _, got, products), = calls
     assert products == 4
     assert np.array_equal(got.coef, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("shapes", [((4, 4), (4, 1)), ((4, 1), (4, 4))])
+def test_vector_times_scalar_equals_component_products(shapes, real):
+    rng = np.random.default_rng(11)
+    for order in range(9):
+        w = JetVec6(coefficients(rng, order, shapes[0], (6,), real=real))
+        s = Jet2(coefficients(rng, order, shapes[1], real=real))
+        for got in (w * s, s * w):
+            assert got.batch_shape == (4, 4)
+            for i in range(6):
+                want = w.component(i) * s
+                assert np.array_equal(got.component(i).coef, want.coef)
