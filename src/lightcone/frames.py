@@ -85,6 +85,12 @@ def _laplacian(Yu, Yv):
     return (Yu.du() + Yv.dv()) * 0.25
 
 
+def _value_inner(a, b):
+    """<a, b> at the base points: ``a.inner(b).value`` bit for bit,
+    without the products of the higher coefficients."""
+    return np.einsum("...i,i->...", a.value * b.value, SIGNS)
+
+
 def canonical_lift(raw):
     """Scale a raw light cone lift to the canonical one.
 
@@ -207,7 +213,7 @@ def frame_field(Y, *, tol=Tolerances()):
     # margins; the jet-level Gram-Schmidt below then needs no branches
     qa = np.take_along_axis(q, ia[..., None], axis=-1)[..., 0]
     qb = np.take_along_axis(q, ib[..., None], axis=-1)[..., 0]
-    cab = na.inner(nb).value.real
+    cab = _value_inner(na, nb).real
     phi = 0.5 * np.arctan2(2.0 * cab, qa - qb)
     m1 = na * np.cos(phi) + nb * np.sin(phi)
     m2 = na * (-np.sin(phi)) + nb * np.cos(phi)
@@ -468,6 +474,6 @@ def conformal_gauss_data(frame):
             bj[..., j, :] = vals_zb[..., j, :]
             total = total + gram_wedge_inner(ai, bj)
     quarter = 2.0 * np.real(total)
-    kp = np.real(Yzzb.inner(Yzzb).value)
+    kp = np.real(_value_inner(Yzzb, Yzzb))
     return {"gram_GG": np.real(gram_gg), "quarter_dG2": quarter,
             "kappa_pair": kp}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightcone import jets
+from lightcone import frames, jets
 from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, scaled_chart)
@@ -166,6 +166,19 @@ def test_torus_adjoint_anchors_at_origin():
         < 1e-12
     assert np.max(np.abs(ytil.value - oracles.torus_adjoint_right_origin(T))) \
         < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_value_inner_is_the_value_of_the_jet_inner(real):
+    rng = np.random.default_rng(5)
+    for order, batch in [(0, ()), (3, (4,)), (8, (3, 4))]:
+        a, b = (rng.standard_normal(batch + (6, order + 1, order + 1))
+                * 10.0 ** rng.integers(-4, 5, batch + (6, 1, 1))
+                for _ in range(2))
+        if not real:
+            a = a + 1j * rng.standard_normal(a.shape)
+        a, b = jets.JetVec6(a), jets.JetVec6(b)
+        assert np.array_equal(frames._value_inner(a, b), a.inner(b).value)
 
 
 def test_frame_identities_as_jets():
