@@ -415,13 +415,17 @@ def adjoint_vector(frame, inv, side="left"):
 
     Null, with <Y, Yhat> = -1 and <Y_z, Yhat> = mu/2, for any chart;
     it only becomes a conformal chart of its own where the surface is
-    Willmore (the transform layer checks that gate)."""
+    Willmore (the transform layer checks that gate).
+
+    With mu = a + ib it is Y (a^2 + b^2)/2 + Y_u a - Y_v b + N, since
+    Y_z mubar + Y_zbar mu = Y_u a - Y_v b; every product is then real
+    when the chart is."""
     mu = side_field(inv, "mu", side)
-    mubar = mu.conj()
+    a, b = mu.real, mu.imag
     order = mu.order
-    return (frame.Y.truncated(order) * (mu * mubar * 0.5)
-            + frame.Yz.truncated(order) * mubar
-            + frame.Yzb.truncated(order) * mu
+    return (frame.Y.truncated(order) * ((a * a + b * b) * 0.5)
+            + frame.Yu.truncated(order) * a
+            - frame.Yv.truncated(order) * b
             + frame.N.truncated(order))
 
 

@@ -49,7 +49,9 @@ REAL_CHARTS = dict(
     dsl_catenoid=lambda: chart_from_source(
         "r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]",
         domain=((-1.0, 1.0), (0.0, 2 * np.pi)), periodic=(False, True)),
-    torus_L=lambda: apply_chain(catalog_chart("torus"), "L"))
+    torus_L=lambda: apply_chain(catalog_chart("torus"), "L"),
+    torus_adjL=lambda: apply_chain(catalog_chart("torus"), "adjL"),
+    torus_env=lambda: apply_chain(catalog_chart("torus"), "env"))
 
 
 @pytest.mark.parametrize("name", sorted(REAL_CHARTS))
