@@ -114,16 +114,22 @@ class SurfaceChart:
         coefficient of the lift is NaN or Inf."""
         U, V = seed_point(u, v, order)
         raw = self.evaluate(U, V)
-        bad = ~np.all(np.isfinite(raw.coef), axis=(0, 1, -1))
-        if np.any(bad):
-            raise NonFinite("chart lift is not finite",
-                            count=int(np.count_nonzero(bad)),
-                            points=int(bad.size))
+        require_finite(raw)
         return raw
 
     def __repr__(self):
         return "SurfaceChart({!r}, domain={}, periodic={})".format(
             self.name, self.domain, self.periodic)
+
+
+def require_finite(raw):
+    """Raise NonFinite where a coefficient of the raw lift ``raw`` is
+    NaN or Inf, with the count of such points and of all points."""
+    bad = ~np.all(np.isfinite(raw.coef), axis=(0, 1, -1))
+    if np.any(bad):
+        raise NonFinite("chart lift is not finite",
+                        count=int(np.count_nonzero(bad)),
+                        points=int(bad.size))
 
 
 def grid_axis(lo, hi, n, periodic):

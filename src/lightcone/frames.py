@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambient import SIGNS, gram_wedge_inner
+from .charts import require_finite
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
                      NotSpacelike, ParameterOutOfRange)
 from .jets import Jet2, JetVec6, jet_where
@@ -366,7 +367,9 @@ def invariants(frame, tol=Tolerances()):
 def frame_and_invariants(raw, tol=Tolerances()):
     """Adapted frame and invariant scalars of a raw light cone lift,
     such as ``chart.lift_at(u, v, order)``; the frame is built once
-    and every check runs on this pair."""
+    and every check runs on this pair.  Raises NonFinite where a
+    coefficient of the lift is NaN or Inf."""
+    require_finite(raw)
     frame = frame_field(canonical_lift(raw), tol=tol)
     return frame, invariants(frame, tol)
 

@@ -6,8 +6,8 @@ from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (NormalPlaneDegenerate, NotSpacelike,
-                              ParameterOutOfRange)
+from lightcone.errors import (NonFinite, NormalPlaneDegenerate,
+                              NotSpacelike, ParameterOutOfRange)
 from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                               canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
@@ -115,6 +115,20 @@ def test_nan_lift_fails_the_gates():
             canonical_lift(raw)
         with pytest.raises(NormalPlaneDegenerate):
             frame_field(Y)
+
+
+@pytest.mark.parametrize("index", [(1, 1, 2, 1, 0), (1, 1, 2, 2, 1)])
+def test_nonfinite_lift_raises_nonfinite(index):
+    # an Inf in a first derivative used to surface as NotSpacelike, and
+    # one in a second derivative as NormalPlaneDegenerate, both with a
+    # NaN worst value
+    chart = catalog_chart("catenoid")
+    u, v = sample_grid(chart, 3, 3)
+    raw = chart.lift_at(u, v, order=5)
+    raw.c[index] = np.inf
+    with pytest.raises(NonFinite) as info:
+        frame_and_invariants(raw)
+    assert info.value.context == {"count": 1, "points": 9}
 
 
 def test_torus_frame_matches_oracle():
