@@ -125,11 +125,14 @@ class SurfaceChart:
 def require_finite(raw):
     """Raise NonFinite where a coefficient of the raw lift ``raw`` is
     NaN or Inf, with the count of such points and of all points."""
-    bad = ~np.all(np.isfinite(raw.coef), axis=(0, 1, -1))
-    if np.any(bad):
-        raise NonFinite("chart lift is not finite",
-                        count=int(np.count_nonzero(bad)),
-                        points=int(bad.size))
+    finite = np.isfinite(raw.coef)
+    # one pass over the whole array first: a reduction per point, over
+    # axes that are not contiguous, costs about eight times as much
+    if finite.all():
+        return
+    bad = ~np.all(finite, axis=(0, 1, -1))
+    raise NonFinite("chart lift is not finite",
+                    count=int(np.count_nonzero(bad)), points=int(bad.size))
 
 
 def grid_axis(lo, hi, n, periodic):
