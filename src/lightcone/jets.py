@@ -11,11 +11,16 @@ carry no discretization error, only rounding.
 
 Storage is coefficient-first: ``jet.coef`` is an array of shape
 (K+1, K+1, *batch), so ``coef[j, k]`` is one contiguous batch vector.
-The truncated product is then one loop over the C(K+2, 2) coefficients
-a[p, q] of the left factor, each step adding a[p, q] times the leading
-block of the right factor to the matching block of the result (the
-Taylor-mode kernel of Griewank & Walther, *Evaluating Derivatives*,
-ch. 13).  ``jet.c`` is the same coefficients seen batch-first, shape
+The truncated product (the Taylor-mode kernel of Griewank & Walther,
+*Evaluating Derivatives*, ch. 13) flattens the batch into lanes and
+runs an index plan, built once per pair of orders: every term
+a[p, q] b[j-p, k-q] of the triangle j + k <= K as a pair of flat
+indices, listed by rank, the r-th term of every output coefficient
+that has one.  A pass gathers and multiplies the factors of a run of
+terms, and one add per rank accumulates them, so a product costs about
+one numpy call per rank, not one per coefficient of the left factor.
+Each output still sums its terms in increasing (p, q).  ``jet.c`` is
+the same coefficients seen batch-first, shape
 (*batch, K+1, K+1): a writable view of the storage, not a copy, and the
 constructors ``Jet2(c)`` and ``JetVec6(c)`` take that layout.
 
@@ -56,6 +61,8 @@ products: ``Jet2`` multiplies, divides and composes scalar jets and
 takes plain scalars in sums, ``JetVec6`` scales by scalar jets and
 forms the inner product.
 """
+
+import math
 
 import numpy as np
 
@@ -113,29 +120,141 @@ def _coefficient_first(c, vector=False):
     return np.array(c, dtype=_dtype(c), order="C")
 
 
+class _Plan:
+    """Index plan of the truncated product of an order-``top`` left
+    factor by an order-``order`` right factor, top <= order.
+
+    Output (j, k) of the triangle sums a[p, q] b[j-p, k-q] over p <= j,
+    q <= k, p + q <= top, in increasing (p, q).  The outputs are sorted
+    longest first into ``target`` (flat indices j (K+1) + k), and their
+    terms are listed by rank: rank r holds the r-th term of the first
+    ``counts[r]`` outputs, which are all those with more than r terms.
+    ``ia`` and ``ib`` are the flat coefficient indices of the terms into
+    a and b, rank after rank.
+    """
+
+    __slots__ = ("target", "counts", "ia", "ib", "_passes")
+
+    def __init__(self, top, order):
+        side = order + 1
+        outputs = []
+        for j in range(side):
+            for k in range(side - j):
+                terms = [(p * (top + 1) + q, (j - p) * side + k - q)
+                         for p in range(min(j, top) + 1)
+                         for q in range(min(k, top - p) + 1)]
+                outputs.append((j * side + k, terms))
+        outputs.sort(key=lambda output: -len(output[1]))
+        self.target = np.array([t for t, _ in outputs], dtype=np.intp)
+        self.counts = []
+        pairs = []
+        for r in range(len(outputs[0][1])):
+            rank = [terms[r] for _, terms in outputs if len(terms) > r]
+            self.counts.append(len(rank))
+            pairs += rank
+        self.ia, self.ib = np.array(pairs, dtype=np.intp).T.copy()
+        self._passes = {}
+
+    def passes(self, width):
+        """The terms cut into passes of at most _PASS // width terms, for
+        blocks of ``width`` lanes, cached per pass size: a list of
+        (lo, hi, adds) for the terms lo:hi, where each (d0, d1, s0, s1)
+        of adds adds the pass's products s0:s1 into acc[d0:d1].  A rank
+        cut by a pass boundary is added in two pieces, so each output
+        still adds its terms in rank order."""
+        size = max(1, _PASS // width)
+        passes = self._passes.get(size)
+        if passes is None:
+            passes = self._passes[size] = []
+            total = len(self.ia)
+            for lo in range(0, total, size):
+                hi = min(lo + size, total)
+                adds, start = [], 0
+                for count in self.counts:
+                    x0, x1 = max(start, lo), min(start + count, hi)
+                    if x0 < x1:
+                        adds.append((x0 - start, x1 - start,
+                                     x0 - lo, x1 - lo))
+                    start += count
+                passes.append((lo, hi, tuple(adds)))
+        return passes
+
+
+#: lanes (flattened batch entries) per block of the product kernel
+_LANES = 1024
+#: term x lane elements per pass, so that a pass's operands stay in cache
+_PASS = 1 << 14
+
+_PLANS = {}
+
+
+def _plan(top, order):
+    """The cached ``_Plan`` of (top, order), built on first use."""
+    plan = _PLANS.get((top, order))
+    if plan is None:
+        plan = _PLANS[top, order] = _Plan(top, order)
+    return plan
+
+
+def _lanes(s, batch, lanes):
+    """Coefficient-first s broadcast to ``batch`` and flattened to
+    (coefficients, lanes); a copy only where s is broadcast."""
+    if s.shape[2:] != batch:
+        s = np.broadcast_to(s, s.shape[:2] + batch)
+    return s.reshape(-1, lanes)
+
+
 def _mul(a, b):
     """Truncated product of coefficient-first arrays at the order of b.
 
     a may have a lower order than b; its terms above that order count as
-    zero.  Trailing axes broadcast.  Each output coefficient sums its
-    terms in the order of increasing (p, q) of a, and only the triangle
-    j + k <= K is kept.
+    zero.  Trailing axes broadcast.  The batch is flattened into lanes,
+    and each block of at most _LANES lanes runs the cached ``_Plan`` of
+    the two orders (``_block``).  Every output coefficient sums its terms
+    in the order of increasing (p, q) of a, starting from 0.0, and only
+    the triangle j + k <= K is computed; the entries above it are zero
+    whatever the operands hold.
     """
-    order = b.shape[0] - 1
-    top = a.shape[0] - 1
+    order, top = b.shape[0] - 1, a.shape[0] - 1
     ndim = max(a.ndim, b.ndim)
     a, b = _widen(a, ndim), _widen(b, ndim)
     batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    out = np.zeros((order + 1, order + 1) + batch,
-                   dtype=np.result_type(a, b))
-    blocks = [b[:m + 1, :m + 1] for m in range(order + 1)]
-    for p in range(top + 1):
-        row = a[p]
-        for q in range(top + 1 - p):
-            m = order - p - q
-            out[p:p + m + 1, q:q + m + 1] += row[q] * blocks[m]
-    out *= _mask(order, len(batch))
-    return out
+    lanes = math.prod(batch)
+    a, b = _lanes(a, batch, lanes), _lanes(b, batch, lanes)
+    dtype = np.result_type(a, b)
+    plan = _plan(top, order)
+    out = np.zeros(((order + 1) ** 2, lanes), dtype)
+    for lo in range(0, lanes, _LANES):
+        block = slice(lo, lo + _LANES)
+        out[plan.target, block] = _block(plan, a[:, block], b[:, block],
+                                         dtype)
+    return out.reshape((order + 1, order + 1) + batch)
+
+
+def _block(plan, a, b, dtype):
+    """The plan's outputs, in plan order, over one block of lanes of the
+    flattened operands a and b.  Each pass gathers its terms' factors,
+    multiplies them, and adds each rank's slice into a prefix of the
+    accumulator."""
+    width = a.shape[1]
+    passes = plan.passes(width)
+    lo, hi, _ = passes[0]
+    x = np.empty((hi - lo, width), a.dtype)
+    y = np.empty(x.shape, b.dtype)
+    # a separate product buffer: numpy multiplies one complex element in
+    # place by another rule than out of place, which changes its bits
+    terms = np.empty(x.shape, dtype)
+    acc = np.zeros((len(plan.target), width), dtype)
+    for lo, hi, adds in passes:
+        n = hi - lo
+        # the indices are in range; any mode but "raise" lets take write
+        # straight into its out buffer
+        a.take(plan.ia[lo:hi], 0, out=x[:n], mode="clip")
+        b.take(plan.ib[lo:hi], 0, out=y[:n], mode="clip")
+        np.multiply(x[:n], y[:n], out=terms[:n])
+        for d0, d1, s0, s1 in adds:
+            acc[d0:d1] += terms[s0:s1]
+    return acc
 
 
 def _du(s):
@@ -159,10 +278,12 @@ def _dv(s):
 
 
 def _truncate(s, order):
-    """s at order ``order``, or s itself when that is its order."""
+    """s at order ``order``, or s itself when that is its order.  The
+    entries above the new triangle are set to zero, not multiplied by
+    it, so that an Inf or a NaN there leaves no NaN behind."""
     if s.shape[0] - 1 == order:
         return s
-    return s[:order + 1, :order + 1] * _mask(order, s.ndim - 2)
+    return np.where(_mask(order, s.ndim - 2), s[:order + 1, :order + 1], 0)
 
 
 def _check_divisor(c0, what):
@@ -386,13 +507,15 @@ class Jet2(_Jet):
         its order, so on finite data the result is the same bit for bit.
         """
         order = self.order
-        n = self.coef.copy()
-        n[0, 0] = 0
+        n = self.coef
         out = np.zeros((1, 1) + self.batch_shape,
-                       dtype=np.result_type(self.coef, *derivs))
+                       dtype=np.result_type(n, *derivs))
         out[0, 0] = derivs[order]
         affine = not (np.any(n[2:, 0]) or np.any(n[0, 2:])
                       or np.any(n[1:, 1:]))
+        if not affine:
+            n = n.copy()
+            n[0, 0] = 0
         for m in range(order - 1, -1, -1):
             r = order - m
             if affine:
@@ -565,16 +688,11 @@ class JetVec6(_Jet):
     def __mul__(self, other):
         """Scale by a scalar jet or a plain scalar."""
         if isinstance(other, Jet2):
-            # the scalar is spread over the vector's full shape, so each
-            # step of the kernel runs over whole blocks, not over the
-            # six components of one lane; the bits are the same
+            # the scalar gains a unit component axis; the kernel
+            # broadcasts it over the six components
             order = min(self.order, other.order)
-            a = _truncate(self.coef, order)
-            b = _truncate(other.coef, order)
-            batch = np.broadcast_shapes(a.shape[2:-1], b.shape[2:])
-            b = np.broadcast_to(_widen(b, len(batch) + 2)[..., None],
-                                b.shape[:2] + batch + (6,))
-            return JetVec6._wrap(_mul(a, np.ascontiguousarray(b)))
+            return JetVec6._wrap(_mul(_truncate(self.coef, order),
+                                      _truncate(other.coef, order)[..., None]))
         s, other = self._scalar(other)
         return JetVec6._wrap(s * other)
 

@@ -572,7 +572,11 @@ def test_affine_composition_matches_horner_products(name, real, batch,
     rng = np.random.default_rng(sorted(AFFINE_FUNCTIONS).index(name))
     calls = spy_compose(monkeypatch)
     for order in range(16):
-        AFFINE_FUNCTIONS[name](affine_jet(rng, order, batch, real))
+        jet = affine_jet(rng, order, batch, real)
+        before = jet.coef.copy()
+        AFFINE_FUNCTIONS[name](jet)
+        # the affine path reads the argument in place and writes nothing
+        assert np.array_equal(jet.coef, before)
     assert len(calls) == 16
     for jet, derivs, got, products in calls:
         assert products == 0
@@ -608,3 +612,140 @@ def test_vector_times_scalar_equals_component_products(shapes, real):
             for i in range(6):
                 want = w.component(i) * s
                 assert np.array_equal(got.component(i).coef, want.coef)
+
+
+# the plan-driven product kernel against the block loop it replaced
+
+def block_loop_product(a, b):
+    """The truncated product as one numpy step per coefficient a[p, q] of
+    the left factor: a[p, q] times the leading block of b, added to the
+    matching block of the result, then masked to the triangle."""
+    order, top = b.shape[0] - 1, a.shape[0] - 1
+    ndim = max(a.ndim, b.ndim)
+    a, b = jets._widen(a, ndim), jets._widen(b, ndim)
+    batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.zeros((order + 1, order + 1) + batch,
+                   dtype=np.result_type(a, b))
+    blocks = [b[:m + 1, :m + 1] for m in range(order + 1)]
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            m = order - p - q
+            out[p:p + m + 1, q:q + m + 1] += a[p, q] * blocks[m]
+    out *= jets._mask(order, len(batch))
+    return out
+
+
+def storage(rng, order, batch, real):
+    """Random coefficient-first storage (K+1, K+1, *batch), zero above
+    the triangle."""
+    c = coefficients(rng, order, batch, real=real)
+    return np.ascontiguousarray(np.moveaxis(c, (-2, -1), (0, 1)))
+
+
+KERNEL_SHAPES = [((), ()), ((3, 4), (3, 4)), ((4, 4), (4, 1)),
+                 ((4, 1), (4, 4)), ((5, 6), (5, 1))]
+
+
+@pytest.mark.parametrize("real", [(True, True), (True, False),
+                                  (False, True), (False, False)])
+@pytest.mark.parametrize("shapes", KERNEL_SHAPES)
+def test_kernel_matches_block_loop_bit_for_bit(shapes, real):
+    rng = np.random.default_rng(len(shapes[0]) + 2 * sum(real))
+    for order in range(17):
+        for top in sorted({max(order - 1, 0), order}):
+            a = storage(rng, top, shapes[0], real[0])
+            b = storage(rng, order, shapes[1], real[1])
+            got = jets._mul(a, b)
+            assert got.dtype == np.result_type(a, b)
+            assert np.array_equal(got, block_loop_product(a, b)), \
+                (order, top)
+
+
+@pytest.mark.parametrize("order, lanes", [(4, 1500), (11, 384)])
+def test_kernel_across_lane_blocks_and_passes(order, lanes):
+    # 1500 lanes cross a lane block; at K = 11 the 1365 terms of 384
+    # lanes take several passes
+    assert lanes > jets._LANES or \
+        math.comb(order + 4, 4) * lanes > 4 * jets._PASS
+    rng = np.random.default_rng(order)
+    for real in (True, False):
+        a = storage(rng, order, (lanes,), real)
+        b = storage(rng, order, (lanes,), not real)
+        got = jets._mul(a, b)
+        assert np.array_equal(got, block_loop_product(a, b))
+        # each lane alone gives the bits it gets inside the batch
+        for lane in (0, lanes // 2, lanes - 1):
+            alone = jets._mul(a[..., lane:lane + 1], b[..., lane:lane + 1])
+            assert np.array_equal(alone[..., 0], got[..., lane])
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_entries_above_the_triangle_stay_zero(entry):
+    # the entry sits inside the triangle of its operand; products and
+    # truncations still leave everything above their own triangle zero
+    rng = np.random.default_rng(5)
+    f = Jet2(coefficients(rng, 4, (3,), real=True))
+    g = Jet2(coefficients(rng, 4, (3,), real=False))
+    w = JetVec6(coefficients(rng, 4, (3,), (6,)))
+    f.c[2, 2, 1] = entry
+    w.c[0, 4, 3, 1] = entry
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = [f * g, g * f, f * f, w * f, f * w, w.inner(w)]
+        truncations = [f.truncated(2), w.truncated(3)]
+    for jet in products + truncations:
+        order = jet.order
+        j = np.arange(order + 1)
+        above = (j[:, None] + j[None, :]) > order
+        assert np.all(jet.c[..., above] == 0)
+    for jet in products:
+        assert not np.all(np.isfinite(jet.c))
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_plan_structure(order):
+    for top in range(order + 1):
+        plan = jets._plan(top, order)
+        assert jets._plan(top, order) is plan
+        side = order + 1
+        triangle = {(j, k) for j in range(side) for k in range(side - j)}
+        outputs = [divmod(int(t), side) for t in plan.target]
+        assert sorted(outputs) == sorted(triangle)
+        counts = plan.counts
+        # each rank's outputs are a prefix of the outputs, longest first
+        assert all(x >= y for x, y in zip(counts, counts[1:]))
+        assert counts[0] == len(outputs)
+        assert len(plan.ia) == len(plan.ib) == sum(counts)
+        if top == order:
+            assert len(plan.ia) == math.comb(order + 4, 4)
+        terms = {out: [] for out in outputs}
+        start = 0
+        for count in counts:
+            for i in range(count):
+                p, q = divmod(int(plan.ia[start + i]), top + 1)
+                jb, kb = divmod(int(plan.ib[start + i]), side)
+                terms[outputs[i]].append((p, q, jb, kb))
+            start += count
+        for (j, k), got in terms.items():
+            want = [(p, q, j - p, k - q) for p in range(j + 1)
+                    for q in range(k + 1) if p + q <= top]
+            assert got == want, (top, order, j, k)
+
+
+@pytest.mark.parametrize("width", [1, 7, 384, 1024])
+def test_plan_passes_add_every_term_once_in_rank_order(width):
+    for top, order in [(0, 0), (3, 4), (8, 8), (15, 16)]:
+        plan = jets._plan(top, order)
+        passes = plan.passes(width)
+        starts = np.cumsum([0] + plan.counts)
+        seen = []
+        for lo, hi, adds in passes:
+            assert hi - lo <= max(1, jets._PASS // width)
+            for d0, d1, s0, s1 in adds:
+                assert d1 - d0 == s1 - s0 > 0
+                rank = int(np.searchsorted(starts, lo + s0, "right")) - 1
+                assert lo + s0 - starts[rank] == d0
+                seen += [(rank, i) for i in range(d0, d1)]
+        want = [(r, i) for r, count in enumerate(plan.counts)
+                for i in range(count)]
+        assert seen == want
+        assert passes[-1][1] == len(plan.ia)
