@@ -225,9 +225,12 @@ def _mul(a, b):
     plan = _plan(top, order)
     out = np.zeros(((order + 1) ** 2, lanes), dtype)
     for lo in range(0, lanes, _LANES):
+        # take copies a non-contiguous operand whole on every call, so a
+        # block of a wider batch is copied once, before its passes
         block = slice(lo, lo + _LANES)
-        out[plan.target, block] = _block(plan, a[:, block], b[:, block],
-                                         dtype)
+        out[plan.target, block] = _block(
+            plan, np.ascontiguousarray(a[:, block]),
+            np.ascontiguousarray(b[:, block]), dtype)
     return out.reshape((order + 1, order + 1) + batch)
 
 
