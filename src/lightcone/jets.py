@@ -241,8 +241,8 @@ def _block(plan, a, b, dtype):
     accumulator."""
     width = a.shape[1]
     passes = plan.passes(width)
-    lo, hi, _ = passes[0]
-    x = np.empty((hi - lo, width), a.dtype)
+    # the first pass, terms 0:hi, is the longest
+    x = np.empty((passes[0][1], width), a.dtype)
     y = np.empty(x.shape, b.dtype)
     # a separate product buffer: numpy multiplies one complex element in
     # place by another rule than out of place, which changes its bits
@@ -514,6 +514,8 @@ class Jet2(_Jet):
         out = np.zeros((1, 1) + self.batch_shape,
                        dtype=np.result_type(n, *derivs))
         out[0, 0] = derivs[order]
+        # the affine test and the shifts read no constant term, so only
+        # the product path needs a copy of n with a zero one
         affine = not (np.any(n[2:, 0]) or np.any(n[0, 2:])
                       or np.any(n[1:, 1:]))
         if not affine:
