@@ -119,10 +119,6 @@ class Motion:
         self.matrix = t
 
     @classmethod
-    def identity(cls):
-        return cls(np.eye(6))
-
-    @classmethod
     def from_generator(cls, skew):
         """exp(S eta) for antisymmetric S; S eta is an o(4,2) generator."""
         s = np.asarray(skew, dtype=float)

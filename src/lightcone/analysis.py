@@ -173,11 +173,13 @@ def mu_riccati_residual(inv, side="left"):
 
 
 def adjoint_side(inv):
-    """Which mu direction is usable: the one whose defining lambda is
-    farther from the umbilic locus over the batch."""
-    m1 = float(np.min(np.abs(inv.lambda1.value)))
-    m2 = float(np.min(np.abs(inv.lambda2.value)))
-    return "left" if m2 >= m1 else "right"
+    """Which mu direction is usable: the side with fewer umbilic points
+    over the batch, and left when the counts are equal.  Counts, not the
+    sizes of the lambdas, decide: those scale as 1/c and c under a gauge
+    change, so comparing them would settle ties by rounding."""
+    left = np.count_nonzero(inv.umbilic_left)
+    right = np.count_nonzero(inv.umbilic_right)
+    return "left" if left <= right else "right"
 
 
 # conformal Gauss map metric data

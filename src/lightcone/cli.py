@@ -38,7 +38,11 @@ DEFAULT_GRID = (16, 16)
 DEFAULT_ORDER = 6
 MESH_INFINITY = 1e-12
 
-# jet order each command actually consumes
+# jet order each command's reports read.  A truncated jet's low
+# coefficients do not depend on where it is truncated, so every command
+# evaluates at its floor: --order is only checked against
+# [floor, ORDER_CAP] and echoed in the report's surface block, and the
+# order evaluated goes into the sidecar as "evaluated_order".
 ORDER_FLOOR = {"invariants": INVARIANTS_ORDER, "verify": WILLMORE_ORDER,
                "transform": WILLMORE_ORDER, "energy": 3, "mesh": 0,
                "catalog-list": 0}
@@ -249,10 +253,10 @@ def _num(x):
 
 
 def cmd_invariants(cfg):
+    order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    _, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order),
-                                  cfg.tols)
+    _, inv = frame_and_invariants(chart.lift_at(U, V, order=order), cfg.tols)
     labels = classify_point(inv)
     fields = [inv.lambda1.value, inv.lambda2.value, inv.s.value,
               inv.alpha.value, inv.gamma1.value, inv.gamma2.value]
@@ -268,14 +272,16 @@ def cmd_invariants(cfg):
                 _num(theta[idx].real), _num(theta[idx].imag),
                 str(labels[idx])]
         rows.append(row)
-    _emit(cfg, _csv_text(INVARIANT_COLUMNS, rows))
+    _emit(cfg, _csv_text(INVARIANT_COLUMNS, rows),
+          meta_extra={"evaluated_order": order})
     return 0
 
 
 def cmd_verify(cfg):
+    order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=cfg.order),
+    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=order),
                                       cfg.tols)
     grid = _grid_spec(chart, U)
     reports = {
@@ -301,7 +307,8 @@ def cmd_verify(cfg):
     passed = all(g["passed"] for g in gates.values())
     _emit_json(cfg, {"surface": _surface_block(chart, cfg),
                      "reports": reports, "skipped": skipped,
-                     "gates": gates, "passed": passed})
+                     "gates": gates, "passed": passed},
+               meta_extra={"evaluated_order": order})
     return 0 if passed else 1
 
 
@@ -309,10 +316,11 @@ def cmd_transform(cfg):
     if not cfg.chain:
         raise ParameterOutOfRange("transform needs --chain",
                                   chain=cfg.chain)
+    order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
     final = apply_chain(chart, cfg.chain, cfg.tols)
     U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    raw = final.lift_at(U, V, order=cfg.order)
+    raw = final.lift_at(U, V, order=order)
     _, inv = frame_and_invariants(raw, cfg.tols)
     final_willmore = _stamped(willmore_report(inv), _grid_spec(final, U))
     base_vals = np.real(chart.lift_at(U, V, order=0).value)
@@ -326,7 +334,7 @@ def cmd_transform(cfg):
     duality = None
     try:
         duality = duality_report(chart, grid=(cfg.nu, cfg.nv),
-                                 order=cfg.order, tol=cfg.tols).as_dict()
+                                 tol=cfg.tols).as_dict()
         # a chain off a Willmore chart must land on a Willmore chart
         gates["willmore_final"] = _gate(final_willmore["max_abs"],
                                         cfg.tols.willmore)
@@ -341,13 +349,15 @@ def cmd_transform(cfg):
         "willmore_final": final_willmore,
         "base_distance": base_distance,
         "duality": duality, "skipped": skipped,
-        "gates": gates, "passed": passed})
+        "gates": gates, "passed": passed},
+        meta_extra={"evaluated_order": order})
     return 0 if passed else 1
 
 
 def cmd_energy(cfg):
+    order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
-    result = willmore_energy(chart, nu=cfg.nu, nv=cfg.nv, order=cfg.order,
+    result = willmore_energy(chart, nu=cfg.nu, nv=cfg.nv, order=order,
                              abs_integrand=cfg.abs_integrand)
     reference = None
     gates = {}
@@ -363,7 +373,8 @@ def cmd_energy(cfg):
                      "energy": result.as_dict(),
                      "abs_integrand": cfg.abs_integrand,
                      "reference": reference,
-                     "gates": gates, "passed": passed})
+                     "gates": gates, "passed": passed},
+               meta_extra={"evaluated_order": order})
     return 0 if passed else 1
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .ambient import projective_distance
 from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
-from .charts import DEFAULT_ORDER, SurfaceChart, sample_grid
+from .charts import SurfaceChart, sample_grid
 from .errors import DegenerateTransform, DomainError, UnknownIdentifier
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      canonical_lift, envelope_vector, frame_and_invariants,
@@ -219,17 +219,18 @@ def _central_sphere_residual(frame, w):
             / np.linalg.norm(w, axis=-1))
 
 
-def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), order=DEFAULT_ORDER,
-                   tol=Tolerances()):
+def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), tol=Tolerances()):
     """Duality diagnostics of a Willmore chart over a grid.
 
     The S-condition deviation is the raw sup of the adjoint direction
     discriminant; the other three measure how far the two adjoints are
     from one coinciding dual surface on the central sphere.  The chart
-    must pass ``tol.willmore``.
+    must pass ``tol.willmore``, so it lifts at ``WILLMORE_ORDER``, the
+    order that gate reads; the diagnostics read less.
     """
     u, v = sample_grid(chart, *grid)
-    frame, inv = frame_and_invariants(chart.lift_at(u, v, order=order), tol)
+    frame, inv = frame_and_invariants(
+        chart.lift_at(u, v, order=WILLMORE_ORDER), tol)
     require_willmore(inv, tol.willmore,
                      "duality diagnostics need a Willmore chart",
                      chart=chart.name)

@@ -171,9 +171,16 @@ def test_side_names_are_checked(torus_data):
 
 
 def test_adjoint_side_prefers_nondegenerate_direction(torus_data):
-    _, inv = torus_data
-    assert an.adjoint_side(inv) == "left"
+    # the torus has no umbilic point on either side: the tie goes left
+    # on every grid, not by rounding
+    assert an.adjoint_side(torus_data[1]) == "left"
+    for n in (16, 32):
+        _, inv = frame_inv(catalog_chart("torus", t=2.0), n, n,
+                           order=INVARIANTS_ORDER)
+        assert an.adjoint_side(inv) == "left", n
+    # laguerre_lift's left side is umbilic everywhere
     _, inv2 = frame_inv(catalog_chart("laguerre_lift"))
+    assert np.all(inv2.umbilic_left)
     assert an.adjoint_side(inv2) == "right"
 
 

@@ -5,8 +5,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import frames, transforms
-from lightcone.cli import INVARIANT_COLUMNS, MESH_COLUMNS, main
+from lightcone import analysis as an
+from lightcone import charts, frames, transforms
+from lightcone.ambient import projective_distance
+from lightcone.charts import CATALOG, catalog_chart, sample_grid
+from lightcone.cli import (INVARIANT_COLUMNS, MESH_COLUMNS, ORDER_CAP,
+                           ORDER_FLOOR, main)
+from lightcone.dsl import chart_from_source
+from lightcone.frames import classify_point, frame_and_invariants
 
 SCHEMA = json.loads(resources.files("lightcone")
                     .joinpath("report_schema.json").read_text("utf-8"))
@@ -16,6 +22,7 @@ T = 2.0
 TAU = np.sqrt(T * T - 1.0)
 
 CYLINDER_SRC = "r3 [cos(v), sin(v), u]"
+CATENOID_SRC = "r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]"
 
 
 def run(capsys, *argv):
@@ -245,7 +252,7 @@ def test_mesh_flags_points_at_infinity(capsys, tmp_path):
 
 def test_out_reports_are_byte_identical(capsys, tmp_path):
     argv = ("verify", "--surface", "torus", "--param", "t=2",
-            "--grid", "4x4")
+            "--grid", "4x4", "--order", "8")
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     assert run(capsys, *argv, "--out", str(first))[0] == 0
@@ -254,8 +261,11 @@ def test_out_reports_are_byte_identical(capsys, tmp_path):
     text = first.read_text()
     assert "written_at" not in text
     VALIDATOR.validate(json.loads(text))
+    # --order is echoed; the sidecar names the order actually evaluated
+    assert json.loads(text)["surface"]["order"] == 8
     sidecar = json.loads((tmp_path / "a.json.meta.json").read_text())
     assert sidecar["command"] == "verify"
+    assert sidecar["evaluated_order"] == an.WILLMORE_ORDER == 5
     assert "written_at" in sidecar
 
 
@@ -372,3 +382,123 @@ def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert len(calls) == builds
+
+
+def test_verify_lifts_at_the_order_its_reports_read(capsys, monkeypatch):
+    orders = []
+    original = charts.SurfaceChart.lift_at
+
+    def spy(self, u, v, order=charts.DEFAULT_ORDER):
+        orders.append(order)
+        return original(self, u, v, order=order)
+
+    monkeypatch.setattr(charts.SurfaceChart, "lift_at", spy)
+    code, bundle = run_json(capsys, "verify", "--surface", "torus",
+                            "--grid", "4x4", "--order", "8")
+    assert code == 0
+    assert bundle["surface"]["order"] == 8
+    assert orders == [an.WILLMORE_ORDER]
+
+
+# the CLI form of test_gate_orders_are_the_least_that_work: every
+# command evaluates at its ORDER_FLOOR whatever --order asks, and a
+# truncated jet's low coefficients do not depend on its order, so each
+# report equals, float for float, the library pipeline at ORDER_CAP
+
+CAP_CHARTS = sorted(CATALOG) + ["dsl_catenoid"]
+
+
+def chart_and_flags(name, tmp_path):
+    if name == "dsl_catenoid":
+        path = tmp_path / "catenoid.lc"
+        path.write_text(CATENOID_SRC)
+        return chart_from_source(CATENOID_SRC), ("--dsl", str(path))
+    return catalog_chart(name), ("--surface", name)
+
+
+def run_at_cap(capsys, tmp_path, *argv):
+    """Report text of a command asked for ORDER_CAP, after checking that
+    it echoes that order and records its floor as evaluated."""
+    path = tmp_path / "report.out"
+    code, out, err = run(capsys, *argv, "--order", str(ORDER_CAP),
+                         "--out", str(path))
+    assert code in (0, 1) and out == "" and err == ""
+    sidecar = json.loads((tmp_path / "report.out.meta.json").read_text())
+    assert sidecar["evaluated_order"] == ORDER_FLOOR[argv[0]]
+    text = path.read_bytes().decode("utf-8")
+    if argv[0] != "invariants":
+        assert json.loads(text)["surface"]["order"] == ORDER_CAP
+    return text
+
+
+def without_grid(report):
+    return {k: v for k, v in report.items() if k != "grid"}
+
+
+@pytest.mark.parametrize("name", CAP_CHARTS)
+def test_reports_at_the_floor_equal_the_library_at_the_cap(capsys, tmp_path,
+                                                           name):
+    chart, flags = chart_and_flags(name, tmp_path)
+    U, V = sample_grid(chart, 6, 6)
+    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=ORDER_CAP))
+
+    reports = json.loads(run_at_cap(capsys, tmp_path, "verify", *flags,
+                                    "--grid", "6x6"))["reports"]
+    expected = {"structure": an.structure_residual(frame, inv),
+                "integrability": an.integrability_residual(frame, inv),
+                "willmore": an.willmore_report(inv),
+                "s_willmore": an.swillmore_report(inv),
+                "gauss_metric": an.gauss_metric_report(frame),
+                "theta": an.theta_report(inv)}
+    assert set(reports) == set(expected)
+    for key, report in expected.items():
+        assert without_grid(reports[key]) == without_grid(report.as_dict())
+
+    header, rows = parse_csv(run_at_cap(capsys, tmp_path, "invariants",
+                                        *flags, "--grid", "6x6"))
+    cells = {"u": U, "v": V,
+             "beta": np.real(inv.beta.value),
+             "kappa_pair": np.real(inv.kappa_pair.value),
+             "re_theta": inv.theta.value.real,
+             "im_theta": inv.theta.value.imag}
+    for field in ("lambda1", "lambda2", "s", "alpha", "gamma1", "gamma2"):
+        value = getattr(inv, field).value
+        cells["re_" + field] = value.real
+        cells["im_" + field] = value.imag
+    assert set(header) == set(cells) | {"classification"}
+    for key, value in cells.items():
+        assert column(header, rows, key) == [repr(float(x))
+                                             for x in value.ravel()], key
+    assert column(header, rows, "classification") == list(
+        classify_point(inv).ravel())
+
+    energy = json.loads(run_at_cap(capsys, tmp_path, "energy", *flags,
+                                   "--grid", "8x8"))["energy"]
+    assert energy == an.willmore_energy(chart, nu=8, nv=8,
+                                        order=ORDER_CAP).as_dict()
+
+
+# laguerre_lift's left side is umbilic everywhere: its duality sample is
+# refused whatever the order, so no transform report reaches an order
+@pytest.mark.parametrize("chain", ["L,R", "L,R,L"])
+@pytest.mark.parametrize("name", [n for n in CAP_CHARTS
+                                  if n != "laguerre_lift"])
+def test_transform_at_the_floor_equals_the_library_at_the_cap(
+        capsys, monkeypatch, tmp_path, name, chain):
+    chart, flags = chart_and_flags(name, tmp_path)
+    bundle = json.loads(run_at_cap(capsys, tmp_path, "transform", *flags,
+                                   "--grid", "4x4", "--chain", chain))
+
+    U, V = sample_grid(chart, 4, 4)
+    raw = transforms.apply_chain(chart, chain).lift_at(U, V, order=ORDER_CAP)
+    _, inv = frame_and_invariants(raw)
+    base = np.real(chart.lift_at(U, V, order=0).value)
+    # duality_report lifts at WILLMORE_ORDER; raise that to the cap
+    monkeypatch.setattr(transforms, "WILLMORE_ORDER", ORDER_CAP)
+    duality = transforms.duality_report(chart, grid=(4, 4))
+
+    assert without_grid(bundle["willmore_final"]) == without_grid(
+        an.willmore_report(inv).as_dict())
+    assert bundle["base_distance"] == float(np.max(projective_distance(
+        np.real(raw.value), base)))
+    assert bundle["duality"] == duality.as_dict()
