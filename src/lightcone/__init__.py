@@ -9,7 +9,8 @@ from .analysis import (EnergyResult, ResidualReport, gauss_metric_report,
                        structure_residual, swillmore_report, theta_report,
                        willmore_energy, willmore_report)
 from .charts import (CATALOG, SurfaceChart, catalog_chart, moved_chart,
-                     sample_grid, scaled_chart, validate_chart)
+                     sample_axes, sample_grid, scaled_chart,
+                     validate_chart)
 from .dsl import chart_from_source
 from .errors import LightconeError
 from .frames import (FrameData, InvariantSet, Tolerances, canonical_lift,
@@ -28,7 +29,7 @@ __all__ = [
     "duality_report", "frame_and_invariants", "gauss_metric_report",
     "harmonicity_report", "homogeneous_torus_energy", "inner",
     "integrability_residual", "invariants", "inverse_check", "moved_chart",
-    "omega_report", "projective_distance", "sample_grid", "scaled_chart",
-    "seed_point", "structure_residual", "swillmore_report", "theta_report",
-    "validate_chart", "willmore_energy", "willmore_report",
+    "omega_report", "projective_distance", "sample_axes", "sample_grid",
+    "scaled_chart", "seed_point", "structure_residual", "swillmore_report",
+    "theta_report", "validate_chart", "willmore_energy", "willmore_report",
 ]

@@ -228,16 +228,18 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     """Willmore energy of a chart over its domain.
 
     Periodic directions use the uniform trapezoid rule (spectral for
-    closed charts), open ones Gauss-Legendre.  One half-resolution pass
-    supplies the convergence estimate.
+    closed charts), open ones Gauss-Legendre.  The chart is lifted on
+    the quadrature axes, a column of u nodes against a row of v nodes,
+    so a function of one coordinate is composed once per node of its
+    axis.  One half-resolution pass supplies the convergence estimate.
     """
     (u0, u1), (v0, v1) = chart.domain
 
     def single(nu_, nv_):
         xu, wu = _axis_quadrature(u0, u1, nu_, chart.periodic[0])
         xv, wv = _axis_quadrature(v0, v1, nv_, chart.periodic[1])
-        U, V = np.meshgrid(xu, xv, indexing="ij")
-        f = pair_density(chart.lift_at(U, V, order=order)).value.real
+        raw = chart.lift_at(xu[:, None], xv[None, :], order=order)
+        f = pair_density(raw).value.real
         worst = float(np.max(np.abs(f)))
         if worst > SINGULAR_INTEGRAND:
             raise IntegrandSingular("energy density blows up on the grid",

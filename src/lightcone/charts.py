@@ -110,10 +110,20 @@ class SurfaceChart:
         return self._lift(U, V)
 
     def lift_at(self, u, v, order=DEFAULT_ORDER):
-        """Raw lift at the points (u, v).  Raises NonFinite where a
-        coefficient of the lift is NaN or Inf."""
+        """Raw lift at the points (u, v), on the batch shape
+        ``np.broadcast_shapes(u.shape, v.shape)``.
+
+        u and v may be scalars, full grids from ``sample_grid``, or the
+        grid axes from ``sample_axes``: on the axes a function of one
+        coordinate is composed once per grid line, and only products
+        that mix u and v reach the full grid.  A lift that spans less
+        than the broadcast shape (one that reads only u, say) is
+        broadcast to it in one contiguous copy at the end.  Raises
+        NonFinite where a coefficient of the lift is NaN or Inf.
+        """
         U, V = seed_point(u, v, order)
-        raw = self.evaluate(U, V)
+        raw = self.evaluate(U, V).broadcast_to(
+            np.broadcast_shapes(U.batch_shape, V.batch_shape))
         require_finite(raw)
         return raw
 
@@ -148,12 +158,21 @@ def grid_axis(lo, hi, n, periodic):
     return lo + (hi - lo) * k / (n + 1)
 
 
-def sample_grid(chart, nu=32, nv=32):
-    """Meshed sample of the chart domain, shape (nu, nv) per axis."""
+def sample_axes(chart, nu=32, nv=32):
+    """Axes of the chart's sample grid: the u column, shape (nu, 1), and
+    the v row, shape (1, nv).  They broadcast to the grid that
+    ``sample_grid`` meshes, and ``lift_at`` takes them as they are."""
     (u0, u1), (v0, v1) = chart.domain
     us = grid_axis(u0, u1, nu, chart.periodic[0])
     vs = grid_axis(v0, v1, nv, chart.periodic[1])
-    return np.meshgrid(us, vs, indexing="ij")
+    return us[:, None], vs[None, :]
+
+
+def sample_grid(chart, nu=32, nv=32):
+    """Meshed sample of the chart domain, shape (nu, nv) per axis: the
+    axes of ``sample_axes``, each copied out to the full grid."""
+    return tuple(np.array(x) for x in np.broadcast_arrays(*sample_axes(
+        chart, nu, nv)))
 
 
 def validate_chart(chart, nu=8, nv=8, order=2):
@@ -163,7 +182,7 @@ def validate_chart(chart, nu=8, nv=8, order=2):
     defect of the parametrization, and the smallest (normalized)
     spacelike margin.  All three should be tiny for a usable chart.
     """
-    u, v = sample_grid(chart, nu, nv)
+    u, v = sample_axes(chart, nu, nv)
     w = chart.lift_at(u, v, order=max(order, 2))
     wz = w.z()
     cone = np.max(lightcone_deviation(w.value))

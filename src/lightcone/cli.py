@@ -26,10 +26,10 @@ from .analysis import (WILLMORE_ORDER, gauss_metric_report,
                        structure_residual, swillmore_report, theta_report,
                        willmore_energy, willmore_report)
 from .ambient import projective_distance
-from .charts import CATALOG, catalog_chart, sample_grid
+from .charts import CATALOG, catalog_chart, sample_axes
 from .dsl import chart_from_source
-from .errors import (LightconeError, NotWillmore, ParameterOutOfRange,
-                     UnknownIdentifier)
+from .errors import (DegenerateTransform, LightconeError, NotWillmore,
+                     ParameterOutOfRange, UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, classify_point,
                      frame_and_invariants)
 from .transforms import apply_chain, duality_report
@@ -202,9 +202,8 @@ def _surface_block(chart, cfg):
                 grid={"nu": cfg.nu, "nv": cfg.nv}, order=cfg.order)
 
 
-def _grid_spec(chart, U):
-    nu, nv = (U.shape + (1, 1))[:2]
-    return {"nu": int(nu), "nv": int(nv),
+def _grid_spec(chart, cfg):
+    return {"nu": cfg.nu, "nv": cfg.nv,
             "domain": [list(map(float, chart.domain[0])),
                        list(map(float, chart.domain[1]))]}
 
@@ -255,14 +254,15 @@ def _num(x):
 def cmd_invariants(cfg):
     order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
-    U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    _, inv = frame_and_invariants(chart.lift_at(U, V, order=order), cfg.tols)
+    u, v = sample_axes(chart, cfg.nu, cfg.nv)
+    _, inv = frame_and_invariants(chart.lift_at(u, v, order=order), cfg.tols)
     labels = classify_point(inv)
     fields = [inv.lambda1.value, inv.lambda2.value, inv.s.value,
               inv.alpha.value, inv.gamma1.value, inv.gamma2.value]
     beta = np.real(inv.beta.value)
     kappa = np.real(inv.kappa_pair.value)
     theta = inv.theta.value
+    U, V = np.broadcast_arrays(u, v)
     rows = []
     for idx in np.ndindex(U.shape):
         row = [_num(U[idx]), _num(V[idx])]
@@ -280,10 +280,10 @@ def cmd_invariants(cfg):
 def cmd_verify(cfg):
     order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
-    U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    frame, inv = frame_and_invariants(chart.lift_at(U, V, order=order),
+    u, v = sample_axes(chart, cfg.nu, cfg.nv)
+    frame, inv = frame_and_invariants(chart.lift_at(u, v, order=order),
                                       cfg.tols)
-    grid = _grid_spec(chart, U)
+    grid = _grid_spec(chart, cfg)
     reports = {
         "structure": _stamped(structure_residual(frame, inv), grid),
         "integrability": _stamped(integrability_residual(frame, inv), grid),
@@ -319,11 +319,11 @@ def cmd_transform(cfg):
     order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
     final = apply_chain(chart, cfg.chain, cfg.tols)
-    U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    raw = final.lift_at(U, V, order=order)
+    u, v = sample_axes(chart, cfg.nu, cfg.nv)
+    raw = final.lift_at(u, v, order=order)
     _, inv = frame_and_invariants(raw, cfg.tols)
-    final_willmore = _stamped(willmore_report(inv), _grid_spec(final, U))
-    base_vals = np.real(chart.lift_at(U, V, order=0).value)
+    final_willmore = _stamped(willmore_report(inv), _grid_spec(final, cfg))
+    base_vals = np.real(chart.lift_at(u, v, order=0).value)
     # a lift's values do not depend on its order, so the one sample
     # above also gives the projective points
     final_vals = np.real(raw.value)
@@ -332,14 +332,20 @@ def cmd_transform(cfg):
     skipped = {}
     gates = {}
     duality = None
+    willmore_base = True
     try:
         duality = duality_report(chart, grid=(cfg.nu, cfg.nv),
                                  tol=cfg.tols).as_dict()
+    except NotWillmore as exc:
+        willmore_base = False
+        skipped["duality"] = exc.message
+    except DegenerateTransform as exc:
+        # raised only after the base has passed its Willmore gate
+        skipped["duality"] = exc.message
+    if willmore_base:
         # a chain off a Willmore chart must land on a Willmore chart
         gates["willmore_final"] = _gate(final_willmore["max_abs"],
                                         cfg.tols.willmore)
-    except NotWillmore as exc:
-        skipped["duality"] = exc.message
 
     passed = all(g["passed"] for g in gates.values())
     _emit_json(cfg, {
@@ -380,10 +386,11 @@ def cmd_energy(cfg):
 
 def cmd_mesh(cfg):
     chart = _build_chart(cfg)
-    U, V = sample_grid(chart, cfg.nu, cfg.nv)
-    vals = np.real(chart.lift_at(U, V, order=0).value)
+    u, v = sample_axes(chart, cfg.nu, cfg.nv)
+    vals = np.real(chart.lift_at(u, v, order=0).value)
     den = vals[..., 5] - vals[..., 0]
     flagged = np.abs(den) <= MESH_INFINITY
+    U, V = np.broadcast_arrays(u, v)
     rows = []
     for idx in np.ndindex(U.shape):
         row = [_num(U[idx]), _num(V[idx])]

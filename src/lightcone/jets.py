@@ -260,24 +260,35 @@ def _block(plan, a, b, dtype):
     return acc
 
 
+_WEIGHTS = {}
+
+
+def _weights(order, axis, trailing=0):
+    """Float table that differentiates an order-``order`` jet along
+    ``axis`` in one multiply: entry (j, k) of the order K - 1 result is
+    j + 1 (axis 0) or k + 1 (axis 1) where j + k <= K - 1 and 0 above,
+    shaped as in ``_mask``.  The (K, K) table is cached.  On real data
+    s (w 0) and (s w) 0 are the same bits, the NaN of an Inf included."""
+    w = _WEIGHTS.get((order, axis))
+    if w is None:
+        r = np.arange(1.0, order + 1)
+        w = (r[:, None] if axis == 0 else r[None, :]) * _mask(order - 1)
+        _WEIGHTS[order, axis] = w
+    return w.reshape(w.shape + (1,) * trailing)
+
+
 def _du(s):
     order = s.shape[0] - 1
     if order == 0:
         raise OrderExhausted("derivative of an order-0 jet")
-    w = np.arange(1, order + 1).reshape((-1, 1) + (1,) * (s.ndim - 2))
-    out = s[1:, :order] * w
-    out *= _mask(order - 1, s.ndim - 2)
-    return out
+    return s[1:, :order] * _weights(order, 0, s.ndim - 2)
 
 
 def _dv(s):
     order = s.shape[0] - 1
     if order == 0:
         raise OrderExhausted("derivative of an order-0 jet")
-    w = np.arange(1, order + 1).reshape((1, -1) + (1,) * (s.ndim - 2))
-    out = s[:order, 1:] * w
-    out *= _mask(order - 1, s.ndim - 2)
-    return out
+    return s[:order, 1:] * _weights(order, 1, s.ndim - 2)
 
 
 def _truncate(s, order):
@@ -587,15 +598,18 @@ class Jet2(_Jet):
         return self._binomial(exponent.real)
 
     def _int_power(self, n):
-        result = Jet2.constant(np.ones(self.batch_shape), self.order)
-        base = self
-        while n:
+        """self**n for an integer n >= 0 by repeated squaring; the
+        product starts from the first factor, not from a constant one."""
+        if n == 0:
+            return Jet2.constant(np.ones(self.batch_shape), self.order)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def _binomial(self, a):
         c0 = self.value
@@ -668,6 +682,16 @@ class JetVec6(_Jet):
     @property
     def batch_shape(self):
         return self.coef.shape[2:-1]
+
+    def broadcast_to(self, batch):
+        """The same jet on the batch shape ``batch``, as one contiguous
+        copy; the jet itself when it already has that shape."""
+        batch = tuple(batch)
+        if self.batch_shape == batch:
+            return self
+        s = _widen(self.coef, len(batch) + 3)
+        return JetVec6._wrap(np.ascontiguousarray(
+            np.broadcast_to(s, s.shape[:2] + batch + s.shape[-1:])))
 
     def component(self, index):
         """Component jet: one index for every point, or an index array

@@ -12,7 +12,7 @@ import numpy as np
 
 from .ambient import projective_distance
 from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
-from .charts import SurfaceChart, sample_grid
+from .charts import SurfaceChart, sample_axes
 from .errors import DegenerateTransform, DomainError, UnknownIdentifier
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      canonical_lift, envelope_vector, frame_and_invariants,
@@ -129,7 +129,7 @@ def _transformed(chart, step, tol=Tolerances()):
     """
     _, _, willmore, side = _STEPS[step]
     order = WILLMORE_ORDER if willmore else INVARIANTS_ORDER
-    u, v = sample_grid(chart, PROBE_GRID, PROBE_GRID)
+    u, v = sample_axes(chart, PROBE_GRID, PROBE_GRID)
     _, inv = frame_and_invariants(chart.lift_at(u, v, order=order), tol)
     if willmore:
         require_willmore(inv, tol.willmore,
@@ -165,7 +165,7 @@ def apply_chain(chart, tags, tol=Tolerances()):
 def inverse_check(chart, grid=(PROBE_GRID, PROBE_GRID)):
     """Worst projective distance from the base surface after the two
     polar round trips (left then right, and right then left)."""
-    u, v = sample_grid(chart, *grid)
+    u, v = sample_axes(chart, *grid)
     base_vals = np.real(chart.lift_at(u, v, order=0).value)
     worst = 0.0
     for tags in (("L", "R"), ("R", "L")):
@@ -228,7 +228,7 @@ def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), tol=Tolerances()):
     must pass ``tol.willmore``, so it lifts at ``WILLMORE_ORDER``, the
     order that gate reads; the diagnostics read less.
     """
-    u, v = sample_grid(chart, *grid)
+    u, v = sample_axes(chart, *grid)
     frame, inv = frame_and_invariants(
         chart.lift_at(u, v, order=WILLMORE_ORDER), tol)
     require_willmore(inv, tol.willmore,

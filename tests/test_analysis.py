@@ -352,3 +352,28 @@ def test_pair_density_matches_kappa_on_torus():
     density = pair_density(chart.lift_at(U, V, order=3)).value.real
     expected = oracles.torus_invariants(2.0)["kappa_pair"]
     assert np.max(np.abs(density - expected)) < 1e-12
+
+
+def meshgrid_energy(chart, nu, nv, order=3):
+    """``willmore_energy``'s two passes, lifted on full meshgrids."""
+    (u0, u1), (v0, v1) = chart.domain
+
+    def single(nu_, nv_):
+        xu, wu = an._axis_quadrature(u0, u1, nu_, chart.periodic[0])
+        xv, wv = an._axis_quadrature(v0, v1, nv_, chart.periodic[1])
+        U, V = np.meshgrid(xu, xv, indexing="ij")
+        f = pair_density(chart.lift_at(U, V, order=order)).value.real
+        return float(np.einsum("i,j,ij->", wu, wv, f))
+
+    return single(-(-nu // 2), -(-nv // 2)), single(nu, nv)
+
+
+@pytest.mark.parametrize("name, params", [("torus", {"t": 1.5}),
+                                          ("maximal_catenoid", {})])
+def test_energy_on_axes_equals_meshgrid_energy(name, params):
+    # maximal_catenoid's u axis is open, so it takes Gauss-Legendre nodes
+    chart = catalog_chart(name, **params)
+    result = an.willmore_energy(chart, nu=12, nv=10)
+    coarse, fine = meshgrid_energy(chart, 12, 10)
+    assert [r["value"] for r in result.refinements] == [coarse, fine]
+    assert result.value == fine

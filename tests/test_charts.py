@@ -4,12 +4,13 @@ import pytest
 from lightcone.ambient import Motion
 from lightcone.charts import (catalog_chart, embed_flat, embed_hyperbolic,
                               embed_sphere, grid_axis, moved_chart,
-                              rational_parameter, sample_grid, scaled_chart,
-                              validate_chart, CATALOG)
+                              rational_parameter, sample_axes, sample_grid,
+                              scaled_chart, validate_chart, CATALOG)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (NonFinite, NotOnQuadric, ParameterOutOfRange,
-                              UnknownIdentifier)
+from lightcone.errors import (DomainError, NonFinite, NotOnQuadric,
+                              ParameterOutOfRange, UnknownIdentifier)
 from lightcone.jets import seed_point
+from lightcone.transforms import apply_chain
 
 import oracles
 
@@ -156,3 +157,55 @@ def test_overflowing_lift_raises_nonfinite():
     with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
         chart.lift_at(np.array([0.0, 1.0]), np.zeros(2), order=2)
     assert info.value.context == {"count": 1, "points": 2}
+
+
+def axes_charts():
+    """The catalog, a DSL chart, a moved, a scaled and a transformed
+    chart: every way a chart is built."""
+    catenoid = catalog_chart("catenoid")
+    dsl = chart_from_source("r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]",
+                            domain=catenoid.domain,
+                            periodic=catenoid.periodic)
+    motion = Motion.plane_rotation(1, 4, 0.6).compose(
+        Motion.plane_rotation(2, 3, 1.1))
+    return ([catalog_chart(name) for name in sorted(CATALOG)]
+            + [dsl, moved_chart(catalog_chart("torus"), motion),
+               scaled_chart(catenoid, 2.0), apply_chain(catenoid, "L,R")])
+
+
+@pytest.mark.parametrize("order", [0, 3, 5, 8])
+def test_lift_on_axes_equals_lift_on_grid(order):
+    for chart in axes_charts():
+        u, v = sample_axes(chart, 5, 4)
+        U, V = sample_grid(chart, 5, 4)
+        assert u.shape == (5, 1) and v.shape == (1, 4)
+        assert np.array_equal(np.broadcast_to(u, U.shape), U)
+        assert np.array_equal(np.broadcast_to(v, V.shape), V)
+        on_axes = chart.lift_at(u, v, order=order)
+        on_grid = chart.lift_at(U, V, order=order)
+        assert on_axes.batch_shape == (5, 4), chart.name
+        assert np.array_equal(on_axes.coef, on_grid.coef), chart.name
+
+
+def test_lift_reading_one_coordinate_spans_the_grid():
+    chart = chart_from_source("r3 [cos(u), sin(u), u]")
+    u, v = sample_axes(chart, 5, 4)
+    w = chart.lift_at(u, v, order=3)
+    assert w.batch_shape == (5, 4)
+    assert w.coef.flags.c_contiguous
+    assert np.array_equal(w.coef,
+                          chart.lift_at(*sample_grid(chart, 5, 4), 3).coef)
+
+
+def test_domain_error_counts_the_values_its_function_saw():
+    # 1/u at u = 0: the axes hand 1/u one value of u, the mesh hands it
+    # the four points of that grid line
+    chart = chart_from_source("r3 [1/u, v, u]")
+    u = np.array([-1.0, 0.0, 1.0])[:, None]
+    v = np.linspace(0.0, 1.0, 4)[None, :]
+    with pytest.raises(DomainError) as on_axes:
+        chart.lift_at(u, v, order=2)
+    assert on_axes.value.context["count"] == 1
+    with pytest.raises(DomainError) as on_grid:
+        chart.lift_at(*np.broadcast_arrays(u, v), order=2)
+    assert on_grid.value.context["count"] == 4

@@ -194,6 +194,19 @@ def test_transform_off_willmore_skips_duality(capsys, tmp_path):
     assert bundle["willmore_final"]["max_abs"] > 1e-6
 
 
+def test_transform_off_an_umbilic_side_skips_only_duality(capsys):
+    # laguerre_lift is Willmore, but its left side is umbilic everywhere:
+    # the chain builds, its duality sample cannot, and the final gate holds
+    code, bundle = run_json(capsys, "transform", "--surface",
+                            "laguerre_lift", "--chain", "R", "--grid", "4x4")
+    assert code == 0
+    assert bundle["duality"] is None
+    assert "degenerates" in bundle["skipped"]["duality"]
+    assert bundle["chain"] == ["polar_right"]
+    assert bundle["gates"]["willmore_final"]["passed"]
+    assert bundle["passed"] is True
+
+
 def test_energy_torus_reference(capsys):
     code, bundle = run_json(capsys, "energy", "--surface", "torus",
                             "--param", "t=2")

@@ -146,6 +146,22 @@ def test_integer_power_matches_repeated_mul():
     assert np.allclose(f.power(5).c, (f * f * f * f * f).c, atol=1e-8)
 
 
+def test_integer_power_starts_from_the_first_factor():
+    # repeated squaring, with the products in the order the power takes
+    f = random_jet(5, (4,))
+    g = random_jet(5, (4,)) + Jet2.constant(3.0, 5)
+    assert np.array_equal(f.power(0).coef,
+                          Jet2.constant(np.ones(4), 5).coef)
+    assert np.array_equal(f.power(1).coef, f.coef)
+    assert np.array_equal(f.power(2).coef, (f * f).coef)
+    f2 = f * f
+    assert np.array_equal(f.power(5).coef, (f * (f2 * f2)).coef)
+    r = g._binomial(-1.0)
+    assert np.array_equal(g.power(-1).coef, r.coef)
+    assert np.array_equal(g.reciprocal().coef, r.coef)
+    assert np.array_equal(g.power(-3).coef, (r * (r * r)).coef)
+
+
 def test_negative_power():
     f = random_jet(4) + Jet2.constant(3.0, 4)
     assert np.allclose((f.power(-2) * f * f).c,
@@ -749,3 +765,38 @@ def test_plan_passes_add_every_term_once_in_rank_order(width):
                 for i in range(count)]
         assert seen == want
         assert passes[-1][1] == len(plan.ia)
+
+
+def two_step_derivative(s, axis):
+    """A derivative formed by an integer weight, then the triangle mask:
+    two multiplies."""
+    order = s.shape[0] - 1
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    w = np.arange(1, order + 1).reshape(shape + (1,) * (s.ndim - 2))
+    out = (s[1:, :order] if axis == 0 else s[:order, 1:]) * w
+    out *= jets._mask(order - 1, s.ndim - 2)
+    return out
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("real", [True, False])
+def test_derivative_in_one_multiply_matches_two_steps(vector, real):
+    rng = np.random.default_rng(11)
+    for order in range(1, 17):
+        c = coefficients(rng, order, (3, 2), (6,) if vector else (), real)
+        jet = (JetVec6 if vector else Jet2)(c)
+        # an Inf above the triangle turns to NaN under the mask either
+        # way; a real Inf inside it stays Inf
+        jet.c[(1, 0) + (2,) * vector + (order, 1)] = np.inf
+        if real:
+            jet.c[(2, 1) + (3,) * vector + (order - 1, 1)] = -np.inf
+        with np.errstate(invalid="ignore"):
+            pairs = [(jet.du().coef, two_step_derivative(jet.coef, 0)),
+                     (jet.dv().coef, two_step_derivative(jet.coef, 1))]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True), order
+            if real:
+                # the same bits, NaN included
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), order
