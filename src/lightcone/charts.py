@@ -6,6 +6,7 @@ catalog charts are closed-form; user-defined charts come from the small
 expression language in :mod:`lightcone.dsl`.
 """
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -209,13 +210,15 @@ def torus_chart(t=2.0):
     """Homogeneous flat torus family inside the conformal 4-space.
 
     The profile winds with slope ``t`` against the circle direction;
-    ``t`` must exceed 1 for the lift to be spacelike.  For rational
-    ``t = p/q`` the chart closes up over one fundamental domain in the
-    first coordinate.
+    ``t`` must exceed 1 for the lift to be spacelike, and be finite.
+    For rational ``t = p/q`` the chart closes up over one fundamental
+    domain in the first coordinate.
     """
     t = float(t)
     if not t > 1.0:
         raise ParameterOutOfRange("torus parameter must exceed 1", t=t)
+    if not np.isfinite(t):
+        raise ParameterOutOfRange("torus parameter must be finite", t=t)
     tau = np.sqrt(t * t - 1.0)
 
     def lift(U, V):
@@ -307,9 +310,16 @@ CATALOG = {
 
 
 def catalog_chart(name, **params):
+    """The catalog chart ``name`` built with ``params``; an unknown name
+    or parameter raises UnknownIdentifier listing the accepted ones."""
     if name not in CATALOG:
         raise UnknownIdentifier("unknown catalog surface", name=name,
                                 available=sorted(CATALOG))
+    accepted = sorted(inspect.signature(CATALOG[name]).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise UnknownIdentifier("unknown chart parameters", surface=name,
+                                names=unknown, available=accepted)
     return CATALOG[name](**params)
 
 

@@ -138,6 +138,22 @@ class FrameData:
         self.gauge_axis = gauge_axis
         self.gauge_fallback = gauge_axis != GAUGE_PRIMARY
 
+    def truncated(self, order):
+        """The frame ``frame_field`` builds from the canonical lift
+        truncated to ``order``: Y at ``order``, its first derivatives one
+        below and Y_zzbar, N, L, R two below.  Every choice the frame
+        makes is made on values, so the truncated frame is that frame
+        bit for bit."""
+        if order == self.Y.order:
+            return self
+        first, second = order - 1, order - 2
+        return FrameData(
+            self.Y.truncated(order), self.Yz.truncated(first),
+            self.Yzb.truncated(first), self.Yzzb.truncated(second),
+            self.Yu.truncated(first), self.Yv.truncated(first),
+            self.N.truncated(second), self.L.truncated(second),
+            self.R.truncated(second), self.orientation_det, self.gauge_axis)
+
 
 def frame_field(Y, *, tol=Tolerances()):
     """Build the adapted frame from a canonical lift.

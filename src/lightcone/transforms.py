@@ -1,22 +1,28 @@
 """Polar and adjoint transforms, transform chains and duality checks.
 
-A transform output is again a chart: evaluating it at (u, v) re-seeds
-the coordinates a few orders higher, rebuilds the base frame there and
-hands back the tagged frame vector.  Chains therefore nest charts and
-the per-step order costs add up.  The costs are raw-to-raw: each step
-receives a raw light cone lift and pays one extra order to
-re-canonicalize it before the frame construction.
+A transform output is again a chart.  A chain keeps its root chart, the
+innermost one, and one closure per step, and evaluates in one walk: the
+root is lifted once, ``order_cost`` orders above the order asked for,
+and each step frames the raw lift it receives and hands on its tagged
+frame vector.  The costs are raw-to-raw: each step receives a raw light
+cone lift and pays one extra order to re-canonicalize it before the
+frame construction.  The probe gates of a chain, its final lift and the
+duality diagnostics of its root all read their frames from such walks,
+so no frame of a chain's prefix is built twice.
 """
+
+import functools
 
 import numpy as np
 
 from .ambient import projective_distance
 from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
-from .charts import SurfaceChart, sample_axes
-from .errors import DegenerateTransform, DomainError, UnknownIdentifier
+from .charts import DEFAULT_ORDER, SurfaceChart, require_finite, sample_axes
+from .errors import (DegenerateTransform, DomainError, ParameterOutOfRange,
+                     UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
-                     canonical_lift, envelope_vector, frame_and_invariants,
-                     frame_field, invariants, side_field)
+                     canonical_lift, envelope_vector, frame_field,
+                     invariants, side_field)
 from .jets import seed_point
 
 POLAR_ORDER_COST = 3
@@ -80,85 +86,182 @@ def _reseed(U, V, extra):
     return dA * ucu + dB * ucv + uval, dA * vcu + dB * vcv + vval
 
 
-def _step_lift(base, step, tol):
+def _step_lift(step, tol):
+    """The closure of one chain step: a raw lift at order k in, the
+    step's raw lift at order k - cost out.
+
+    It canonicalizes the raw lift, frames it with the tolerances ``tol``
+    and hands the frame to ``look``, if given, before the step's vector
+    is formed.  The raw lift is dropped before its frame is built and
+    the frame once its vector is taken.
+    """
     _, cost, _, side = _STEPS[step]
 
-    def lift(U, V):
-        U2, V2 = _reseed(U, V, cost)
-        frame = frame_field(canonical_lift(base.evaluate(U2, V2)), tol=tol)
+    def lift(raw, look=None):
+        order = raw.order - cost
+        Y = canonical_lift(raw)
+        del raw
+        frame = frame_field(Y, tol=tol)
+        del Y
+        if look is not None:
+            look(frame)
         if step.startswith("polar"):
             out = frame.L if side == "left" else frame.R
         elif step == "second_envelope":
             out = envelope_vector(frame, invariants(frame, tol))
         else:
             out = adjoint_vector(frame, invariants(frame, tol), side)
-        return out.truncated(U.order)
+        return out.truncated(order)
 
     return lift
 
 
 class TransformedSurface(SurfaceChart):
-    """Chart obtained from a base chart by a sequence of frame
+    """Chart obtained from a root chart by a sequence of frame
     transforms.
 
-    ``steps`` records the applied step names outermost-last;
-    ``order_cost`` is the total extra jet order one evaluation spends
-    internally, so a chain evaluated at order k runs the innermost
-    chart at k + order_cost.  Each step builds its frames with the
-    tolerances ``tol``.
+    ``root`` is the innermost chart and ``steps`` records the applied
+    step names outermost-last, each with its closure from
+    ``_step_lift``; ``steps`` may be given as one name.  ``order_cost``
+    is the total extra jet order one evaluation spends, so a chain
+    evaluated at order k lifts its root once at k + order_cost and walks
+    the steps from there.  A transformed ``base`` passes on its root and
+    steps.  The new steps build their frames with the tolerances ``tol``.
     """
 
-    def __init__(self, base, step, tol=Tolerances()):
-        self.steps = tuple(getattr(base, "steps", ())) + (step,)
+    def __init__(self, base, steps, tol=Tolerances()):
+        steps = (steps,) if isinstance(steps, str) else tuple(steps)
+        if isinstance(base, TransformedSurface):
+            self.root, done, lifts = base.root, base.steps, base._lifts
+        else:
+            self.root, done, lifts = base, (), ()
+        self.steps = done + steps
+        self._lifts = lifts + tuple(_step_lift(s, tol) for s in steps)
         self.order_cost = sum(_STEPS[s][1] for s in self.steps)
         meta = dict(base.meta)
         meta.pop("torus_pq", None)
-        super().__init__(base.name + "+" + _STEPS[step][0],
-                         _step_lift(base, step, tol), base.domain,
-                         base.periodic, params=base.params, meta=meta)
+        super().__init__(base.name + "".join("+" + _STEPS[s][0]
+                                             for s in steps),
+                         None, base.domain, base.periodic,
+                         params=base.params, meta=meta)
+
+    def evaluate(self, U, V):
+        """The raw lift at the coordinate jets (U, V), which may be
+        shifted and linearly scaled seeds: they are re-seeded once, by
+        the whole order cost, for the root."""
+        U2, V2 = _reseed(U, V, self.order_cost)
+        return self._run([self.root.evaluate(U2, V2)], self._lifts)
+
+    def lift_at(self, u, v, order=DEFAULT_ORDER):
+        """Raw lift at the points (u, v), from one ``walk`` of the
+        chain.  Raises NonFinite where a coefficient of the lift is NaN
+        or Inf."""
+        raw = self.walk(u, v, order + self.order_cost)
+        require_finite(raw)
+        return raw
+
+    def walk(self, u, v, order, on_raw=None, on_frame=None, stop=None):
+        """Lift the root once at ``order`` on the points (u, v), which
+        may be grid axes, and run the first ``stop`` steps (all of them
+        by default) on that lift, spread to the points' broadcast shape.
+
+        ``on_raw(k, raw)`` sees the raw lift that step k receives, and
+        ``on_frame(k, frame)`` the frame step k builds from it, before
+        the step's vector is formed.  Returns the last raw lift, at
+        ``order`` less the cost of the steps run, unchecked.
+        """
+        U, V = seed_point(u, v, order)
+        shape = np.broadcast_shapes(U.batch_shape, V.batch_shape)
+        return self._run([self.root.evaluate(U, V).broadcast_to(shape)],
+                         self._lifts[:stop], on_raw, on_frame)
+
+    @staticmethod
+    def _run(raws, lifts, on_raw=None, on_frame=None):
+        """Hand the raw lift in ``raws`` through the step closures."""
+        for k, lift in enumerate(lifts):
+            if on_raw is not None:
+                on_raw(k, raws[-1])
+            look = None if on_frame is None else functools.partial(
+                on_frame, k)
+            # popped, not named: nothing here holds a raw lift while its
+            # step frames it
+            raws.append(lift(raws.pop(), look))
+        return raws.pop()
 
 
-def _transformed(chart, step, tol=Tolerances()):
-    """Gate ``step`` on a probe sample of ``chart``, then apply it.
+def _probe(chain, first, tol):
+    """Gate the steps of ``chain`` from index ``first`` on, in one walk
+    of it on the probe grid.
 
-    Adjoint steps need a Willmore base; every step needs its side's
-    direction to be non-degenerate somewhere on the probe grid.  The
-    probe lifts at the order its gates read: the umbilic masks need
-    ``INVARIANTS_ORDER``, the Willmore residual ``WILLMORE_ORDER``.
-    The probe, and the step's own frames, use the tolerances ``tol``.
+    Step k is gated on the frame of its input, the chart of the first k
+    steps, truncated to the order its gates read: adjoint steps need a
+    Willmore input, and every step needs its side's direction to be
+    non-degenerate somewhere on the grid.  The umbilic masks read a raw
+    lift at ``INVARIANTS_ORDER``, the Willmore residual one at
+    ``WILLMORE_ORDER``.  The walk lifts the root at the least order that
+    gives every gate its order, and it stops before the last step's
+    vector.  Frames and gates use ``tol``.
     """
-    _, _, willmore, side = _STEPS[step]
-    order = WILLMORE_ORDER if willmore else INVARIANTS_ORDER
-    u, v = sample_axes(chart, PROBE_GRID, PROBE_GRID)
-    _, inv = frame_and_invariants(chart.lift_at(u, v, order=order), tol)
-    if willmore:
-        require_willmore(inv, tol.willmore,
-                         "adjoint transforms need a Willmore base chart",
-                         chart=chart.name)
-    if np.all(side_field(inv, "umbilic", side)):
-        raise DegenerateTransform(
-            "the %s %s direction degenerates everywhere"
-            % (side, "adjoint" if willmore else "polar"),
-            chart=chart.name, side=side)
-    return TransformedSurface(chart, step, tol)
+    steps = chain.steps
+    gates = {k: WILLMORE_ORDER if _STEPS[steps[k]][2] else INVARIANTS_ORDER
+             for k in range(first, len(steps))}
+    costs = [_STEPS[s][1] for s in steps]
+    order = max(g + sum(costs[:k]) for k, g in gates.items())
+
+    def on_raw(k, raw):
+        if k in gates:
+            require_finite(raw.truncated(gates[k]))
+
+    def on_frame(k, frame):
+        if k not in gates:
+            return
+        _, _, willmore, side = _STEPS[steps[k]]
+        name = chain.root.name + "".join("+" + _STEPS[s][0]
+                                         for s in steps[:k])
+        inv = invariants(frame.truncated(gates[k] - 1), tol)
+        if willmore:
+            require_willmore(inv, tol.willmore,
+                             "adjoint transforms need a Willmore base chart",
+                             chart=name)
+        if np.all(side_field(inv, "umbilic", side)):
+            raise DegenerateTransform(
+                "the %s %s direction degenerates everywhere"
+                % (side, "adjoint" if willmore else "polar"),
+                chart=name, side=side)
+
+    last = len(steps) - 1
+    u, v = sample_axes(chain, PROBE_GRID, PROBE_GRID)
+    raw = chain.walk(u, v, order, on_raw, on_frame, stop=last)
+    on_raw(last, raw)
+    on_frame(last, frame_field(canonical_lift(raw), tol=tol))
 
 
 def apply_chain(chart, tags, tol=Tolerances()):
     """Fold transform steps over a chart.
 
     ``tags`` is a sequence or comma-separated string of short tags
-    (L, R, adjL, adjR, env) or full step names.  Every probe and step
-    frame of the chain uses the tolerances ``tol``.
+    (L, R, adjL, adjR, env) or full step names.  Every tag is checked,
+    and an empty chain refused, before any probe runs.  The result is
+    one ``TransformedSurface`` over the root chart, whose new steps are
+    gated as ``_probe`` says, in one walk of the chain on the probe
+    grid.  Every probe and step frame of the chain uses the tolerances
+    ``tol``.
     """
+    text = tags
     if isinstance(tags, str):
         tags = [t.strip() for t in tags.split(",") if t.strip()]
-    out = chart
+    steps = []
     for tag in tags:
         step = _TAGS.get(tag, tag)
         if step not in _STEPS:
             raise UnknownIdentifier("unknown transform tag", tag=str(tag),
                                     available=sorted(_TAGS))
-        out = _transformed(out, step, tol)
+        steps.append(step)
+    if not steps:
+        raise ParameterOutOfRange("a transform chain needs at least one step",
+                                  chain=str(text))
+    out = TransformedSurface(chart, steps, tol)
+    _probe(out, len(out.steps) - len(steps), tol)
     return out
 
 
@@ -222,23 +325,34 @@ def _central_sphere_residual(frame, w):
 def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), tol=Tolerances()):
     """Duality diagnostics of a Willmore chart over a grid.
 
-    The S-condition deviation is the raw sup of the adjoint direction
-    discriminant; the other three measure how far the two adjoints are
-    from one coinciding dual surface on the central sphere.  The chart
-    must pass ``tol.willmore``, so it lifts at ``WILLMORE_ORDER``, the
-    order that gate reads; the diagnostics read less.
+    The chart lifts at ``WILLMORE_ORDER``, the order the Willmore gate
+    of ``frame_duality`` reads; the diagnostics read less.
     """
     u, v = sample_axes(chart, *grid)
-    frame, inv = frame_and_invariants(
-        chart.lift_at(u, v, order=WILLMORE_ORDER), tol)
+    frame = frame_field(canonical_lift(
+        chart.lift_at(u, v, order=WILLMORE_ORDER)), tol=tol)
+    return frame_duality(frame, tol, chart.name)
+
+
+def frame_duality(frame, tol, chart):
+    """Duality diagnostics of the frame of a Willmore chart named
+    ``chart``.
+
+    The S-condition deviation is the raw sup of the adjoint direction
+    discriminant; the other three measure how far the two adjoints are
+    from one coinciding dual surface on the central sphere.  The frame
+    must pass ``tol.willmore``, so it needs the order of the frame of a
+    raw lift at ``WILLMORE_ORDER``, Y at ``WILLMORE_ORDER - 1``.
+    """
+    inv = invariants(frame, tol)
     require_willmore(inv, tol.willmore,
                      "duality diagnostics need a Willmore chart",
-                     chart=chart.name)
+                     chart=chart)
     mask = inv.umbilic_left | inv.umbilic_right
     if np.all(mask):
         raise DegenerateTransform(
             "a polar direction degenerates on the whole grid",
-            chart=chart.name)
+            chart=chart)
     keep = ~mask
 
     dev = float(np.max(np.abs(inv.swillmore_disc.value)[keep]))

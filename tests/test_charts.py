@@ -65,6 +65,21 @@ def test_unknown_catalog_name():
         catalog_chart("moebius")
 
 
+def test_unknown_catalog_parameter_lists_the_accepted_ones():
+    for name, params, accepted in (("torus", {"s": 2.0}, ["t"]),
+                                   ("catenoid", {"t": 2.0}, [])):
+        with pytest.raises(UnknownIdentifier) as info:
+            catalog_chart(name, **params)
+        assert info.value.context["available"] == accepted
+        assert info.value.context["names"] == sorted(params)
+
+
+def test_torus_parameter_must_be_finite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ParameterOutOfRange):
+            catalog_chart("torus", t=bad)
+
+
 def test_embed_flat_is_null():
     U, V = seed_point(0.3, -0.8, 3)
     w = embed_flat([U, V, U * V, U.exp()])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lightcone import analysis as an
-from lightcone import charts, frames, transforms
+from lightcone import charts, errors, frames, transforms
 from lightcone.ambient import projective_distance
 from lightcone.charts import CATALOG, catalog_chart, sample_grid
 from lightcone.cli import (INVARIANT_COLUMNS, MESH_COLUMNS, ORDER_CAP,
@@ -345,6 +345,32 @@ def test_usage_gates(capsys):
                          "--tol", tol)["error"] == "ParameterOutOfRange"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("transform", "--surface", "torus", "--chain", ","),
+     "ParameterOutOfRange"),
+    (("transform", "--surface", "torus", "--chain", " "),
+     "ParameterOutOfRange"),
+    (("verify", "--surface", "torus", "--param", "s=2"), "UnknownIdentifier"),
+    (("verify", "--surface", "catenoid", "--param", "t=2"),
+     "UnknownIdentifier"),
+    (("verify", "--surface", "torus", "--param", "t=inf"),
+     "ParameterOutOfRange"),
+    (("verify", "--surface", "moebius"), "UnknownIdentifier"),
+    (("verify", "--surface", "torus", "--grid", "4by4"),
+     "ParameterOutOfRange"),
+    (("verify", "--surface", "torus", "--tol", "willmore=abc"),
+     "ParameterOutOfRange"),
+    (("verify", "--surface", "torus", "--grid"), "UsageError"),
+])
+def test_every_cli_error_names_a_package_error(capsys, argv, error):
+    payload = run_error(capsys, *argv)
+    assert payload["error"] == error
+    if error != "UsageError":
+        cls = getattr(errors, error)
+        assert isinstance(cls, type) and issubclass(cls,
+                                                    errors.LightconeError)
+
+
 def _reject_constant(name):
     raise ValueError("non-strict JSON constant " + name)
 
@@ -375,14 +401,16 @@ def test_imaginary_chart_is_not_spacelike(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,builds", [
     (("verify", "--surface", "torus"), 1),
-    (("transform", "--surface", "catenoid", "--chain", "L,R"), 7),
+    (("transform", "--surface", "catenoid", "--chain", "L,R"), 5),
     (("transform", "--surface", "torus", "--grid", "4x4",
-      "--chain", "L,R,L"), 11),
+      "--chain", "L,R,L"), 7),
 ])
 def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
                                             builds):
-    # verify frames its chart once; transform frames each probe, each
-    # step of the final chart, the final chart and the duality sample
+    # verify frames its chart once; transform frames each prefix chart
+    # once in its probe walk, each step once in its walk on the grid,
+    # whose base frame also feeds the duality report, and the final
+    # chart once
     calls = []
     original = frames.frame_field
 

@@ -4,7 +4,7 @@ import pytest
 from lightcone import frames, jets
 from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
-                              sample_grid, scaled_chart)
+                              sample_axes, sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (NonFinite, NormalPlaneDegenerate,
                               NotSpacelike, ParameterOutOfRange)
@@ -428,3 +428,23 @@ def test_adjoint_vector_checks_the_side_name():
         chart.lift_at(*sample_grid(chart, 4, 4), order=INVARIANTS_ORDER))
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         adjoint_vector(frame, inv, "lft")
+
+
+FRAME_FIELDS = ("Y", "Yz", "Yzb", "Yzzb", "Yu", "Yv", "N", "L", "R")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_truncated_frame_is_the_frame_of_the_truncated_lift(name):
+    chart = catalog_chart(name)
+    u, v = sample_axes(chart, 4, 4)
+    raw = chart.lift_at(u, v, order=10)
+    frame = frame_field(canonical_lift(raw))
+    for order in range(4, 11):
+        small = frame.truncated(order - 1)
+        ref = frame_field(canonical_lift(raw.truncated(order)))
+        for field in FRAME_FIELDS:
+            assert np.array_equal(getattr(small, field).coef,
+                                  getattr(ref, field).coef), (order, field)
+        for field in ("orientation_det", "gauge_axis", "gauge_fallback"):
+            assert np.array_equal(getattr(small, field),
+                                  getattr(ref, field)), (order, field)

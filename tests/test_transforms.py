@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from lightcone import transforms
 from lightcone.ambient import Motion, projective_distance
 from lightcone.analysis import willmore_energy, willmore_report
-from lightcone.charts import (catalog_chart, moved_chart, sample_grid,
-                              scaled_chart, validate_chart)
+from lightcone.charts import (SurfaceChart, catalog_chart, moved_chart,
+                              sample_axes, sample_grid, scaled_chart,
+                              validate_chart)
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, DomainError,
                               GaugeReferenceDegenerate, NotWillmore,
-                              UnknownIdentifier)
-from lightcone.frames import Tolerances, frame_and_invariants
+                              ParameterOutOfRange, UnknownIdentifier)
+from lightcone.frames import (Tolerances, adjoint_vector, canonical_lift,
+                              frame_and_invariants, frame_field, invariants)
 from lightcone.jets import seed_point
 from lightcone.transforms import (TransformedSurface, apply_chain,
                                   duality_report, inverse_check)
@@ -249,3 +252,79 @@ def test_chain_tolerances_reach_probe_and_step_frames(torus):
         step.lift_at(u, v, order=0)
     chart = apply_chain(torus, "L")
     assert np.all(np.isfinite(chart.lift_at(u, v, order=0).value))
+
+
+def test_empty_chain_is_refused(torus):
+    for tags in (",", " ", "", []):
+        with pytest.raises(ParameterOutOfRange):
+            apply_chain(torus, tags)
+
+
+def test_every_tag_is_checked_before_any_probe():
+    # laguerre_lift fails the probe of L; the unknown tag is found first
+    with pytest.raises(UnknownIdentifier):
+        apply_chain(catalog_chart("laguerre_lift"), "L,X")
+
+
+def nested(chart, tags):
+    """Reference chain: each step a chart that re-seeds its base chart a
+    step's cost higher and frames it, so steps nest as charts."""
+    vectors = {
+        "L": lambda frame: frame.L,
+        "R": lambda frame: frame.R,
+        "adjL": lambda frame: adjoint_vector(frame, invariants(frame),
+                                             "left"),
+    }
+    for tag in tags.split(","):
+        cost = 4 if tag.startswith("adj") else 3
+
+        def lift(U, V, base=chart, tag=tag, cost=cost):
+            U2, V2 = transforms._reseed(U, V, cost)
+            frame = frame_field(canonical_lift(base.evaluate(U2, V2)))
+            return vectors[tag](frame).truncated(U.order)
+
+        chart = SurfaceChart(chart.name + "+" + tag, lift, chart.domain,
+                             chart.periodic)
+    return chart
+
+
+@pytest.mark.parametrize("tags", ["L", "L,R", "adjL"])
+def test_chain_walk_equals_nested_steps(torus, tags):
+    chain, reference = apply_chain(torus, tags), nested(torus, tags)
+    u, v = sample_axes(torus, 4, 5)
+    for order in (0, 2):
+        assert np.array_equal(chain.lift_at(u, v, order=order).coef,
+                              reference.lift_at(u, v, order=order).coef)
+    # wrapped charts reach the chain through evaluate
+    gen = np.zeros((6, 6))
+    gen[0, 1], gen[2, 4], gen[3, 5] = 0.3, -0.2, 0.25
+    motion = Motion.from_generator(gen - gen.T)
+    for wrap in (lambda c: moved_chart(c, motion),
+                 lambda c: scaled_chart(c, 2.0)):
+        wrapped, wrapped_ref = wrap(chain), wrap(reference)
+        uw, vw = sample_axes(wrapped, 4, 5)
+        assert np.array_equal(wrapped.lift_at(uw, vw, order=2).coef,
+                              wrapped_ref.lift_at(uw, vw, order=2).coef)
+
+
+def test_chain_of_a_chain_walks_from_the_root(torus):
+    chain = apply_chain(torus, "L,R")
+    twice = apply_chain(apply_chain(torus, "L"), "R")
+    assert twice.root is torus
+    assert (twice.name, twice.steps) == (chain.name, chain.steps)
+    u, v = sample_axes(torus, 4, 4)
+    assert np.array_equal(twice.lift_at(u, v, order=1).coef,
+                          chain.lift_at(u, v, order=1).coef)
+
+
+def test_probe_frames_each_prefix_once(torus, monkeypatch):
+    orders = []
+    original = transforms.frame_field
+
+    def counted(Y, **kw):
+        orders.append(Y.order + 1)
+        return original(Y, **kw)
+
+    monkeypatch.setattr(transforms, "frame_field", counted)
+    apply_chain(torus, "L,R,L")
+    assert orders == [10, 7, 4]
