@@ -95,7 +95,15 @@ class SurfaceChart:
     ``JetVec6``; ``lift_at`` is the convenience entry point that seeds
     the jets first.  ``domain`` is ``((u0, u1), (v0, v1))`` and
     ``periodic`` flags each direction.
+
+    ``order_cost`` is the number of jet orders ``evaluate`` uses up: 0
+    for a chart built from a lift function, the wrapped chart's for
+    ``moved_chart`` and ``scaled_chart``, and for a transform chain its
+    root's plus its steps'.  It follows from how the chart is built and
+    is never set by a caller.
     """
+
+    order_cost = 0
 
     def __init__(self, name, lift, domain, periodic=(False, False),
                  params=None, meta=None):
@@ -119,10 +127,11 @@ class SurfaceChart:
         coordinate is composed once per grid line, and only products
         that mix u and v reach the full grid.  A lift that spans less
         than the broadcast shape (one that reads only u, say) is
-        broadcast to it in one contiguous copy at the end.  Raises
-        NonFinite where a coefficient of the lift is NaN or Inf.
+        broadcast to it in one contiguous copy at the end.  The jets are
+        seeded ``order_cost`` orders above ``order``.  Raises NonFinite
+        where a coefficient of the lift is NaN or Inf.
         """
-        U, V = seed_point(u, v, order)
+        U, V = seed_point(u, v, order + self.order_cost)
         raw = self.evaluate(U, V).broadcast_to(
             np.broadcast_shapes(U.batch_shape, V.batch_shape))
         require_finite(raw)
@@ -323,27 +332,35 @@ def catalog_chart(name, **params):
     return CATALOG[name](**params)
 
 
+def _wrapped(chart, suffix, lift, domain):
+    """A chart whose ``lift`` evaluates ``chart``, so it uses up the
+    same jet orders."""
+    out = SurfaceChart(chart.name + suffix, lift, domain, chart.periodic,
+                       params=chart.params, meta=chart.meta)
+    out.order_cost = chart.order_cost
+    return out
+
+
 def moved_chart(chart, motion):
     """The same chart pushed through an ambient motion."""
 
     def lift(U, V):
         return chart.evaluate(U, V).transformed(motion.matrix)
 
-    return SurfaceChart(chart.name + "+moved", lift, chart.domain,
-                        chart.periodic, params=chart.params,
-                        meta=chart.meta)
+    return _wrapped(chart, "+moved", lift, chart.domain)
 
 
 def scaled_chart(chart, factor):
-    """Reparametrize by z -> factor * z (domain stretches to match)."""
+    """Reparametrize by z -> factor * z (domain stretches to match).
+    ``factor`` must be finite and nonzero."""
     factor = float(factor)
+    if factor == 0.0 or not np.isfinite(factor):
+        raise ParameterOutOfRange("scale factor must be finite and nonzero",
+                                  factor=factor)
     (u0, u1), (v0, v1) = chart.domain
 
     def lift(U, V):
         return chart.evaluate(U * (1.0 / factor), V * (1.0 / factor))
 
-    return SurfaceChart(chart.name + "+scaled", lift,
-                        ((u0 * factor, u1 * factor),
-                         (v0 * factor, v1 * factor)),
-                        chart.periodic, params=chart.params,
-                        meta=chart.meta)
+    return _wrapped(chart, "+scaled", lift,
+                    ((u0 * factor, u1 * factor), (v0 * factor, v1 * factor)))

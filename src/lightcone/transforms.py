@@ -2,13 +2,16 @@
 
 A transform output is again a chart.  A chain keeps its root chart, the
 innermost one, and one closure per step, and evaluates in one walk: the
-root is lifted once, ``order_cost`` orders above the order asked for,
-and each step frames the raw lift it receives and hands on its tagged
-frame vector.  The costs are raw-to-raw: each step receives a raw light
-cone lift and pays one extra order to re-canonicalize it before the
-frame construction.  The probe gates of a chain, its final lift and the
-duality diagnostics of its root all read their frames from such walks,
-so no frame of a chain's prefix is built twice.
+root is lifted once, at jets ``order_cost`` orders above the order asked
+for, and each step frames the raw lift it receives and hands on its
+tagged frame vector.  The costs are raw-to-raw: each step receives a raw
+light cone lift and pays one extra order to re-canonicalize it before
+the frame construction.  No step depends on which conformal coordinate
+frames the surface, so the chain rule carries whatever conformal
+coordinate jets a chain is given through its steps.  The probe gates of
+a chain, its final lift and the duality diagnostics of its root all read
+their frames from such walks, so no frame of a chain's prefix is built
+twice.
 """
 
 import functools
@@ -17,7 +20,7 @@ import numpy as np
 
 from .ambient import projective_distance
 from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
-from .charts import DEFAULT_ORDER, SurfaceChart, require_finite, sample_axes
+from .charts import SurfaceChart, require_finite, sample_axes
 from .errors import (DegenerateTransform, DomainError, ParameterOutOfRange,
                      UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
@@ -43,47 +46,20 @@ _STEPS = {
 _TAGS = {entry[0]: step for step, entry in _STEPS.items()}
 
 
-def _affine_data(J, axis):
-    """Value and linear coefficients of an affine coordinate jet.
-
-    Transform lifts receive either plain coordinate seeds or seeds
-    shifted and linearly scaled by a wrapping chart; both re-expand
-    exactly at a higher order.  A curved reparametrization cannot, so
-    it is refused.  Order-zero jets carry no axis information and are
-    taken to be the plain coordinate of their slot.
-    """
-    c = J.coef
-    value = c[0, 0]
-    if J.order >= 1:
-        cu = c[1, 0]
-        cv = c[0, 1]
-    else:
-        cu = np.full_like(value, 1.0 if axis == 0 else 0.0)
-        cv = np.full_like(value, 0.0 if axis == 0 else 1.0)
-    rest = c.copy()
-    rest[0, 0] = 0.0
-    if J.order >= 1:
-        rest[1, 0] = 0.0
-        rest[0, 1] = 0.0
-    scale = 1.0 + float(np.max(np.abs(c)))
-    if float(np.max(np.abs(rest))) > 1e-12 * scale:
+def _require_conformal(U, V):
+    """Raise DomainError unless (U, V) are the real jets of a conformal
+    reparametrization, U + iV holomorphic to within 1e-12 of their
+    scale: the frame of a step is built in conformal coordinates, and
+    only then does the chain rule carry a chain's lift through them."""
+    if np.iscomplexobj(U.coef) or np.iscomplexobj(V.coef):
+        raise DomainError("coordinate jets must be real valued")
+    scale = 1.0 + max(float(np.max(np.abs(U.coef))),
+                      float(np.max(np.abs(V.coef))))
+    worst = float(np.max(np.abs((U + V * 1j).zbar().coef)))
+    if worst > 1e-12 * scale:
         raise DomainError(
-            "transform charts compose only with affine reparametrizations",
-            worst=float(np.max(np.abs(rest))))
-    if float(np.max(np.abs(value.imag))) > 1e-12 * scale:
-        raise DomainError("coordinate jets must be real valued",
-                          worst=float(np.max(np.abs(value.imag))))
-    return value.real, cu, cv
-
-
-def _reseed(U, V, extra):
-    """Rebuild the coordinate jets of a lift call at a higher order."""
-    uval, ucu, ucv = _affine_data(U, 0)
-    vval, vcu, vcv = _affine_data(V, 1)
-    A, B = seed_point(uval, vval, U.order + extra)
-    dA = A - uval
-    dB = B - vval
-    return dA * ucu + dB * ucv + uval, dA * vcu + dB * vcv + vval
+            "transform charts compose only with conformal reparametrizations",
+            worst=worst)
 
 
 def _step_lift(step, tol):
@@ -122,63 +98,74 @@ class TransformedSurface(SurfaceChart):
 
     ``root`` is the innermost chart and ``steps`` records the applied
     step names outermost-last, each with its closure from
-    ``_step_lift``; ``steps`` may be given as one name.  ``order_cost``
-    is the total extra jet order one evaluation spends, so a chain
-    evaluated at order k lifts its root once at k + order_cost and walks
-    the steps from there.  A transformed ``base`` passes on its root and
-    steps.  The new steps build their frames with the tolerances ``tol``.
+    ``_step_lift``.  ``steps`` may be given as a sequence or a
+    comma-separated string of short tags or step names; an unknown tag
+    raises UnknownIdentifier and an empty chain ParameterOutOfRange.
+    ``order_cost`` is the root's plus the steps' costs, so a chain
+    lifted at order k lifts its root once, at jets of order
+    k + order_cost, and walks the steps from there.  A transformed ``base`` passes on its
+    root and steps.  The new steps build their frames with the
+    tolerances ``tol``.
     """
 
     def __init__(self, base, steps, tol=Tolerances()):
-        steps = (steps,) if isinstance(steps, str) else tuple(steps)
+        text = steps
+        if isinstance(steps, str):
+            steps = [t.strip() for t in steps.split(",") if t.strip()]
+        names = []
+        for tag in steps:
+            step = _TAGS.get(tag, tag)
+            if step not in _STEPS:
+                raise UnknownIdentifier("unknown transform tag", tag=str(tag),
+                                        available=sorted(_TAGS))
+            names.append(step)
+        if not names:
+            raise ParameterOutOfRange(
+                "a transform chain needs at least one step", chain=str(text))
         if isinstance(base, TransformedSurface):
             self.root, done, lifts = base.root, base.steps, base._lifts
         else:
             self.root, done, lifts = base, (), ()
-        self.steps = done + steps
-        self._lifts = lifts + tuple(_step_lift(s, tol) for s in steps)
-        self.order_cost = sum(_STEPS[s][1] for s in self.steps)
+        self.steps = done + tuple(names)
+        self._lifts = lifts + tuple(_step_lift(s, tol) for s in names)
+        self.order_cost = self.root.order_cost + sum(
+            _STEPS[s][1] for s in self.steps)
         meta = dict(base.meta)
         meta.pop("torus_pq", None)
         super().__init__(base.name + "".join("+" + _STEPS[s][0]
-                                             for s in steps),
+                                             for s in names),
                          None, base.domain, base.periodic,
                          params=base.params, meta=meta)
 
     def evaluate(self, U, V):
-        """The raw lift at the coordinate jets (U, V), which may be
-        shifted and linearly scaled seeds: they are re-seeded once, by
-        the whole order cost, for the root."""
-        U2, V2 = _reseed(U, V, self.order_cost)
-        return self._run([self.root.evaluate(U2, V2)], self._lifts)
-
-    def lift_at(self, u, v, order=DEFAULT_ORDER):
-        """Raw lift at the points (u, v), from one ``walk`` of the
-        chain.  Raises NonFinite where a coefficient of the lift is NaN
-        or Inf."""
-        raw = self.walk(u, v, order + self.order_cost)
-        require_finite(raw)
-        return raw
+        """The raw lift at the coordinate jets (U, V) of a conformal
+        reparametrization, ``order_cost`` orders below them: the root is
+        lifted at these jets and the steps walk from there, as in
+        ``walk``.  Raises DomainError for complex jets or jets that are
+        not conformal."""
+        _require_conformal(U, V)
+        return self._run(U, V)
 
     def walk(self, u, v, order, on_raw=None, on_frame=None, stop=None):
         """Lift the root once at ``order`` on the points (u, v), which
         may be grid axes, and run the first ``stop`` steps (all of them
         by default) on that lift, spread to the points' broadcast shape.
+        The coordinates are seeded ``root.order_cost`` orders higher.
 
         ``on_raw(k, raw)`` sees the raw lift that step k receives, and
         ``on_frame(k, frame)`` the frame step k builds from it, before
         the step's vector is formed.  Returns the last raw lift, at
         ``order`` less the cost of the steps run, unchecked.
         """
-        U, V = seed_point(u, v, order)
-        shape = np.broadcast_shapes(U.batch_shape, V.batch_shape)
-        return self._run([self.root.evaluate(U, V).broadcast_to(shape)],
-                         self._lifts[:stop], on_raw, on_frame)
+        U, V = seed_point(u, v, order + self.root.order_cost)
+        return self._run(U, V, on_raw, on_frame, stop)
 
-    @staticmethod
-    def _run(raws, lifts, on_raw=None, on_frame=None):
-        """Hand the raw lift in ``raws`` through the step closures."""
-        for k, lift in enumerate(lifts):
+    def _run(self, U, V, on_raw=None, on_frame=None, stop=None):
+        """Lift the root at the jets (U, V) and hand the lift through
+        the first ``stop`` step closures."""
+        shape = np.broadcast_shapes(U.batch_shape, V.batch_shape)
+        raws = [self.root.evaluate(U, V).broadcast_to(shape)]
+        for k, lift in enumerate(self._lifts[:stop]):
             if on_raw is not None:
                 on_raw(k, raws[-1])
             look = None if on_frame is None else functools.partial(
@@ -240,28 +227,16 @@ def apply_chain(chart, tags, tol=Tolerances()):
     """Fold transform steps over a chart.
 
     ``tags`` is a sequence or comma-separated string of short tags
-    (L, R, adjL, adjR, env) or full step names.  Every tag is checked,
-    and an empty chain refused, before any probe runs.  The result is
-    one ``TransformedSurface`` over the root chart, whose new steps are
-    gated as ``_probe`` says, in one walk of the chain on the probe
-    grid.  Every probe and step frame of the chain uses the tolerances
-    ``tol``.
+    (L, R, adjL, adjR, env) or full step names.  ``TransformedSurface``
+    checks every tag, and refuses an empty chain, before any probe runs.
+    The result is one ``TransformedSurface`` over the root chart, whose
+    new steps are gated as ``_probe`` says, in one walk of the chain on
+    the probe grid.  Every probe and step frame of the chain uses the
+    tolerances ``tol``.
     """
-    text = tags
-    if isinstance(tags, str):
-        tags = [t.strip() for t in tags.split(",") if t.strip()]
-    steps = []
-    for tag in tags:
-        step = _TAGS.get(tag, tag)
-        if step not in _STEPS:
-            raise UnknownIdentifier("unknown transform tag", tag=str(tag),
-                                    available=sorted(_TAGS))
-        steps.append(step)
-    if not steps:
-        raise ParameterOutOfRange("a transform chain needs at least one step",
-                                  chain=str(text))
-    out = TransformedSurface(chart, steps, tol)
-    _probe(out, len(out.steps) - len(steps), tol)
+    out = TransformedSurface(chart, tags, tol)
+    done = chart.steps if isinstance(chart, TransformedSurface) else ()
+    _probe(out, len(done), tol)
     return out
 
 

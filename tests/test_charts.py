@@ -159,6 +159,14 @@ def test_scaled_chart_reparametrizes():
     assert np.max(np.abs(w1.z().value - 0.5 * w0.z().value)) < 1e-14
 
 
+@pytest.mark.parametrize("factor", [0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_scale_factor_must_be_finite_and_nonzero(factor):
+    # a zero factor would divide by zero in the lift, and a non-finite
+    # one would surface only later, as a NonFinite lift
+    with pytest.raises(ParameterOutOfRange):
+        scaled_chart(catalog_chart("catenoid"), factor)
+
+
 def test_rational_parameter():
     assert rational_parameter(2.0) == (2, 1)
     assert rational_parameter(1.25) == (5, 4)

@@ -30,7 +30,9 @@ try:
         code = lightcone.cli.main(["transform", "--surface", "catenoid",
                                    "--grid", "4x4", "--chain", "L"])
     assert code == 0, code
-    for span in ("cli.main", "transforms.apply_chain",
+    # a root lift that bypassed SurfaceChart.evaluate or the step
+    # closures of transforms._step_lift would leave its span at zero
+    for span in ("cli.main", "transforms.apply_chain", "charts.evaluate",
                  "transforms.step_eval", "frames.frame_field",
                  "jets.product"):
         assert tracer.stats[span].calls > 0, span

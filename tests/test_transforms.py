@@ -208,9 +208,10 @@ def test_curved_reparametrization_refused(torus):
         pl.evaluate(U * U, V)
 
 
-def test_transform_chart_reseeds_affinely(torus):
-    # scaled_chart feeds U/2 into the polar lift; the reseed must carry
-    # the chain rule exactly: equal values, halved first derivatives
+def test_scaled_chain_carries_the_chain_rule(torus):
+    # scaled_chart feeds U/2 into the polar lift, and the jets carry the
+    # chain rule through the chain: equal values, halved first
+    # derivatives
     pl = apply_chain(torus, "L")
     sc = scaled_chart(pl, 2.0)
     y1 = pl.lift_at(0.35, 0.8, order=2)
@@ -219,6 +220,74 @@ def test_transform_chart_reseeds_affinely(torus):
     big = np.abs(y1.c[..., 1, 0]) > 1e-9
     ratio = y2.c[..., 1, 0][big] / y1.c[..., 1, 0][big]
     assert np.max(np.abs(ratio - 0.5)) < 1e-12
+
+
+def test_chain_evaluates_at_a_conformal_reparametrization(torus):
+    # z -> z0 + z/2 + z^2/4 is conformal but not affine: the chain's
+    # lift at its jets is the chain's lift at the mapped points
+    chain = apply_chain(torus, "L")
+    s, t = np.meshgrid(np.linspace(-0.5, 0.5, 3), np.linspace(-0.4, 0.4, 3))
+    S, T = seed_point(s, t, chain.order_cost + 1)
+    W = S + T * 1j
+    Z = W * 0.5 + W * W * 0.25 + (0.3 + 0.4j)
+    raw = chain.evaluate(Z.real, Z.imag)
+    assert raw.order == 1
+    mapped = chart_values(chain, Z.real.value, Z.imag.value)
+    assert np.max(projective_distance(np.real(raw.value), mapped)) < 1e-12
+    # the same map with zbar^2 in place of z^2 is not conformal
+    Zbar = W * 0.5 + W.conj() * W.conj() * 0.25 + (0.3 + 0.4j)
+    with pytest.raises(DomainError):
+        chain.evaluate(Zbar.real, Zbar.imag)
+
+
+def test_complex_coordinate_jets_refused(torus):
+    pl = apply_chain(torus, "L")
+    U, V = seed_point(0.3, 0.4, 4)
+    for args in ((U + 0.1j, V), (U, V * (1 + 0j))):
+        with pytest.raises(DomainError):
+            pl.evaluate(*args)
+
+
+def test_only_evaluate_checks_conformality(torus, monkeypatch):
+    calls = []
+    original = transforms._require_conformal
+
+    def counted(U, V):
+        calls.append(U.order)
+        return original(U, V)
+
+    monkeypatch.setattr(transforms, "_require_conformal", counted)
+    chain = apply_chain(torus, "L,R")
+    chain.walk(*sample_axes(torus, 4, 4), order=chain.order_cost)
+    assert calls == []
+    chain.lift_at(*sample_axes(torus, 4, 4), order=1)
+    assert calls == [chain.order_cost + 1]
+
+
+def test_order_cost_carries_through_wrappers(torus):
+    gen = np.zeros((6, 6))
+    gen[0, 1] = 0.3
+    motion = Motion.from_generator(gen - gen.T)
+    adjoint = apply_chain(torus, "adjL")
+    assert torus.order_cost == 0 and adjoint.order_cost == 4
+    assert moved_chart(adjoint, motion).order_cost == 4
+    assert scaled_chart(adjoint, 2.0).order_cost == 4
+    outer = apply_chain(moved_chart(adjoint, motion), "L")
+    assert outer.order_cost == 7
+    assert outer.root.order_cost == 4
+
+
+def test_transformed_surface_checks_its_steps(torus):
+    with pytest.raises(UnknownIdentifier) as err:
+        TransformedSurface(torus, "bogus")
+    assert err.value.context == {"tag": "bogus",
+                                 "available": ["L", "R", "adjL", "adjR",
+                                               "env"]}
+    for steps in ((), [], ","):
+        with pytest.raises(ParameterOutOfRange):
+            TransformedSurface(torus, steps)
+    assert TransformedSurface(torus, "L,polar_right").steps == (
+        "polar_left", "polar_right")
 
 
 def test_duality_report_torus(torus):
@@ -267,8 +336,9 @@ def test_every_tag_is_checked_before_any_probe():
 
 
 def nested(chart, tags):
-    """Reference chain: each step a chart that re-seeds its base chart a
-    step's cost higher and frames it, so steps nest as charts."""
+    """Reference chain: each step a chart that lifts its base chart at
+    the jets it receives and frames that lift, so steps nest as charts;
+    each declares the jet orders it uses up."""
     vectors = {
         "L": lambda frame: frame.L,
         "R": lambda frame: frame.R,
@@ -279,12 +349,14 @@ def nested(chart, tags):
         cost = 4 if tag.startswith("adj") else 3
 
         def lift(U, V, base=chart, tag=tag, cost=cost):
-            U2, V2 = transforms._reseed(U, V, cost)
-            frame = frame_field(canonical_lift(base.evaluate(U2, V2)))
-            return vectors[tag](frame).truncated(U.order)
+            raw = base.evaluate(U, V)
+            frame = frame_field(canonical_lift(raw))
+            return vectors[tag](frame).truncated(raw.order - cost)
 
-        chart = SurfaceChart(chart.name + "+" + tag, lift, chart.domain,
-                             chart.periodic)
+        step = SurfaceChart(chart.name + "+" + tag, lift, chart.domain,
+                            chart.periodic)
+        step.order_cost = chart.order_cost + cost
+        chart = step
     return chart
 
 
