@@ -270,34 +270,21 @@ def _gauge(L, R, tol):
     pairings equal in magnitude, the joint sign makes <L, W0> negative.
     Returns the gauged pair and the chosen axis per point.
     """
-    shape = np.broadcast_shapes(L.batch_shape, R.batch_shape)
-    chosen = np.full(shape, -1, dtype=int)
-    pL = None
-    pR = None
-    for axis in GAUGE_AXES:
-        qL = L.component(axis) * SIGNS[axis]
-        qR = R.component(axis) * SIGNS[axis]
-        ok = ((np.abs(qL.value) >= tol.gauge)
-              & (np.abs(qR.value) >= tol.gauge) & (chosen < 0))
-        if pL is None:
-            pL, pR = qL, qR
-        else:
-            pL = jet_where(ok, qL, pL)
-            pR = jet_where(ok, qR, pR)
-        chosen = np.where(ok, axis, chosen)
-    if np.any(chosen < 0):
+    axes = np.array(GAUGE_AXES)
+    ok = ((np.abs(L.value) >= tol.gauge)
+          & (np.abs(R.value) >= tol.gauge))[..., axes]
+    if not np.all(np.any(ok, axis=-1)):
         raise GaugeReferenceDegenerate(
             "no reference axis pairs nondegenerately with the null "
-            "normal directions", points=int(np.sum(chosen < 0)))
+            "normal directions", points=int(np.sum(~np.any(ok, axis=-1))))
+    chosen = axes[np.argmax(ok, axis=-1)]
+    pL = L.component(chosen) * SIGNS[chosen]
+    pR = R.component(chosen) * SIGNS[chosen]
     sL = np.where(pL.value.real >= 0, 1.0, -1.0)
     sR = np.where(pR.value.real >= 0, 1.0, -1.0)
     lam = ((pR * sR) * (pL * sL).reciprocal()).power(0.5)
-    L = L * lam
-    R = R * lam.reciprocal()
-    flip = sL > 0
-    L = jet_where(flip, -L, L)
-    R = jet_where(flip, -R, R)
-    return L, R, chosen
+    # the product by -sL is an exact negation where <L, W0> > 0
+    return L * lam * -sL, R * lam.reciprocal() * -sL, chosen
 
 
 class InvariantSet:
