@@ -58,8 +58,9 @@ class NormalPlaneDegenerate(LightconeError):
 
 
 class GaugeReferenceDegenerate(LightconeError):
-    """Both gauge reference vectors pair to zero with the null normal
-    frame; the L/R scaling cannot be normalized."""
+    """At some point no coordinate axis pairs with both null normals
+    L and R above the gauge tolerance; the L/R scaling cannot be
+    normalized there."""
 
 
 class ParameterOutOfRange(LightconeError):

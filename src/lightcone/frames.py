@@ -10,8 +10,8 @@ Frame conventions, fixed once:
   * <N, N> = 0, <N, Y> = -1, <N, Y_z> = 0;
   * <L, L> = <R, R> = 0, <L, R> = -1, both orthogonal to Y, Y_u, Y_v, N;
   * det(Y, Y_u, Y_v, N, L, R) > 0;
-  * the gauge balances |<L, W0>| = |<R, W0>| against a fixed reference
-    axis W0, with <L, W0> < 0.
+  * the gauge balances |<L, W0>| = |<R, W0>| against a reference axis
+    W0 chosen per point, with <L, W0> < 0.
 """
 
 from typing import NamedTuple
@@ -68,12 +68,8 @@ class Tolerances(_ToleranceFields):
         return cls(*iterable)
 
 
-# reference axes for the gauge, tried in order: primary e_4 (first
-# timelike direction), then e_3, then the rest.  Some axis always
-# works: <L, R> = -1 is a sum of six componentwise products, so the
-# dominant slot pairs away from zero with both null directions.
+# the preferred gauge reference axis, e_4 (first timelike direction)
 GAUGE_PRIMARY = 4
-GAUGE_AXES = (4, 3, 2, 1, 0, 5)
 
 
 def _laplacian(Yu, Yv):
@@ -264,20 +260,25 @@ def frame_field(Y, *, tol=Tolerances()):
 def _gauge(L, R, tol):
     """Balance L and R against a reference axis and fix their sign.
 
-    Per point the reference is the first axis in GAUGE_AXES whose
-    pairings with both L and R clear ``tol.gauge`` (the pairing with
-    e_i is SIGNS[i] times component i).  The scale makes the two
-    pairings equal in magnitude, the joint sign makes <L, W0> negative.
-    Returns the gauged pair and the chosen axis per point.
+    A pairing clears when its size is at least ``tol.gauge`` (the
+    pairing with e_i is SIGNS[i] times component i).  Per point the
+    reference is e_4 where both of its pairings clear, which the
+    closed-form torus frames assume, and elsewhere the axis whose weaker
+    pairing with L and R is largest.  Some axis pairs with both away
+    from zero: <L, R> = -1 is a sum of six componentwise products.  The
+    scale makes the two pairings equal in magnitude, the joint sign
+    makes <L, W0> negative.  Returns the gauged pair and the chosen axis
+    per point.
     """
-    axes = np.array(GAUGE_AXES)
-    ok = ((np.abs(L.value) >= tol.gauge)
-          & (np.abs(R.value) >= tol.gauge))[..., axes]
-    if not np.all(np.any(ok, axis=-1)):
+    weak = np.minimum(np.abs(L.value), np.abs(R.value))
+    ok = weak >= tol.gauge
+    lost = ~np.any(ok, axis=-1)
+    if np.any(lost):
         raise GaugeReferenceDegenerate(
             "no reference axis pairs nondegenerately with the null "
-            "normal directions", points=int(np.sum(~np.any(ok, axis=-1))))
-    chosen = axes[np.argmax(ok, axis=-1)]
+            "normal directions", points=int(np.sum(lost)))
+    chosen = np.where(ok[..., GAUGE_PRIMARY], GAUGE_PRIMARY,
+                      np.argmax(weak, axis=-1))
     pL = L.component(chosen) * SIGNS[chosen]
     pR = R.component(chosen) * SIGNS[chosen]
     sL = np.where(pL.value.real >= 0, 1.0, -1.0)

@@ -170,14 +170,15 @@ def test_transform_round_trip_torus(capsys):
 
 
 def test_transform_chain_on_torus_five_halves(capsys):
-    # on the benchmark's 4x4 grid; on the default 16x16 grid the chain
-    # still misses the gate (about 2e-6), see the gauge item in ROADMAP
-    code, bundle = run_json(capsys, "transform", "--surface", "torus",
-                            "--param", "t=2.5", "--grid", "4x4",
-                            "--chain", "L,R,L")
-    assert code == 0
-    assert bundle["passed"]
-    assert bundle["gates"]["willmore_final"]["value"] < 1e-12
+    # the benchmark's 4x4 grid, then the default 16x16 grid, whose
+    # points come within 0.02 of where e_3 pairs to zero
+    for grid, gate in ((("--grid", "4x4"), 1e-12), ((), 1e-9)):
+        code, bundle = run_json(capsys, "transform", "--surface", "torus",
+                                "--param", "t=2.5", *grid,
+                                "--chain", "L,R,L")
+        assert code == 0
+        assert bundle["passed"]
+        assert bundle["gates"]["willmore_final"]["value"] < gate
 
 
 def test_transform_off_willmore_skips_duality(capsys, tmp_path):

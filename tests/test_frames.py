@@ -6,8 +6,9 @@ from lightcone.ambient import SIGNS, Motion
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_axes, sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (NonFinite, NormalPlaneDegenerate,
-                              NotSpacelike, ParameterOutOfRange)
+from lightcone.errors import (GaugeReferenceDegenerate, NonFinite,
+                              NormalPlaneDegenerate, NotSpacelike,
+                              ParameterOutOfRange)
 from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                               canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
@@ -241,7 +242,7 @@ def test_gauge_balance_and_sign():
 
 def test_gauge_reference_chain_walks_past_dead_axes():
     # on theta = 0 the primary axis is dead; at phi with tan(phi) =
-    # -tau the first fallback dies too and a later axis takes over
+    # -tau e_3 pairs to zero too, so another axis takes over
     chart = catalog_chart("torus", t=T)
     phi = np.pi - np.arctan(TAU)
     fr = frame_field(canonical_lift(chart.lift_at(0.0, phi, order=5)))
@@ -255,6 +256,42 @@ def test_gauge_reference_chain_walks_past_dead_axes():
     pR = SIGNS[axis] * fr.R.value.real[axis]
     assert pL < 0
     assert abs(abs(pL) - abs(pR)) < 1e-12
+
+
+def five_halves_null_pair():
+    chart = catalog_chart("torus", t=2.5)
+    u, v = sample_axes(chart, 16, 16)
+    fr = frame_field(canonical_lift(chart.lift_at(u, v, order=5)))
+    return fr.L, fr.R
+
+
+def test_gauge_prefers_e4_then_the_strongest_weaker_pairing():
+    # on the t = 5/2 torus e_4 pairs to zero along u = 0, and e_3 pairs
+    # to zero 0.02 away in v; a fixed fallback order took e_3 there
+    L, R = five_halves_null_pair()
+    tol = Tolerances()
+    gL, gR, chosen = frames._gauge(L, R, tol)
+    Lv, Rv = L.value.real, R.value.real
+    primary = ((np.abs(Lv[..., 4]) >= tol.gauge)
+               & (np.abs(Rv[..., 4]) >= tol.gauge))
+    weak = np.minimum(np.abs(Lv), np.abs(Rv))
+    assert 0 < np.sum(~primary) < primary.size
+    assert np.array_equal(chosen[primary], np.full(np.sum(primary), 4))
+    assert np.array_equal(chosen[~primary],
+                          np.argmax(weak[~primary], axis=-1))
+    sgn = SIGNS[chosen]
+    pL = sgn * np.take_along_axis(gL.value.real, chosen[..., None], -1)[..., 0]
+    pR = sgn * np.take_along_axis(gR.value.real, chosen[..., None], -1)[..., 0]
+    assert np.all(pL < 0)
+    assert np.max(np.abs(np.abs(pL) - np.abs(pR))) < 1e-12
+    assert np.max(np.abs((gL.inner(gR) + 1.0).c)) < 1e-12
+
+
+def test_gauge_counts_every_point_without_a_reference_axis():
+    L, R = five_halves_null_pair()
+    with pytest.raises(GaugeReferenceDegenerate) as info:
+        frames._gauge(L, R, Tolerances(gauge=1e9))
+    assert info.value.context == {"points": 256}
 
 
 def test_plane_chart_is_umbilic():
