@@ -29,7 +29,8 @@ class ZeroRepresentative(LightconeError):
 
 
 class OrderExhausted(LightconeError):
-    """A derivative was requested from an order-0 jet."""
+    """A jet has too few orders: a derivative of an order-0 jet, or a
+    chain evaluated at coordinate jets below its order cost."""
 
 
 class DomainError(LightconeError):

@@ -21,8 +21,8 @@ import numpy as np
 from .ambient import projective_distance
 from .analysis import WILLMORE_ORDER, require_willmore, residual_scale
 from .charts import SurfaceChart, require_finite, sample_axes
-from .errors import (DegenerateTransform, DomainError, ParameterOutOfRange,
-                     UnknownIdentifier)
+from .errors import (DegenerateTransform, DomainError, OrderExhausted,
+                     ParameterOutOfRange, UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      canonical_lift, envelope_vector, frame_field,
                      invariants, side_field)
@@ -141,8 +141,13 @@ class TransformedSurface(SurfaceChart):
         """The raw lift at the coordinate jets (U, V) of a conformal
         reparametrization, ``order_cost`` orders below them: the root is
         lifted at these jets and the steps walk from there, as in
-        ``walk``.  Raises DomainError for complex jets or jets that are
-        not conformal."""
+        ``walk``.  Raises OrderExhausted for jets below ``order_cost``,
+        DomainError for complex jets or jets that are not conformal."""
+        order = min(U.order, V.order)
+        if order < self.order_cost:
+            raise OrderExhausted(
+                "coordinate jets of lower order than the chain uses up",
+                chart=self.name, order=order, order_cost=self.order_cost)
         _require_conformal(U, V)
         return self._run(U, V)
 

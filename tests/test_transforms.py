@@ -10,7 +10,8 @@ from lightcone.charts import (SurfaceChart, catalog_chart, moved_chart,
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, DomainError,
                               GaugeReferenceDegenerate, NotWillmore,
-                              ParameterOutOfRange, UnknownIdentifier)
+                              OrderExhausted, ParameterOutOfRange,
+                              UnknownIdentifier)
 from lightcone.frames import (Tolerances, adjoint_vector, canonical_lift,
                               frame_and_invariants, frame_field, invariants)
 from lightcone.jets import seed_point
@@ -238,6 +239,23 @@ def test_chain_evaluates_at_a_conformal_reparametrization(torus):
     Zbar = W * 0.5 + W.conj() * W.conj() * 0.25 + (0.3 + 0.4j)
     with pytest.raises(DomainError):
         chain.evaluate(Zbar.real, Zbar.imag)
+
+
+def test_chain_refuses_jets_below_its_order_cost(torus):
+    # the check runs before the conformality check, which would need a
+    # derivative of the jets
+    pl = apply_chain(torus, "L")
+    moved = moved_chart(pl, Motion(np.eye(6)))
+    for k in range(pl.order_cost):
+        for chart in (pl, moved):
+            with pytest.raises(OrderExhausted) as err:
+                chart.evaluate(*seed_point(0.3, 0.4, k))
+            assert err.value.context == {"chart": "torus+L", "order": k,
+                                         "order_cost": 3}
+    raw = pl.evaluate(*seed_point(0.3, 0.4, pl.order_cost))
+    assert raw.order == 0
+    assert np.array_equal(raw.value,
+                          pl.lift_at(0.3, 0.4, order=0).value)
 
 
 def test_complex_coordinate_jets_refused(torus):
