@@ -11,6 +11,8 @@ exponentiation and binds right.  Free parameters are bound at chart
 construction time.
 """
 
+import re
+
 import numpy as np
 
 from .charts import (SurfaceChart, embed_flat, embed_hyperbolic,
@@ -37,9 +39,15 @@ FORMS = {
     "r31": (3, lambda xs: embed_flat([1.0] + list(xs))),
 }
 
-_DIGITS = "0123456789"
-_IDENT_START = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-_SINGLE = "+-*/^()[],"
+# ASCII classes only: str patterns would let \d and \w match other
+# scripts' digits and letters
+_TOKEN = re.compile(r"""
+    (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<single>[-+*/^()\[\],])
+  | (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+""", re.VERBOSE)
 
 
 class _Token:
@@ -54,55 +62,20 @@ class _Token:
 
 def _tokenize(text):
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS
-                             or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            tokens.append(_Token("num", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and (text[j] in _IDENT_START or text[j] in _DIGITS):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character {!r}".format(ch), line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ParseError("unexpected character {!r}".format(text[pos]),
+                             line, pos - start + 1)
+        kind, word = match.lastgroup, match.group()
+        if kind == "newline":
+            line, start = line + 1, match.end()
+        elif kind != "space":
+            tokens.append(_Token(word if kind == "single" else kind, word,
+                                 line, pos - start + 1))
+        pos = match.end()
+    tokens.append(_Token("end", "", line, pos - start + 1))
     return tokens
 
 

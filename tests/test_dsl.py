@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lightcone import dsl
 from lightcone.charts import (SurfaceChart, catalog_chart, embed_flat,
                               sample_grid)
 from lightcone.dsl import (chart_from_source, evaluate, free_parameters,
@@ -44,6 +45,54 @@ def test_number_literals():
     assert parse_expression("1.5e-2") == ("num", 0.015)
     assert parse_expression("2E3") == ("num", 2000.0)
     assert parse_expression(".5") == ("num", 0.5)
+
+
+MULTILINE = "r3 [cosh(u)*cos(v),\n    cosh(u)*sin(v), u^2 - .5e-1]\n"
+
+# (kind, text, line, col) per token; a ParseError as ("error", char,
+# line, col)
+TOKEN_TABLE = [
+    ("1.2.3", [("num", "1.2", 1, 1), ("num", ".3", 1, 4), ("end", "", 1, 6)]),
+    ("1e", [("num", "1", 1, 1), ("ident", "e", 1, 2), ("end", "", 1, 3)]),
+    ("1e+5x", [("num", "1e+5", 1, 1), ("ident", "x", 1, 5),
+               ("end", "", 1, 6)]),
+    (".5", [("num", ".5", 1, 1), ("end", "", 1, 3)]),
+    (" .", ("error", ".", 1, 2)),
+    ("a\n  b$", ("error", "$", 2, 4)),
+    ("1.", [("num", "1.", 1, 1), ("end", "", 1, 3)]),
+    ("3E-2", [("num", "3E-2", 1, 1), ("end", "", 1, 5)]),
+    ("\u00e9", ("error", "\u00e9", 1, 1)),
+    ("\u0663", ("error", "\u0663", 1, 1)),
+    ("a\tb?", ("error", "?", 1, 4)),
+    ("r3 [u,\r\n\tv, 0]",
+     [("ident", "r3", 1, 1), ("[", "[", 1, 4), ("ident", "u", 1, 5),
+      (",", ",", 1, 6), ("ident", "v", 2, 2), (",", ",", 2, 3),
+      ("num", "0", 2, 5), ("]", "]", 2, 6), ("end", "", 2, 7)]),
+    (MULTILINE,
+     [("ident", "r3", 1, 1), ("[", "[", 1, 4), ("ident", "cosh", 1, 5),
+      ("(", "(", 1, 9), ("ident", "u", 1, 10), (")", ")", 1, 11),
+      ("*", "*", 1, 12), ("ident", "cos", 1, 13), ("(", "(", 1, 16),
+      ("ident", "v", 1, 17), (")", ")", 1, 18), (",", ",", 1, 19),
+      ("ident", "cosh", 2, 5), ("(", "(", 2, 9), ("ident", "u", 2, 10),
+      (")", ")", 2, 11), ("*", "*", 2, 12), ("ident", "sin", 2, 13),
+      ("(", "(", 2, 16), ("ident", "v", 2, 17), (")", ")", 2, 18),
+      (",", ",", 2, 19), ("ident", "u", 2, 21), ("^", "^", 2, 22),
+      ("num", "2", 2, 23), ("-", "-", 2, 25), ("num", ".5e-1", 2, 27),
+      ("]", "]", 2, 32), ("end", "", 3, 1)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_TABLE)
+def test_token_streams(text, expected):
+    if expected[0] == "error":
+        with pytest.raises(ParseError) as err:
+            dsl._tokenize(text)
+        _, char, line, col = expected
+        assert str(err.value) == "unexpected character %r" % char
+        assert (err.value.line, err.value.col) == (line, col)
+    else:
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in dsl._tokenize(text)] == expected
 
 
 def test_parse_error_carries_position():
