@@ -2,6 +2,9 @@
 
 import pathlib
 import re
+import shlex
+
+from lightcone import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +25,20 @@ def test_readme_python_blocks_run(capsys):
     assert len(blocks) >= 2
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines()
+             if line.startswith("lightcone ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        # a report written with --out leaves stdout empty
+        if "--out" in argv:
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+        assert out.strip(), argv
