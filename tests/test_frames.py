@@ -267,7 +267,7 @@ def five_halves_null_pair():
 
 def test_gauge_prefers_e4_then_the_strongest_weaker_pairing():
     # on the t = 5/2 torus e_4 pairs to zero along u = 0, and e_3 pairs
-    # to zero 0.02 away in v; a fixed fallback order took e_3 there
+    # to zero 0.02 away in v, close enough to branch the jets' scale
     L, R = five_halves_null_pair()
     tol = Tolerances()
     gL, gR, chosen = frames._gauge(L, R, tol)
