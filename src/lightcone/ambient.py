@@ -117,63 +117,3 @@ class Motion:
                 "matrix is not in O(4,2) to tolerance",
                 deviation=dev, tolerance=MOTION_TOL)
         self.matrix = t
-
-    @classmethod
-    def from_generator(cls, skew):
-        """exp(S eta) for antisymmetric S; S eta is an o(4,2) generator."""
-        s = np.asarray(skew, dtype=float)
-        return cls(_expm(s @ ETA))
-
-    @classmethod
-    def plane_rotation(cls, i, j, angle):
-        """Rotation (same-sign axes) or boost (mixed-sign axes) in the
-        coordinate plane (e_i, e_j)."""
-        t = np.eye(6)
-        if SIGNS[i] == SIGNS[j]:
-            c, s = np.cos(angle), np.sin(angle)
-            t[i, i] = c
-            t[j, j] = c
-            t[i, j] = s
-            t[j, i] = -s
-        else:
-            c, s = np.cosh(angle), np.sinh(angle)
-            t[i, i] = c
-            t[j, j] = c
-            t[i, j] = s
-            t[j, i] = s
-        return cls(t)
-
-    def apply(self, x):
-        """Row action x -> x T on the last axis; preserves the light cone."""
-        return np.asarray(x) @ self.matrix
-
-    def compose(self, other):
-        """Motion doing ``other`` first, then self: x (T_other T_self)."""
-        return Motion(other.matrix @ self.matrix)
-
-    def inverse(self):
-        return Motion(ETA @ self.matrix.T @ ETA)
-
-
-def _expm(a):
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
-
-    Only used to build exact-to-eps test motions from generators; not a
-    general-purpose expm.
-    """
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, ord=np.inf)
-    squarings = 0
-    if norm > 0.25:
-        squarings = int(np.ceil(np.log2(norm / 0.25)))
-        a = a / (2.0 ** squarings)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for m in range(1, 40):
-        term = term @ a / m
-        out = out + term
-        if np.linalg.norm(term, ord=np.inf) < 1e-18:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out

@@ -165,13 +165,6 @@ def theta_report(inv, tol=Tolerances()):
                                  "absolute": float(np.max(absolute))})
 
 
-def mu_riccati_residual(inv, side="left"):
-    """|mu_z - mu^2/2 - s| for one adjoint direction."""
-    mu = side_field(inv, "mu", side)
-    res = mu.z() - mu * mu * 0.5 - inv.s
-    return float(np.max(np.abs(res.value)))
-
-
 def adjoint_side(inv):
     """Which mu direction is usable: the side with fewer umbilic points
     over the batch, and left when the counts are equal.  Counts, not the
@@ -232,26 +225,42 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     the quadrature axes, a column of u nodes against a row of v nodes,
     so a function of one coordinate is composed once per node of its
     axis.  One half-resolution pass supplies the convergence estimate.
+    On a periodic axis of even size its nodes are the even nodes of the
+    fine rule, so on periodic-by-periodic charts with even ``nu`` and
+    ``nv`` it reuses the fine pass's density and lifts nothing more;
+    Gauss-Legendre axes and odd grids lift it on its own nodes.
     """
     (u0, u1), (v0, v1) = chart.domain
+    coarse_nu = max(2, int(np.ceil(nu / 2)))
+    coarse_nv = max(2, int(np.ceil(nv / 2)))
 
-    def single(nu_, nv_):
-        xu, wu = _axis_quadrature(u0, u1, nu_, chart.periodic[0])
-        xv, wv = _axis_quadrature(v0, v1, nv_, chart.periodic[1])
-        raw = chart.lift_at(xu[:, None], xv[None, :], order=order)
+    xu, wu = _axis_quadrature(u0, u1, nu, chart.periodic[0])
+    xv, wv = _axis_quadrature(v0, v1, nv, chart.periodic[1])
+    cxu, cwu = _axis_quadrature(u0, u1, coarse_nu, chart.periodic[0])
+    cxv, cwv = _axis_quadrature(v0, v1, coarse_nv, chart.periodic[1])
+
+    def density(x, y):
+        raw = chart.lift_at(x[:, None], y[None, :], order=order)
         f = pair_density(raw).value.real
         worst = float(np.max(np.abs(f)))
         if worst > SINGULAR_INTEGRAND:
             raise IntegrandSingular("energy density blows up on the grid",
                                     worst=worst)
-        if abs_integrand:
-            f = np.abs(f)
-        return float(np.einsum("i,j,ij->", wu, wv, f))
+        return np.abs(f) if abs_integrand else f
 
-    coarse_nu = max(2, int(np.ceil(nu / 2)))
-    coarse_nv = max(2, int(np.ceil(nv / 2)))
-    coarse = single(coarse_nu, coarse_nv)
-    fine = single(nu, nv)
+    # an even size halves to every other node; a size of 2 keeps all
+    # of them, as the coarse rule is then the fine one
+    if all(chart.periodic) and nu % coarse_nu == 0 and nv % coarse_nv == 0:
+        f = density(xu, xv)
+        # laid out as a pass of its own would be, so einsum sums it in
+        # the same order
+        f_coarse = np.ascontiguousarray(
+            f[::nu // coarse_nu, ::nv // coarse_nv])
+    else:
+        f_coarse = density(cxu, cxv)
+        f = density(xu, xv)
+    coarse = float(np.einsum("i,j,ij->", cwu, cwv, f_coarse))
+    fine = float(np.einsum("i,j,ij->", wu, wv, f))
     refinements = [
         {"nu": coarse_nu, "nv": coarse_nv, "value": coarse},
         {"nu": nu, "nv": nv, "value": fine},

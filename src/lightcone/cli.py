@@ -318,29 +318,37 @@ def cmd_transform(cfg):
                                   chain=cfg.chain)
     order = ORDER_FLOOR[cfg.command]
     chart = _build_chart(cfg)
-    final = apply_chain(chart, cfg.chain, cfg.tols)
     u, v = sample_axes(chart, cfg.nu, cfg.nv)
-    # one walk of the chain gives the final lift, the base chart's values
-    # and its frame.  The duality diagnostics are taken from that frame
+    # one walk of the chain on the grid gates each step and gives the
+    # final lift, the base chart's values and its frame.  At this order
+    # no step's input is below the order its gates read, so the gates
+    # read the command's grid and no probe walk runs; they run first on
+    # each step.  The duality diagnostics are taken from the base frame
     # at once: a truncated copy of it kept to the end of the walk raised
     # the peak resident memory of the benchmark's worker by about 3 MB.
     base = {}
 
-    def keep_values(k, raw):
-        if k == 0:
-            base["values"] = np.array(np.real(raw.value))
+    def walk(chain, tol, gate_order, gate_raw, gate_frame):
+        def on_raw(k, raw):
+            gate_raw(k, raw)
+            if k == 0:
+                base["values"] = np.array(np.real(raw.value))
 
-    def take_duality(k, frame):
-        if k == 0:
-            try:
-                base["duality"] = frame_duality(
-                    frame.truncated(WILLMORE_ORDER - 1), cfg.tols,
-                    chart.name).as_dict()
-            except (NotWillmore, DegenerateTransform) as exc:
-                base["duality"] = exc
+        def on_frame(k, frame):
+            gate_frame(k, frame)
+            if k == 0:
+                try:
+                    base["duality"] = frame_duality(
+                        frame.truncated(WILLMORE_ORDER - 1), tol,
+                        chart.name).as_dict()
+                except (NotWillmore, DegenerateTransform) as exc:
+                    base["duality"] = exc
 
-    raw = final.walk(u, v, order + final.order_cost, keep_values,
-                     take_duality)
+        base["raw"] = chain.walk(u, v, order + chain.order_cost, on_raw,
+                                 on_frame)
+
+    final = apply_chain(chart, cfg.chain, cfg.tols, walk=walk)
+    raw = base.pop("raw")
     # raises NonFinite where a coefficient of the final lift is not finite
     _, inv = frame_and_invariants(raw, cfg.tols)
     final_willmore = _stamped(willmore_report(inv), _grid_spec(final, cfg))

@@ -178,58 +178,6 @@ def parse_program(text):
     return head.text, tuple(exprs)
 
 
-def parse_expression(text):
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    parser.expect("end")
-    return node
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-_UNARY_PREC = 2.5  # between * and ^
-
-
-def print_expression(node):
-    text, _ = _print(node)
-    return text
-
-
-def _print(node):
-    kind = node[0]
-    if kind == "num":
-        value = node[1]
-        if value == int(value) and abs(value) < 1e15:
-            return repr(int(value)), 9
-        return repr(value), 9
-    if kind == "name":
-        return node[1], 9
-    if kind == "call":
-        inner_text, _ = _print(node[2])
-        return "{}({})".format(node[1], inner_text), 9
-    if kind == "neg":
-        inner_text, prec = _print(node[1])
-        if prec < _UNARY_PREC:
-            inner_text = "(" + inner_text + ")"
-        return "-" + inner_text, _UNARY_PREC
-    op = node[1]
-    prec = _PREC[op]
-    left, lp = _print(node[2])
-    right, rp = _print(node[3])
-    # left-assoc ops need parens around an equal-precedence right child
-    # to reproduce the tree shape; '^' binds right, so there it is the
-    # left child that needs them
-    if lp < prec or (lp == prec and op == "^"):
-        left = "(" + left + ")"
-    if rp < prec or (rp == prec and op != "^"):
-        right = "(" + right + ")"
-    return "{} {} {}".format(left, op, right), prec
-
-
-def print_program(form, exprs):
-    return "{} [{}]".format(form,
-                            ", ".join(print_expression(e) for e in exprs))
-
-
 def evaluate(node, env):
     """Evaluate an expression tree over an environment of jets."""
     kind = node[0]
@@ -313,24 +261,3 @@ def chart_from_source(text, params=None, name="dsl", domain=None,
     return SurfaceChart(name, lift, domain, periodic, params=params,
                         meta={"source": text, "form": form})
 
-
-def free_parameters(text):
-    """Names used by a program beyond ``u``, ``v`` and ``pi``."""
-    _, exprs = parse_program(text)
-    seen = set()
-
-    def walk(node):
-        kind = node[0]
-        if kind == "name":
-            seen.add(node[1])
-        elif kind == "call":
-            walk(node[2])
-        elif kind == "neg":
-            walk(node[1])
-        elif kind == "bin":
-            walk(node[2])
-            walk(node[3])
-
-    for e in exprs:
-        walk(e)
-    return sorted(seen - {"u", "v", "pi"})

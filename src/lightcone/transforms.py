@@ -8,10 +8,11 @@ tagged frame vector.  The costs are raw-to-raw: each step receives a raw
 light cone lift and pays one extra order to re-canonicalize it before
 the frame construction.  No step depends on which conformal coordinate
 frames the surface, so the chain rule carries whatever conformal
-coordinate jets a chain is given through its steps.  The probe gates of
-a chain, its final lift and the duality diagnostics of its root all read
-their frames from such walks, so no frame of a chain's prefix is built
-twice.
+coordinate jets a chain is given through its steps.  The gates of a
+chain's steps, its final lift and the duality diagnostics of its root
+all read their frames from such walks, so no frame of a chain's prefix
+is built twice.  A library chain is gated in a walk on a fixed probe
+grid; the CLI gates it in the one walk it makes on the command's grid.
 """
 
 import functools
@@ -181,18 +182,19 @@ class TransformedSurface(SurfaceChart):
         return raws.pop()
 
 
-def _probe(chain, first, tol):
-    """Gate the steps of ``chain`` from index ``first`` on, in one walk
-    of it on the probe grid.
+def _gates(chain, first, tol):
+    """The gates of the steps of ``chain`` from index ``first`` on, as
+    ``(order, on_raw, on_frame)`` hooks for a walk of the chain.
 
     Step k is gated on the frame of its input, the chart of the first k
     steps, truncated to the order its gates read: adjoint steps need a
     Willmore input, and every step needs its side's direction to be
-    non-degenerate somewhere on the grid.  The umbilic masks read a raw
-    lift at ``INVARIANTS_ORDER``, the Willmore residual one at
-    ``WILLMORE_ORDER``.  The walk lifts the root at the least order that
-    gives every gate its order, and it stops before the last step's
-    vector.  Frames and gates use ``tol``.
+    non-degenerate somewhere on the walk's points.  The umbilic masks
+    read a raw lift at ``INVARIANTS_ORDER``, the Willmore residual one
+    at ``WILLMORE_ORDER``.  ``order`` is the least root lift order that
+    gives every gate its order; any walk at or above it gates the same
+    way.  Each gate drops its truncated frame and invariants on return.
+    Frames and gates use ``tol``.
     """
     steps = chain.steps
     gates = {k: WILLMORE_ORDER if _STEPS[steps[k]][2] else INVARIANTS_ORDER
@@ -221,27 +223,37 @@ def _probe(chain, first, tol):
                 % (side, "adjoint" if willmore else "polar"),
                 chart=name, side=side)
 
-    last = len(steps) - 1
+    return order, on_raw, on_frame
+
+
+def _probe(chain, tol, order, on_raw, on_frame):
+    """Run the gate hooks in one walk of ``chain`` on the probe grid at
+    ``order``.  The walk stops before the last step's vector: the last
+    step's input is framed here, with ``tol``, for its gates alone."""
+    last = len(chain.steps) - 1
     u, v = sample_axes(chain, PROBE_GRID, PROBE_GRID)
     raw = chain.walk(u, v, order, on_raw, on_frame, stop=last)
     on_raw(last, raw)
     on_frame(last, frame_field(canonical_lift(raw), tol=tol))
 
 
-def apply_chain(chart, tags, tol=Tolerances()):
+def apply_chain(chart, tags, tol=Tolerances(), *, walk=_probe):
     """Fold transform steps over a chart.
 
     ``tags`` is a sequence or comma-separated string of short tags
     (L, R, adjL, adjR, env) or full step names.  ``TransformedSurface``
-    checks every tag, and refuses an empty chain, before any probe runs.
+    checks every tag, and refuses an empty chain, before any gate runs.
     The result is one ``TransformedSurface`` over the root chart, whose
-    new steps are gated as ``_probe`` says, in one walk of the chain on
-    the probe grid.  Every probe and step frame of the chain uses the
-    tolerances ``tol``.
+    new steps are gated as ``_gates`` says.  ``walk(chain, tol, order,
+    on_raw, on_frame)`` runs the gate hooks in one walk of the chain at
+    a root order of at least ``order``; by default it is ``_probe``, a
+    walk on the probe grid.  A caller that walks the chain anyway, as
+    the CLI does on its own grid, gates it in that walk instead.  Every
+    gate and step frame of the chain uses the tolerances ``tol``.
     """
     out = TransformedSurface(chart, tags, tol)
     done = chart.steps if isinstance(chart, TransformedSurface) else ()
-    _probe(out, len(done), tol)
+    walk(out, tol, *_gates(out, len(done), tol))
     return out
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import (motion_from_generator, mu_riccati_residual,
+                     two_pass_energy)
 from lightcone import analysis as an
-from lightcone.charts import CATALOG, catalog_chart, moved_chart, \
-    sample_grid, scaled_chart, torus_chart
-from lightcone.ambient import Motion
+from lightcone.charts import CATALOG, DEFAULT_ORDER, SurfaceChart, \
+    catalog_chart, moved_chart, sample_grid, scaled_chart, torus_chart
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, IntegrandSingular,
                               NotSWillmore, NotWillmore, OrderExhausted)
@@ -156,13 +157,13 @@ def test_theta_gated_on_non_willmore(cylinder_data):
 
 def test_mu_riccati_on_torus(torus_data):
     _, inv = torus_data
-    assert an.mu_riccati_residual(inv, "left") < 1e-10
-    assert an.mu_riccati_residual(inv, "right") < 1e-10
+    assert mu_riccati_residual(inv, "left") < 1e-10
+    assert mu_riccati_residual(inv, "right") < 1e-10
 
 
 def test_side_names_are_checked(torus_data):
     frame, inv = torus_data
-    for check in (lambda side: an.mu_riccati_residual(inv, side),
+    for check in (lambda side: mu_riccati_residual(inv, side),
                   lambda side: an.harmonicity_report(frame, inv, side),
                   lambda side: an.omega_report(frame, inv, side,
                                                swillmore_gate=1.0)):
@@ -262,7 +263,7 @@ def test_energy_is_motion_invariant():
     rng = np.random.default_rng(7)
     gen = np.zeros((6, 6))
     gen[0, 1], gen[2, 4], gen[3, 5] = rng.normal(size=3) * 0.4
-    motion = Motion.from_generator(gen - gen.T)
+    motion = motion_from_generator(gen - gen.T)
     base = an.willmore_energy(chart, 24, 48, order=3)
     moved = an.willmore_energy(moved_chart(chart, motion), 24, 48, order=3)
     assert abs(moved.value - base.value) < 1e-8 * (1 + abs(base.value))
@@ -377,3 +378,40 @@ def test_energy_on_axes_equals_meshgrid_energy(name, params):
     coarse, fine = meshgrid_energy(chart, 12, 10)
     assert [r["value"] for r in result.refinements] == [coarse, fine]
     assert result.value == fine
+
+
+# on periodic-by-periodic charts with even nu and nv the half-resolution
+# nodes are the even nodes of the fine rule, so willmore_energy takes the
+# coarse pass from the fine one; it must equal two passes float for float
+
+@pytest.mark.parametrize("t, nu, nv, fold", [
+    (2.0, 128, 128, False), (2.5, 128, 128, False), (2.0, 64, 64, False),
+    (2.0, 32, 32, False), (2.0, 128, 128, True), (2.0, 2, 2, False),
+    (2.0, 2, 8, False)])
+def test_energy_reuses_the_fine_pass_exactly(t, nu, nv, fold):
+    # at nu = 2 the coarse rule is the fine rule itself, not its even
+    # nodes
+    chart = catalog_chart("torus", t=t)
+    result = an.willmore_energy(chart, nu, nv, order=3, abs_integrand=fold)
+    coarse, fine = two_pass_energy(chart, nu, nv, abs_integrand=fold)
+    assert [r["value"] for r in result.refinements] == [coarse, fine]
+    assert result.value == fine
+    assert result.estimate == abs(fine - coarse)
+
+
+@pytest.mark.parametrize("name, nu, nv, lifts", [
+    ("torus", 128, 128, 1), ("torus", 33, 32, 2), ("catenoid", 24, 48, 2)])
+def test_energy_lifts_once_where_the_rules_nest(monkeypatch, name, nu, nv,
+                                                lifts):
+    # the catenoid's u axis is Gauss-Legendre, whose nodes do not nest
+    shapes = []
+    original = SurfaceChart.lift_at
+
+    def spy(self, u, v, order=DEFAULT_ORDER):
+        shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return original(self, u, v, order=order)
+
+    monkeypatch.setattr(SurfaceChart, "lift_at", spy)
+    an.willmore_energy(catalog_chart(name), nu, nv, order=3)
+    assert len(shapes) == lifts
+    assert shapes[-1] == (nu, nv)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from lightcone.ambient import Motion
 from lightcone.charts import (catalog_chart, embed_flat, embed_hyperbolic,
                               embed_sphere, grid_axis, moved_chart,
                               rational_parameter, sample_axes, sample_grid,
@@ -13,6 +12,7 @@ from lightcone.jets import seed_point
 from lightcone.transforms import apply_chain
 
 import oracles
+from helpers import compose, plane_rotation
 
 
 def test_torus_lift_matches_oracle():
@@ -134,8 +134,8 @@ def test_sample_grid_shapes():
 
 def test_moved_chart_preserves_inner_products():
     chart = catalog_chart("torus", t=2.0)
-    motion = Motion.plane_rotation(1, 4, 0.6).compose(
-        Motion.plane_rotation(2, 3, 1.1))
+    motion = compose(plane_rotation(1, 4, 0.6),
+                     plane_rotation(2, 3, 1.1))
     moved = moved_chart(chart, motion)
     u, v = sample_grid(chart, 4, 4)
     w0 = chart.lift_at(u, v, order=1)
@@ -189,8 +189,8 @@ def axes_charts():
     dsl = chart_from_source("r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]",
                             domain=catenoid.domain,
                             periodic=catenoid.periodic)
-    motion = Motion.plane_rotation(1, 4, 0.6).compose(
-        Motion.plane_rotation(2, 3, 1.1))
+    motion = compose(plane_rotation(1, 4, 0.6),
+                     plane_rotation(2, 3, 1.1))
     return ([catalog_chart(name) for name in sorted(CATALOG)]
             + [dsl, moved_chart(catalog_chart("torus"), motion),
                scaled_chart(catenoid, 2.0), apply_chain(catenoid, "L,R")])

@@ -1,3 +1,4 @@
+import itertools
 import json
 from importlib import resources
 
@@ -402,16 +403,15 @@ def test_imaginary_chart_is_not_spacelike(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,builds", [
     (("verify", "--surface", "torus"), 1),
-    (("transform", "--surface", "catenoid", "--chain", "L,R"), 5),
+    (("transform", "--surface", "catenoid", "--chain", "L,R"), 3),
     (("transform", "--surface", "torus", "--grid", "4x4",
-      "--chain", "L,R,L"), 7),
+      "--chain", "L,R,L"), 4),
 ])
 def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
                                             builds):
-    # verify frames its chart once; transform frames each prefix chart
-    # once in its probe walk, each step once in its walk on the grid,
-    # whose base frame also feeds the duality report, and the final
-    # chart once
+    # verify frames its chart once; transform frames each step once in
+    # its one walk on the grid, whose frames also feed the step gates
+    # and, for the base, the duality report, and the final chart once
     calls = []
     original = frames.frame_field
 
@@ -424,6 +424,40 @@ def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert len(calls) == builds
+
+
+def test_transform_walk_carries_every_gate_order():
+    # the CLI walks a chain at ORDER_FLOOR + order_cost, and the gates
+    # need the root lift at _gates' order: so no step's input is ever
+    # below the order its gate reads
+    tags = ("L", "R", "adjL", "adjR", "env")
+    torus = catalog_chart("torus")
+    for n in (1, 2, 3):
+        for chain in itertools.product(tags, repeat=n):
+            out = transforms.TransformedSurface(torus, chain)
+            order, _, _ = transforms._gates(out, 0, frames.Tolerances())
+            assert order <= ORDER_FLOOR["transform"] + out.order_cost
+
+
+def test_transform_lifts_nothing_on_the_probe_axes(capsys, monkeypatch):
+    # the CLI gates its chain in the walk on its own grid; the library
+    # still gates apply_chain in a walk on the probe grid
+    shapes = []
+    original = charts.SurfaceChart.evaluate
+
+    def spy(self, U, V):
+        shapes.append((U.batch_shape, V.batch_shape))
+        return original(self, U, V)
+
+    monkeypatch.setattr(charts.SurfaceChart, "evaluate", spy)
+    code, _ = run_json(capsys, "transform", "--surface", "torus",
+                       "--grid", "4x4", "--chain", "L,R,L")
+    assert code == 0
+    assert shapes == [((4, 1), (1, 4))]
+    shapes.clear()
+    transforms.apply_chain(catalog_chart("torus"), "L,R,L")
+    grid = transforms.PROBE_GRID
+    assert shapes == [((grid, 1), (1, grid))]
 
 
 def test_verify_lifts_at_the_order_its_reports_read(capsys, monkeypatch):

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 from lightcone import dsl
 from lightcone.charts import (SurfaceChart, catalog_chart, embed_flat,
                               sample_grid)
-from lightcone.dsl import (chart_from_source, evaluate, free_parameters,
-                           parse_expression, parse_program,
-                           print_expression, print_program)
+from lightcone.dsl import chart_from_source, evaluate, parse_program
 from lightcone.errors import (ArityMismatch, DomainError, ParseError,
                               UnknownIdentifier)
 from lightcone.jets import seed_point
+
+from helpers import (free_parameters, parse_expression, print_expression,
+                     print_program)
 
 TORUS_SOURCE = """raw6 [cos(t*u/sqrt(t*t-1))*cos(v),
                         cos(t*u/sqrt(t*t-1))*sin(v),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lightcone import frames, jets
-from lightcone.ambient import SIGNS, Motion
+from lightcone.ambient import SIGNS
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_axes, sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
@@ -17,6 +17,7 @@ from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
 from lightcone.transforms import apply_chain
 
 import oracles
+from helpers import compose, plane_rotation
 
 T = 2.0
 TAU = np.sqrt(T * T - 1.0)
@@ -396,8 +397,8 @@ def test_scale_consistency():
 
 def test_motion_invariance_of_invariant_scalars():
     chart = catalog_chart("torus", t=T)
-    motion = Motion.plane_rotation(0, 3, 0.7).compose(
-        Motion.plane_rotation(2, 4, 0.35))
+    motion = compose(plane_rotation(0, 3, 0.7),
+                     plane_rotation(2, 4, 0.35))
     moved = moved_chart(chart, motion)
     th, ph = strip_points()
     _, a = frame_and_invariants(chart.lift_at(th, ph, order=6))

@@ -1,9 +1,30 @@
 """Source-level rules on how the package's modules depend on each other."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lightcone"
+
+# what ``import lightcone`` adds to a fresh interpreter that has already
+# imported numpy.  The command line's own imports (argparse, json, csv)
+# stay in ``lightcone.cli``; each module more is import time on every
+# run of the library and of the benchmark's setup probe
+IMPORTED = ["_decimal", "decimal", "fractions", "lightcone"] + [
+    "lightcone." + name for name in ("ambient", "analysis", "charts", "dsl",
+                                     "errors", "frames", "jets",
+                                     "transforms")]
+
+IMPORT_SCRIPT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import lightcone
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
 
 def _module_names(tree, modules):
@@ -74,3 +95,11 @@ def test_module_patch_finder_sees_each_form(tmp_path):
         "obj.X = 6\n")
     assert module_patches(tmp_path) == ["cli.py:%d" % n
                                         for n in (3, 4, 5, 6, 7)]
+
+
+def test_import_adds_only_the_library_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == IMPORTED

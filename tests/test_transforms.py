@@ -19,6 +19,7 @@ from lightcone.transforms import (TransformedSurface, apply_chain,
                                   duality_report, inverse_check)
 
 import oracles
+from helpers import apply, motion_from_generator
 
 T = 2.0
 
@@ -72,7 +73,7 @@ def test_inverse_check_is_motion_invariant(torus):
     rng = np.random.default_rng(7)
     gen = np.zeros((6, 6))
     gen[0, 1], gen[2, 4], gen[3, 5] = rng.normal(size=3) * 0.4
-    motion = Motion.from_generator(gen - gen.T)
+    motion = motion_from_generator(gen - gen.T)
     assert inverse_check(moved_chart(torus, motion)) < 1e-8
 
 
@@ -80,13 +81,13 @@ def test_polar_and_adjoint_commute_with_motions(torus):
     rng = np.random.default_rng(11)
     gen = np.zeros((6, 6))
     gen[0, 2], gen[1, 4], gen[3, 5] = rng.normal(size=3) * 0.3
-    motion = Motion.from_generator(gen - gen.T)
+    motion = motion_from_generator(gen - gen.T)
     u, v = sample_grid(torus, 5, 5)
     for tag in ("L", "adjL"):
         moved_then_build = chart_values(
             apply_chain(moved_chart(torus, motion), tag), u, v)
-        build_then_moved = motion.apply(
-            chart_values(apply_chain(torus, tag), u, v))
+        build_then_moved = apply(
+            motion, chart_values(apply_chain(torus, tag), u, v))
         assert np.max(projective_distance(moved_then_build,
                                           build_then_moved)) < 1e-10
 
@@ -285,7 +286,7 @@ def test_only_evaluate_checks_conformality(torus, monkeypatch):
 def test_order_cost_carries_through_wrappers(torus):
     gen = np.zeros((6, 6))
     gen[0, 1] = 0.3
-    motion = Motion.from_generator(gen - gen.T)
+    motion = motion_from_generator(gen - gen.T)
     adjoint = apply_chain(torus, "adjL")
     assert torus.order_cost == 0 and adjoint.order_cost == 4
     assert moved_chart(adjoint, motion).order_cost == 4
@@ -388,7 +389,7 @@ def test_chain_walk_equals_nested_steps(torus, tags):
     # wrapped charts reach the chain through evaluate
     gen = np.zeros((6, 6))
     gen[0, 1], gen[2, 4], gen[3, 5] = 0.3, -0.2, 0.25
-    motion = Motion.from_generator(gen - gen.T)
+    motion = motion_from_generator(gen - gen.T)
     for wrap in (lambda c: moved_chart(c, motion),
                  lambda c: scaled_chart(c, 2.0)):
         wrapped, wrapped_ref = wrap(chain), wrap(reference)
