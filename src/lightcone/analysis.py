@@ -15,6 +15,7 @@ leave here without a grid spec; the CLI stamps its own.
 import numpy as np
 
 from .ambient import SIGNS, gram_matrix
+from .charts import grid_axis
 from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
                      NotWillmore)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
@@ -208,10 +209,10 @@ class EnergyResult:
 
 
 def _axis_quadrature(lo, hi, n, periodic):
+    """Nodes and weights on one domain direction; periodic nodes are the
+    ``grid_axis`` sample points, as the coarse pass's reuse needs."""
     if periodic:
-        x = lo + (hi - lo) * np.arange(n) / n
-        w = np.full(n, (hi - lo) / n)
-        return x, w
+        return grid_axis(lo, hi, n, True), np.full(n, (hi - lo) / n)
     t, w = np.polynomial.legendre.leggauss(n)
     x = lo + (hi - lo) * (t + 1.0) / 2.0
     return x, w * (hi - lo) / 2.0

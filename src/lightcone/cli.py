@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands map one-to-one onto the library layers: invariant dumps
+Commands map one-to-one onto the library layers: invariant dumps
 and affine-chart meshes as CSV, verification, transform and energy
 bundles as JSON.  Identical configurations produce byte-identical
 reports: grids evaluate vectorized in one pass, reductions run in a
@@ -32,7 +32,7 @@ from .errors import (DegenerateTransform, LightconeError, NotWillmore,
                      ParameterOutOfRange, UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, classify_point,
                      frame_and_invariants)
-from .transforms import apply_chain, frame_duality
+from .transforms import apply_chain, duality_report
 
 DEFAULT_GRID = (16, 16)
 DEFAULT_ORDER = 6
@@ -48,8 +48,16 @@ ORDER_FLOOR = {"invariants": INVARIANTS_ORDER, "verify": WILLMORE_ORDER,
                "catalog-list": 0}
 ORDER_CAP = 12
 
-CONFIG_KEYS = ("surface", "dsl", "param", "grid", "order", "tol", "chain",
-               "abs_integrand", "out")
+# the JSON type each config-file key takes; null stands for an absent key
+CONFIG_TYPES = {"surface": "string", "dsl": "string", "chain": "string",
+                "out": "string", "param": "object", "tol": "object",
+                "abs_integrand": "boolean", "order": "integer",
+                "grid": "string or two integers"}
+
+# the value an option takes when neither the flag nor the file sets it
+_DEFAULTS = {"surface": None, "dsl": None, "grid": DEFAULT_GRID,
+             "order": DEFAULT_ORDER, "chain": None, "abs_integrand": False,
+             "out": None}
 
 INVARIANT_COLUMNS = (
     ["u", "v"]
@@ -71,78 +79,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class RunConfig:
-    """Resolved options of one command; flags win over the config file."""
+def _json_type(value):
+    """Name of the JSON type of a config value, a pair of integers being
+    a type of its own."""
+    if isinstance(value, list) and len(value) == 2 and all(
+            _json_type(x) == "integer" for x in value):
+        return "two integers"
+    return {bool: "boolean", int: "integer", str: "string",
+            dict: "object"}.get(type(value))
 
-    __slots__ = ("command", "surface", "dsl", "params", "nu", "nv", "order",
-                 "tols", "chain", "abs_integrand", "out")
 
-    def __init__(self, command, surface, dsl, params, nu, nv, order, tols,
-                 chain, abs_integrand, out):
-        if nu < 4 or nv < 4:
-            raise ParameterOutOfRange("grid must be at least 4x4",
-                                      nu=int(nu), nv=int(nv))
-        floor = ORDER_FLOOR[command]
-        if not floor <= order <= ORDER_CAP:
+def _configure(args):
+    """Fill the parsed namespace ``args`` in from its --config file and
+    check it.  A flag wins over the file, and the --param and --tol
+    bindings extend the file's.  Adds ``params``, ``tols``, ``nu`` and
+    ``nv``, which the commands read with the other options."""
+    file_cfg = {}
+    if args.config is not None:
+        file_cfg = json.loads(Path(args.config).read_text("utf-8"))
+        if not isinstance(file_cfg, dict):
             raise ParameterOutOfRange(
-                "jet order outside the ledger for this command",
-                order=int(order), floor=floor, cap=ORDER_CAP)
-        self.command = command
-        self.surface = surface
-        self.dsl = dsl
-        self.params = params
-        self.nu = int(nu)
-        self.nv = int(nv)
-        self.order = int(order)
-        self.tols = tols
-        self.chain = chain
-        self.abs_integrand = bool(abs_integrand)
-        self.out = out
-
-    @classmethod
-    def from_args(cls, args):
-        file_cfg = {}
-        if args.config is not None:
-            file_cfg = json.loads(Path(args.config).read_text("utf-8"))
-            if not isinstance(file_cfg, dict):
+                "config file must hold a JSON object", path=args.config)
+        unknown = sorted(set(file_cfg) - set(CONFIG_TYPES))
+        if unknown:
+            raise UnknownIdentifier("unknown config keys", keys=unknown,
+                                    available=sorted(CONFIG_TYPES))
+        for key, value in file_cfg.items():
+            expected = CONFIG_TYPES[key]
+            if value is not None and (
+                    _json_type(value) not in expected.split(" or ")):
                 raise ParameterOutOfRange(
-                    "config file must hold a JSON object", path=args.config)
-            unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
-            if unknown:
-                raise UnknownIdentifier("unknown config keys", keys=unknown,
-                                        available=sorted(CONFIG_KEYS))
+                    "config value must be a JSON " + expected,
+                    key=key, value=value)
 
-        def pick(flag, key, default=None):
-            if flag is not None:
-                return flag
+    for key, default in _DEFAULTS.items():
+        if getattr(args, key) is None:
             value = file_cfg.get(key)
-            return default if value is None else value
+            setattr(args, key, default if value is None else value)
+    bindings = {}
+    for label in ("param", "tol"):
+        bindings[label] = {str(k): _number(v, label)
+                           for k, v in (file_cfg.get(label) or {}).items()}
+        bindings[label].update(_parse_bindings(getattr(args, label), label))
+    bad = sorted(set(bindings["tol"]) - set(Tolerances._fields))
+    if bad:
+        raise UnknownIdentifier("unknown tolerance names", names=bad,
+                                available=sorted(Tolerances._fields))
+    args.params = bindings["param"]
+    args.tols = Tolerances(**bindings["tol"])
 
-        params = {str(k): _number(v, "param")
-                  for k, v in (file_cfg.get("param") or {}).items()}
-        params.update(_parse_bindings(args.param, "param"))
-        tols = {str(k): _number(v, "tol")
-                for k, v in (file_cfg.get("tol") or {}).items()}
-        tols.update(_parse_bindings(args.tol, "tol"))
-        bad = sorted(set(tols) - set(Tolerances._fields))
-        if bad:
-            raise UnknownIdentifier("unknown tolerance names", names=bad,
-                                    available=sorted(Tolerances._fields))
-        tols = Tolerances(**tols)
-
-        nu, nv = _parse_grid(pick(args.grid, "grid", "%dx%d" % DEFAULT_GRID))
-        return cls(
-            command=args.command,
-            surface=pick(args.surface, "surface"),
-            dsl=pick(args.dsl, "dsl"),
-            params=params,
-            nu=nu, nv=nv,
-            order=int(pick(args.order, "order", DEFAULT_ORDER)),
-            tols=tols,
-            chain=pick(args.chain, "chain"),
-            abs_integrand=pick(args.abs_integrand, "abs_integrand", False),
-            out=pick(args.out, "out"),
-        )
+    args.nu, args.nv = _parse_grid(args.grid)
+    if args.nu < 4 or args.nv < 4:
+        raise ParameterOutOfRange("grid must be at least 4x4",
+                                  nu=args.nu, nv=args.nv)
+    floor = ORDER_FLOOR[args.command]
+    if not floor <= args.order <= ORDER_CAP:
+        raise ParameterOutOfRange(
+            "jet order outside the ledger for this command",
+            order=args.order, floor=floor, cap=ORDER_CAP)
+    return args
 
 
 def _number(value, label):
@@ -165,8 +160,8 @@ def _parse_bindings(pairs, label):
 
 
 def _parse_grid(text):
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return int(text[0]), int(text[1])
+    if isinstance(text, (list, tuple)):
+        return tuple(text)
     parts = str(text).lower().split("x")
     try:
         nu, nv = (int(p) for p in parts)
@@ -195,11 +190,6 @@ def _chart_block(name, chart):
         "domain": [[float(a), float(b)] for a, b in chart.domain],
         "periodic": [bool(p) for p in chart.periodic],
     }
-
-
-def _surface_block(chart, cfg):
-    return dict(_chart_block(chart.name, chart),
-                grid={"nu": cfg.nu, "nv": cfg.nv}, order=cfg.order)
 
 
 def _grid_spec(chart, cfg):
@@ -234,6 +224,19 @@ def _emit(cfg, text, meta_extra=None):
 def _emit_json(cfg, bundle, meta_extra=None):
     _emit(cfg, json.dumps(bundle, sort_keys=True, indent=2,
                           allow_nan=False) + "\n", meta_extra)
+
+
+def _gated_report(cfg, chart, body, gates):
+    """Write the JSON report of a gated command: ``body``, the chart's
+    surface block, the gates and whether all of them passed, with the
+    order evaluated in the sidecar.  Returns the exit status, 1 when a
+    gate fails."""
+    passed = all(g["passed"] for g in gates.values())
+    surface = dict(_chart_block(chart.name, chart),
+                   grid={"nu": cfg.nu, "nv": cfg.nv}, order=cfg.order)
+    _emit_json(cfg, dict(body, surface=surface, gates=gates, passed=passed),
+               meta_extra={"evaluated_order": ORDER_FLOOR[cfg.command]})
+    return 0 if passed else 1
 
 
 def _csv_text(header, rows):
@@ -304,12 +307,8 @@ def cmd_verify(cfg):
              for name in ("structure", "integrability", "willmore",
                           "gauss_metric", "theta")
              if reports[name] is not None}
-    passed = all(g["passed"] for g in gates.values())
-    _emit_json(cfg, {"surface": _surface_block(chart, cfg),
-                     "reports": reports, "skipped": skipped,
-                     "gates": gates, "passed": passed},
-               meta_extra={"evaluated_order": order})
-    return 0 if passed else 1
+    return _gated_report(cfg, chart, {"reports": reports,
+                                      "skipped": skipped}, gates)
 
 
 def cmd_transform(cfg):
@@ -338,7 +337,7 @@ def cmd_transform(cfg):
             gate_frame(k, frame)
             if k == 0:
                 try:
-                    base["duality"] = frame_duality(
+                    base["duality"] = duality_report(
                         frame.truncated(WILLMORE_ORDER - 1), tol,
                         chart.name).as_dict()
                 except (NotWillmore, DegenerateTransform) as exc:
@@ -371,18 +370,12 @@ def cmd_transform(cfg):
         # a chain off a Willmore chart must land on a Willmore chart
         gates["willmore_final"] = _gate(final_willmore["max_abs"],
                                         cfg.tols.willmore)
-
-    passed = all(g["passed"] for g in gates.values())
-    _emit_json(cfg, {
-        "surface": _surface_block(chart, cfg),
+    return _gated_report(cfg, chart, {
         "chain": list(final.steps),
         "final": {"name": final.name, "order_cost": final.order_cost},
         "willmore_final": final_willmore,
         "base_distance": base_distance,
-        "duality": duality, "skipped": skipped,
-        "gates": gates, "passed": passed},
-        meta_extra={"evaluated_order": order})
-    return 0 if passed else 1
+        "duality": duality, "skipped": skipped}, gates)
 
 
 def cmd_energy(cfg):
@@ -399,14 +392,9 @@ def cmd_energy(cfg):
         reference = {"p": int(p), "q": int(q), "value": float(ref),
                      "rel_err": float(rel)}
         gates["energy"] = _gate(rel, cfg.tols.energy)
-    passed = all(g["passed"] for g in gates.values())
-    _emit_json(cfg, {"surface": _surface_block(chart, cfg),
-                     "energy": result.as_dict(),
-                     "abs_integrand": cfg.abs_integrand,
-                     "reference": reference,
-                     "gates": gates, "passed": passed},
-               meta_extra={"evaluated_order": order})
-    return 0 if passed else 1
+    return _gated_report(cfg, chart, {"energy": result.as_dict(),
+                                      "abs_integrand": cfg.abs_integrand,
+                                      "reference": reference}, gates)
 
 
 def cmd_mesh(cfg):
@@ -436,40 +424,38 @@ def cmd_catalog_list(cfg):
     return 0
 
 
+# name: (function, the line ``lightcone --help`` gives it)
 _COMMANDS = {
-    "invariants": cmd_invariants,
-    "verify": cmd_verify,
-    "transform": cmd_transform,
-    "energy": cmd_energy,
-    "mesh": cmd_mesh,
-    "catalog-list": cmd_catalog_list,
+    "invariants": (cmd_invariants, "per-point invariant scalars as CSV"),
+    "verify": (cmd_verify, "residual verification bundle as JSON"),
+    "transform": (cmd_transform, "apply a transform chain, report as JSON"),
+    "energy": (cmd_energy, "Willmore energy quadrature as JSON"),
+    "mesh": (cmd_mesh, "affine-chart mesh as CSV"),
+    "catalog-list": (cmd_catalog_list, "built-in charts as JSON"),
 }
 
 
 def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--surface", metavar="NAME")
-    common.add_argument("--param", action="append", metavar="K=V")
-    common.add_argument("--dsl", metavar="FILE")
-    common.add_argument("--grid", metavar="NUxNV")
-    common.add_argument("--order", type=int, metavar="K")
-    common.add_argument("--tol", action="append", metavar="NAME=VAL")
-    common.add_argument("--chain", metavar="TAGS")
-    common.add_argument("--abs-integrand", dest="abs_integrand",
+    """One parser: the command and ten options, which may come before
+    or after it."""
+    parser = _Parser(
+        prog="lightcone", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n" + "".join(
+            "  %-14s%s\n" % (name, text)
+            for name, (_, text) in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--surface", metavar="NAME")
+    parser.add_argument("--param", action="append", metavar="K=V")
+    parser.add_argument("--dsl", metavar="FILE")
+    parser.add_argument("--grid", metavar="NUxNV")
+    parser.add_argument("--order", type=int, metavar="K")
+    parser.add_argument("--tol", action="append", metavar="NAME=VAL")
+    parser.add_argument("--chain", metavar="TAGS")
+    parser.add_argument("--abs-integrand", dest="abs_integrand",
                         action="store_true", default=None)
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--config", metavar="FILE")
-
-    parser = _Parser(prog="lightcone", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("invariants", "per-point invariant scalars as CSV"),
-            ("verify", "residual verification bundle as JSON"),
-            ("transform", "apply a transform chain, report as JSON"),
-            ("energy", "Willmore energy quadrature as JSON"),
-            ("mesh", "affine-chart mesh as CSV"),
-            ("catalog-list", "built-in charts as JSON")):
-        sub.add_parser(name, parents=[common], help=help_text)
+    parser.add_argument("--out", metavar="PATH")
+    parser.add_argument("--config", metavar="FILE")
     return parser
 
 
@@ -498,12 +484,11 @@ def _error_json(payload):
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig.from_args(args)
+        cfg = _configure(parser.parse_args(argv))
         # non-finite values surface through the gates as errors, not
         # as warnings ahead of the one JSON document on stderr
         with np.errstate(all="ignore"):
-            return _COMMANDS[cfg.command](cfg)
+            return _COMMANDS[cfg.command][0](cfg)
     except _UsageError as exc:
         _error_json({"error": "UsageError", "message": str(exc),
                      "context": {}})

@@ -63,6 +63,12 @@ def _require_conformal(U, V):
             worst=worst)
 
 
+def _chain_name(root, steps):
+    """Display name of the chain of step names ``steps`` on the chart
+    named ``root``: the root's name, then "+" and each step's tag."""
+    return root + "".join("+" + _STEPS[s][0] for s in steps)
+
+
 def _step_lift(step, tol):
     """The closure of one chain step: a raw lift at order k in, the
     step's raw lift at order k - cost out.
@@ -133,8 +139,7 @@ class TransformedSurface(SurfaceChart):
             _STEPS[s][1] for s in self.steps)
         meta = dict(base.meta)
         meta.pop("torus_pq", None)
-        super().__init__(base.name + "".join("+" + _STEPS[s][0]
-                                             for s in names),
+        super().__init__(_chain_name(base.name, names),
                          None, base.domain, base.periodic,
                          params=base.params, meta=meta)
 
@@ -210,8 +215,7 @@ def _gates(chain, first, tol):
         if k not in gates:
             return
         _, _, willmore, side = _STEPS[steps[k]]
-        name = chain.root.name + "".join("+" + _STEPS[s][0]
-                                         for s in steps[:k])
+        name = _chain_name(chain.root.name, steps[:k])
         inv = invariants(frame.truncated(gates[k] - 1), tol)
         if willmore:
             require_willmore(inv, tol.willmore,
@@ -314,21 +318,9 @@ def _central_sphere_residual(frame, w):
             / np.linalg.norm(w, axis=-1))
 
 
-def duality_report(chart, grid=(PROBE_GRID, PROBE_GRID), tol=Tolerances()):
-    """Duality diagnostics of a Willmore chart over a grid.
-
-    The chart lifts at ``WILLMORE_ORDER``, the order the Willmore gate
-    of ``frame_duality`` reads; the diagnostics read less.
-    """
-    u, v = sample_axes(chart, *grid)
-    frame = frame_field(canonical_lift(
-        chart.lift_at(u, v, order=WILLMORE_ORDER)), tol=tol)
-    return frame_duality(frame, tol, chart.name)
-
-
-def frame_duality(frame, tol, chart):
+def duality_report(frame, tol, name):
     """Duality diagnostics of the frame of a Willmore chart named
-    ``chart``.
+    ``name``, over the points the frame was built on.
 
     The S-condition deviation is the raw sup of the adjoint direction
     discriminant; the other three measure how far the two adjoints are
@@ -339,12 +331,12 @@ def frame_duality(frame, tol, chart):
     inv = invariants(frame, tol)
     require_willmore(inv, tol.willmore,
                      "duality diagnostics need a Willmore chart",
-                     chart=chart)
+                     chart=name)
     mask = inv.umbilic_left | inv.umbilic_right
     if np.all(mask):
         raise DegenerateTransform(
             "a polar direction degenerates on the whole grid",
-            chart=chart)
+            chart=name)
     keep = ~mask
 
     dev = float(np.max(np.abs(inv.swillmore_disc.value)[keep]))

@@ -1,13 +1,16 @@
 """Test-only helpers built on the package: exact test motions, the DSL
-printer and parameter scan, the mu Riccati identity, and the two-pass
-Willmore energy quadrature that ``willmore_energy`` must reproduce."""
+printer and parameter scan, the mu Riccati identity, the frame that
+``duality_report`` reads, and the two-pass Willmore energy quadrature
+that ``willmore_energy`` must reproduce."""
 
 import numpy as np
 
 from lightcone.ambient import ETA, SIGNS, Motion
-from lightcone.analysis import _axis_quadrature
+from lightcone.analysis import WILLMORE_ORDER, _axis_quadrature
+from lightcone.charts import sample_axes
 from lightcone.dsl import _Parser, _tokenize, parse_program
-from lightcone.frames import pair_density, side_field
+from lightcone.frames import (Tolerances, canonical_lift, frame_field,
+                              pair_density, side_field)
 
 # motions
 
@@ -180,3 +183,14 @@ def two_pass_energy(chart, nu, nv, order=3, abs_integrand=False):
     coarse = single(max(2, int(np.ceil(nu / 2))),
                     max(2, int(np.ceil(nv / 2))))
     return coarse, single(nu, nv)
+
+
+# frames
+
+
+def sample_frame(chart, nu, nv, order=WILLMORE_ORDER, tol=Tolerances()):
+    """Frame of the chart's raw lift at ``order`` on its nu x nv sample
+    axes: at ``WILLMORE_ORDER``, the frame ``duality_report`` reads."""
+    u, v = sample_axes(chart, nu, nv)
+    return frame_field(canonical_lift(chart.lift_at(u, v, order=order)),
+                       tol=tol)

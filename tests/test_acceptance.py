@@ -22,12 +22,13 @@ from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_grid, validate_chart)
 from lightcone.cli import main as cli_main
 from lightcone.dsl import chart_from_source
-from lightcone.frames import frame_and_invariants
+from lightcone.frames import Tolerances, frame_and_invariants
 from lightcone.jets import seed_point
 from lightcone.transforms import apply_chain, duality_report, inverse_check
 
 import oracles
-from helpers import motion_from_generator, mu_riccati_residual
+from helpers import (motion_from_generator, mu_riccati_residual,
+                     sample_frame)
 
 T = 2.0
 
@@ -165,7 +166,8 @@ def test_criterion_06_torus_polars_are_willmore():
 
 def test_criterion_07_catenoid_duality_and_classical_gauss_map():
     chart = catalog_chart("catenoid")
-    report = duality_report(chart, grid=(8, 8))
+    report = duality_report(sample_frame(chart, 8, 8), Tolerances(),
+                            chart.name)
     fields = {"swillmore_dev": report.swillmore_dev,
               "adjoint_coincidence": report.adjoint_coincidence,
               "sigma_residual": report.sigma_residual,

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -10,10 +14,12 @@ from lightcone import analysis as an
 from lightcone import charts, errors, frames, transforms
 from lightcone.ambient import projective_distance
 from lightcone.charts import CATALOG, catalog_chart, sample_grid
-from lightcone.cli import (INVARIANT_COLUMNS, MESH_COLUMNS, ORDER_CAP,
-                           ORDER_FLOOR, main)
+from lightcone.cli import (_COMMANDS, INVARIANT_COLUMNS, MESH_COLUMNS,
+                           ORDER_CAP, ORDER_FLOOR, main)
 from lightcone.dsl import chart_from_source
 from lightcone.frames import classify_point, frame_and_invariants
+
+from helpers import sample_frame
 
 SCHEMA = json.loads(resources.files("lightcone")
                     .joinpath("report_schema.json").read_text("utf-8"))
@@ -305,6 +311,49 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert payload["context"]["keys"] == ["gird"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("abs_integrand", "false"),
+    ("abs_integrand", 1),
+    ("order", 8.9),
+    ("order", "x"),
+    ("order", "8"),
+    ("order", True),
+    ("grid", [4.7, 5.2]),
+    ("grid", [4, "a"]),
+    ("grid", [True, 4]),
+    ("grid", [4, 4, 4]),
+    ("grid", 16),
+    ("param", ["t", 2]),
+    ("tol", "willmore=1"),
+    ("dsl", 5),
+    ("surface", ["torus"]),
+    ("chain", 1),
+    ("out", False),
+])
+def test_config_values_are_typed(capsys, tmp_path, key, value):
+    # the type is checked before any value is used: none of these runs,
+    # and none leaves as anything but a package error naming the key
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"surface": "torus", key: value}))
+    payload = run_error(capsys, "energy", "--config", str(cfg))
+    assert payload["error"] == "ParameterOutOfRange"
+    assert payload["context"] == {"key": key, "value": value}
+
+
+def test_config_takes_typed_values(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"surface": "maximal_catenoid",
+                               "grid": [8, 8], "order": 3,
+                               "abs_integrand": True, "param": {},
+                               "tol": {"energy": 1e-3}, "chain": None}))
+    code, bundle = run_json(capsys, "energy", "--config", str(cfg))
+    assert code == 0
+    assert bundle["surface"]["grid"] == {"nu": 8, "nv": 8}
+    assert bundle["surface"]["order"] == 3
+    assert bundle["abs_integrand"] is True
+    assert bundle["energy"]["value"] > 0
+
+
 def test_point_tolerances_thread_and_restore(capsys):
     argv = ("invariants", "--surface", "torus", "--param", "t=2",
             "--grid", "4x4")
@@ -371,6 +420,60 @@ def test_every_cli_error_names_a_package_error(capsys, argv, error):
         cls = getattr(errors, error)
         assert isinstance(cls, type) and issubclass(cls,
                                                     errors.LightconeError)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--surface", "torus", "--param", "t=2", "--grid", "4x4"),
+    ("invariants", "--surface", "torus", "--grid", "4x4",
+     "--tol", "umbilic=10.0"),
+    ("transform", "--surface", "catenoid", "--grid", "4x4", "--chain", "L"),
+    ("energy", "--surface", "maximal_catenoid", "--grid", "8x8",
+     "--order", "3", "--abs-integrand"),
+    ("verify", "--surface", "torus", "--grid", "3x3"),
+])
+def test_options_may_come_before_the_command(capsys, argv):
+    # one parser: the command is a positional among the options
+    after = run(capsys, *argv)
+    before = run(capsys, *argv[1:], argv[0])
+    assert before == after
+    assert before[0] in (0, 2)
+
+
+CHOICES = ", ".join(repr(name) for name in _COMMANDS)
+
+
+# each message is what the parser wrote when every command was a
+# subparser of its own, as long as the command comes first
+@pytest.mark.parametrize("argv,message", [
+    (("frobnicate",),
+     "argument command: invalid choice: 'frobnicate' (choose from %s)"
+     % CHOICES),
+    ((), "the following arguments are required: command"),
+    (("verify", "--grid"), "argument --grid: expected one argument"),
+    (("--bogus", "1"),
+     "argument command: invalid choice: '1' (choose from %s)" % CHOICES),
+    (("verify", "--order", "x"), "argument --order: invalid int value: 'x'"),
+    (("verify", "--surface", "torus", "--bogus", "1"),
+     "unrecognized arguments: --bogus 1"),
+    # an option before the command takes its value now, where the
+    # subparsers read the value as the command
+    (("--order", "x"), "argument --order: invalid int value: 'x'"),
+])
+def test_usage_errors_are_pinned(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ('{\n  "context": {},\n  "error": "UsageError",\n'
+                   '  "message": "%s"\n}\n' % message)
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    lines = out.split("commands:\n", 1)[1].splitlines()
+    assert [line.split(None, 1) for line in lines] == [
+        [name, text] for name, (_, text) in _COMMANDS.items()]
 
 
 def _reject_constant(name):
@@ -560,7 +663,7 @@ def test_reports_at_the_floor_equal_the_library_at_the_cap(capsys, tmp_path,
 @pytest.mark.parametrize("name", [n for n in CAP_CHARTS
                                   if n != "laguerre_lift"])
 def test_transform_at_the_floor_equals_the_library_at_the_cap(
-        capsys, monkeypatch, tmp_path, name, chain):
+        capsys, tmp_path, name, chain):
     chart, flags = chart_and_flags(name, tmp_path)
     bundle = json.loads(run_at_cap(capsys, tmp_path, "transform", *flags,
                                    "--grid", "4x4", "--chain", chain))
@@ -569,12 +672,35 @@ def test_transform_at_the_floor_equals_the_library_at_the_cap(
     raw = transforms.apply_chain(chart, chain).lift_at(U, V, order=ORDER_CAP)
     _, inv = frame_and_invariants(raw)
     base = np.real(chart.lift_at(U, V, order=0).value)
-    # duality_report lifts at WILLMORE_ORDER; raise that to the cap
-    monkeypatch.setattr(transforms, "WILLMORE_ORDER", ORDER_CAP)
-    duality = transforms.duality_report(chart, grid=(4, 4))
+    duality = transforms.duality_report(
+        sample_frame(chart, 4, 4, order=ORDER_CAP), frames.Tolerances(),
+        chart.name)
 
     assert without_grid(bundle["willmore_final"]) == without_grid(
         an.willmore_report(inv).as_dict())
     assert bundle["base_distance"] == float(np.max(projective_distance(
         np.real(raw.value), base)))
     assert bundle["duality"] == duality.as_dict()
+
+
+def run_module(*argv):
+    """Exit status, stdout and stderr of ``python -m lightcone``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src)] + [p for p in [
+        os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "lightcone", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point():
+    code, out, err = run_module("catalog-list")
+    assert (code, err) == (0, "")
+    VALIDATOR.validate(json.loads(out))
+    # a usage error is one JSON document on stderr and nothing else
+    code, out, err = run_module("frobnicate")
+    assert (code, out) == (2, "")
+    payload = json.loads(err, parse_constant=_reject_constant)
+    VALIDATOR.validate(payload)
+    assert payload["error"] == "UsageError"

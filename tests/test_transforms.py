@@ -19,7 +19,7 @@ from lightcone.transforms import (TransformedSurface, apply_chain,
                                   duality_report, inverse_check)
 
 import oracles
-from helpers import apply, motion_from_generator
+from helpers import apply, motion_from_generator, sample_frame
 
 T = 2.0
 
@@ -188,7 +188,7 @@ def test_degenerate_and_willmore_gates():
     with pytest.raises(NotWillmore):
         apply_chain(cyl, "adjL")
     with pytest.raises(NotWillmore):
-        duality_report(cyl)
+        duality_report(sample_frame(cyl, 8, 8), Tolerances(), cyl.name)
 
 
 def test_chain_mechanics(torus):
@@ -310,7 +310,8 @@ def test_transformed_surface_checks_its_steps(torus):
 
 
 def test_duality_report_torus(torus):
-    rep = duality_report(torus)
+    rep = duality_report(sample_frame(torus, 8, 8), Tolerances(),
+                         torus.name)
     tau3 = (T * T - 1.0) ** 1.5
     assert abs(rep.swillmore_dev - T * T / (8.0 * tau3)) < 1e-10
     assert rep.adjoint_coincidence > 0.01
@@ -322,7 +323,8 @@ def test_duality_report_torus(torus):
 
 
 def test_duality_report_catenoid(catenoid):
-    rep = duality_report(catenoid)
+    rep = duality_report(sample_frame(catenoid, 8, 8), Tolerances(),
+                         catenoid.name)
     assert rep.swillmore_dev < 1e-7
     assert rep.adjoint_coincidence < 1e-7
     assert rep.sigma_residual < 1e-7
