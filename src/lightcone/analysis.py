@@ -242,7 +242,7 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
 
     def density(x, y):
         raw = chart.lift_at(x[:, None], y[None, :], order=order)
-        f = pair_density(raw).value.real
+        f = pair_density(raw)
         worst = float(np.max(np.abs(f)))
         if worst > SINGULAR_INTEGRAND:
             raise IntegrandSingular("energy density blows up on the grid",

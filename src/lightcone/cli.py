@@ -96,7 +96,12 @@ def _configure(args):
     ``nv``, which the commands read with the other options."""
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text("utf-8"))
+        text = _read_file(args.config, "config")
+        try:
+            file_cfg = json.loads(text)
+        except ValueError as exc:
+            raise ParameterOutOfRange("config file is not valid JSON",
+                                      path=args.config, reason=str(exc))
         if not isinstance(file_cfg, dict):
             raise ParameterOutOfRange(
                 "config file must hold a JSON object", path=args.config)
@@ -118,8 +123,9 @@ def _configure(args):
             setattr(args, key, default if value is None else value)
     bindings = {}
     for label in ("param", "tol"):
-        bindings[label] = {str(k): _number(v, label)
-                           for k, v in (file_cfg.get(label) or {}).items()}
+        bindings[label] = {
+            k: _json_number(v, "%s.%s" % (label, k))
+            for k, v in (file_cfg.get(label) or {}).items()}
         bindings[label].update(_parse_bindings(getattr(args, label), label))
     bad = sorted(set(bindings["tol"]) - set(Tolerances._fields))
     if bad:
@@ -138,6 +144,31 @@ def _configure(args):
             "jet order outside the ledger for this command",
             order=args.order, floor=floor, cap=ORDER_CAP)
     return args
+
+
+def _read_file(path, what):
+    """Text of the ``what`` file at ``path``; one that cannot be read is
+    a ParameterOutOfRange naming it and the reason."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    raise ParameterOutOfRange(what + " file cannot be read", path=path,
+                              reason=reason)
+
+
+def _json_number(value, key):
+    """A value of the config file's param or tol object as a float: it
+    must be a JSON number, not a boolean, a string or null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParameterOutOfRange("config value must be a JSON number",
+                              key=key, value=value)
 
 
 def _number(value, label):
@@ -177,9 +208,8 @@ def _build_chart(cfg):
             "exactly one of --surface and --dsl selects the chart",
             surface=cfg.surface, dsl=cfg.dsl)
     if cfg.dsl is not None:
-        path = Path(cfg.dsl)
-        return chart_from_source(path.read_text("utf-8"), params=cfg.params,
-                                 name=path.stem)
+        return chart_from_source(_read_file(cfg.dsl, "DSL"),
+                                 params=cfg.params, name=Path(cfg.dsl).stem)
     return catalog_chart(cfg.surface, **cfg.params)
 
 

@@ -5,6 +5,11 @@ rescaled to the canonical lift Y with <Y_z, Y_zbar> = 1/2; the conformal
 Gauss direction N and a gauged null basis L, R of the normal plane then
 make the invariant scalars plain inner products.
 
+The Willmore energy density <Y_zzbar, Y_zzbar> needs no frame and not
+even the whole of Y: ``pair_density`` reads the two Taylor
+coefficients Y[2,0] and Y[0,2] at each base point, summed from the raw
+lift and g2^(-1/2) as the product kernel would sum them.
+
 Frame conventions, fixed once:
 
   * <N, N> = 0, <N, Y> = -1, <N, Y_z> = 0;
@@ -21,7 +26,7 @@ import numpy as np
 from .ambient import SIGNS, gram_wedge_inner
 from .charts import require_finite
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
-                     NotSpacelike, ParameterOutOfRange)
+                     NotSpacelike, OrderExhausted, ParameterOutOfRange)
 from .jets import Jet2, JetVec6, jet_where
 
 SPACELIKE_TOL = 1e-10
@@ -83,22 +88,21 @@ def _laplacian(Yu, Yv):
 
 
 def _value_inner(a, b):
-    """<a, b> at the base points: ``a.inner(b).value`` bit for bit,
-    without the products of the higher coefficients."""
-    return np.einsum("...i,i->...", a.value * b.value, SIGNS)
+    """<a, b> of two value arrays, component axis last: the value of
+    the jets' ``inner`` bit for bit, without the products of the higher
+    coefficients."""
+    return np.einsum("...i,i->...", a * b, SIGNS)
 
 
-def canonical_lift(raw):
-    """Scale a raw light cone lift to the canonical one.
-
-    The returned jet has one order less than the input (one derivative
-    is consumed by the normalization).  Raises NotSpacelike where the
-    induced metric degenerates or flips sign.
-    """
+def _inverse_sqrt_metric(raw):
+    """g2^(-1/2) of a raw lift, where g2 = 2 <r_z, r_zbar> is its
+    induced metric: the scalar jet, one order below the lift, that
+    scales it to the canonical one.  Raises NotSpacelike where the
+    metric degenerates or flips sign."""
     ru = raw.du()
     rv = raw.dv()
-    # g2 = 2 <Y_z, Y_zbar> = (<Y_u, Y_u> + <Y_v, Y_v>) / 2, formed from
-    # real products when the lift is real
+    # g2 = (<Y_u, Y_u> + <Y_v, Y_v>) / 2, formed from real products when
+    # the lift is real
     g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
     scale = np.sum(np.abs((ru.value - rv.value * 1j) * 0.5) ** 2, axis=-1)
     # the u, v derivatives are not needed below; freeing them keeps the
@@ -109,7 +113,17 @@ def canonical_lift(raw):
     if not np.min(ratio) > SPACELIKE_TOL:
         raise NotSpacelike("induced metric is not positive",
                            worst=float(np.min(ratio)))
-    return raw.truncated(raw.order - 1) * g2.power(-0.5)
+    return g2.power(-0.5)
+
+
+def canonical_lift(raw):
+    """Scale a raw light cone lift to the canonical one.
+
+    The returned jet has one order less than the input (one derivative
+    is consumed by the normalization).  Raises NotSpacelike where the
+    induced metric degenerates or flips sign.
+    """
+    return raw.truncated(raw.order - 1) * _inverse_sqrt_metric(raw)
 
 
 class FrameData:
@@ -226,7 +240,7 @@ def frame_field(Y, *, tol=Tolerances()):
     # margins; the jet-level Gram-Schmidt below then needs no branches
     qa = np.take_along_axis(q, ia[..., None], axis=-1)[..., 0]
     qb = np.take_along_axis(q, ib[..., None], axis=-1)[..., 0]
-    cab = _value_inner(na, nb).real
+    cab = _value_inner(na.value, nb.value).real
     phi = 0.5 * np.arctan2(2.0 * cab, qa - qb)
     m1 = na * np.cos(phi) + nb * np.sin(phi)
     m2 = na * (-np.sin(phi)) + nb * np.cos(phi)
@@ -393,11 +407,37 @@ def classify_point(inv):
 
 
 def pair_density(raw):
-    """<Y_zzbar, Y_zzbar> of the canonical lift, the Willmore energy
-    density against du dv.  Cheap: needs no frame, raw order 3."""
-    Y = canonical_lift(raw)
-    Yzzb = _laplacian(Y.du(), Y.dv())
-    return Yzzb.inner(Yzzb).real
+    """<Y_zzbar, Y_zzbar> of the canonical lift Y at the base points,
+    the Willmore energy density against du dv, as a float array.  Needs
+    no frame and a raw lift of order 3 or more.
+
+    Y = raw h with h = g2^(-1/2), and at a base point
+    Y_zzbar = (Y_uu + Y_vv) / 4 = (2 Y[2,0] + 2 Y[0,2]) / 4 reads two
+    Taylor coefficients of Y.  A coefficient of a product reads only the
+    factors' coefficients of equal or lower degree (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13), so those two are summed here from
+    the raw lift and h, term by term in the product kernel's order.  The
+    density is then that of ``canonical_lift``, ``_laplacian`` and
+    ``inner`` bit for bit, without forming Y or any derivative of it.
+    """
+    h = _inverse_sqrt_metric(raw).coef
+    if raw.order < 3:
+        raise OrderExhausted(
+            "the energy density needs a raw lift of order 3 or more",
+            order=raw.order)
+
+    def second(r, g):
+        # Y[2, 0] of Y = r g: the kernel's terms r[p, 0] g[2 - p, 0] for
+        # p = 0, 1, 2, each formed and then added to a sum from 0.0
+        total = 0.0
+        for p in range(3):
+            total = total + r[p, 0] * g[2 - p, 0][..., None]
+        return total
+
+    # Y[0, 2] is Y[2, 0] of the transposed coefficients
+    Yzzb = (second(raw.coef, h) * 2.0
+            + second(raw.coef.swapaxes(0, 1), h.swapaxes(0, 1)) * 2.0) * 0.25
+    return np.real(_value_inner(Yzzb, Yzzb))
 
 
 def willmore_operators(inv):
@@ -485,6 +525,6 @@ def conformal_gauss_data(frame):
             bj[..., j, :] = vals_zb[..., j, :]
             total = total + gram_wedge_inner(ai, bj)
     quarter = 2.0 * np.real(total)
-    kp = np.real(_value_inner(Yzzb, Yzzb))
+    kp = np.real(_value_inner(Yzzb.value, Yzzb.value))
     return {"gram_GG": np.real(gram_gg), "quarter_dG2": quarter,
             "kappa_pair": kp}

@@ -175,7 +175,7 @@ def two_pass_energy(chart, nu, nv, order=3, abs_integrand=False):
         xu, wu = _axis_quadrature(u0, u1, n_u, chart.periodic[0])
         xv, wv = _axis_quadrature(v0, v1, n_v, chart.periodic[1])
         raw = chart.lift_at(xu[:, None], xv[None, :], order=order)
-        f = pair_density(raw).value.real
+        f = pair_density(raw)
         if abs_integrand:
             f = np.abs(f)
         return float(np.einsum("i,j,ij->", wu, wv, f))

@@ -350,7 +350,7 @@ def test_omega_gates(torus_data):
 def test_pair_density_matches_kappa_on_torus():
     chart = catalog_chart("torus", t=2.0)
     U, V = sample_grid(chart, 8, 8)
-    density = pair_density(chart.lift_at(U, V, order=3)).value.real
+    density = pair_density(chart.lift_at(U, V, order=3))
     expected = oracles.torus_invariants(2.0)["kappa_pair"]
     assert np.max(np.abs(density - expected)) < 1e-12
 
@@ -363,7 +363,7 @@ def meshgrid_energy(chart, nu, nv, order=3):
         xu, wu = an._axis_quadrature(u0, u1, nu_, chart.periodic[0])
         xv, wv = an._axis_quadrature(v0, v1, nv_, chart.periodic[1])
         U, V = np.meshgrid(xu, xv, indexing="ij")
-        f = pair_density(chart.lift_at(U, V, order=order)).value.real
+        f = pair_density(chart.lift_at(U, V, order=order))
         return float(np.einsum("i,j,ij->", wu, wv, f))
 
     return single(-(-nu // 2), -(-nv // 2)), single(nu, nv)

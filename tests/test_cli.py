@@ -329,6 +329,12 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     ("surface", ["torus"]),
     ("chain", 1),
     ("out", False),
+    ("tol", {"willmore": True}),
+    ("tol", {"energy": "1e-3"}),
+    ("param", {"t": "2"}),
+    ("param", {"t": None}),
+    ("param", {"t": [2]}),
+    ("param", {"t": 10 ** 400}),
 ])
 def test_config_values_are_typed(capsys, tmp_path, key, value):
     # the type is checked before any value is used: none of these runs,
@@ -337,7 +343,34 @@ def test_config_values_are_typed(capsys, tmp_path, key, value):
     cfg.write_text(json.dumps({"surface": "torus", key: value}))
     payload = run_error(capsys, "energy", "--config", str(cfg))
     assert payload["error"] == "ParameterOutOfRange"
+    if isinstance(value, dict):
+        # a value inside the param or tol object is named by its path
+        (name, value), = value.items()
+        key = "%s.%s" % (key, name)
     assert payload["context"] == {"key": key, "value": value}
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("energy", "--config"), None, "config file cannot be read"),
+    (("verify", "--dsl"), None, "DSL file cannot be read"),
+    (("energy", "--config"), '{"surface": "torus", "grid": [8',
+     "config file is not valid JSON"),
+])
+def test_unreadable_files_are_package_errors(capsys, tmp_path, argv, text,
+                                             message):
+    # a missing file, and a config file cut short, leave as one strict
+    # JSON error naming the file
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    payload = json.loads(err, parse_constant=_reject_constant)
+    VALIDATOR.validate(payload)
+    assert payload["error"] == "ParameterOutOfRange"
+    assert payload["message"] == message
+    assert set(payload["context"]) == {"path", "reason"}
+    assert payload["context"]["path"] == str(path)
 
 
 def test_config_takes_typed_values(capsys, tmp_path):

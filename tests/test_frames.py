@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightcone import frames, jets
 from lightcone.ambient import SIGNS
@@ -17,7 +18,7 @@ from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
 from lightcone.transforms import apply_chain
 
 import oracles
-from helpers import compose, plane_rotation
+from helpers import compose, motion_from_generator, plane_rotation
 
 T = 2.0
 TAU = np.sqrt(T * T - 1.0)
@@ -196,7 +197,8 @@ def test_value_inner_is_the_value_of_the_jet_inner(real):
         if not real:
             a = a + 1j * rng.standard_normal(a.shape)
         a, b = jets.JetVec6(a), jets.JetVec6(b)
-        assert np.array_equal(frames._value_inner(a, b), a.inner(b).value)
+        assert np.array_equal(frames._value_inner(a.value, b.value),
+                              a.inner(b).value)
 
 
 def test_frame_identities_as_jets():
@@ -362,7 +364,7 @@ def test_conformal_gauss_data_catalog():
         u, v = sample_grid(chart, 5, 5)
         fr = frame_field(canonical_lift(chart.lift_at(u, v, order=4)))
         data = conformal_gauss_data(fr)
-        kp = pair_density(chart.lift_at(u, v, order=3)).value.real
+        kp = pair_density(chart.lift_at(u, v, order=3))
         assert np.max(np.abs(data["gram_GG"] - 1.0)) < 1e-10, name
         assert np.max(np.abs(data["quarter_dG2"] - kp)) < 1e-8, name
 
@@ -371,7 +373,94 @@ def test_pair_density_torus_constant():
     chart = catalog_chart("torus", t=T)
     u, v = sample_grid(chart, 6, 6)
     dens = pair_density(chart.lift_at(u, v, order=3))
-    assert np.max(np.abs(dens.value - T * T / (4 * TAU * TAU))) < 1e-13
+    assert np.max(np.abs(dens - T * T / (4 * TAU * TAU))) < 1e-13
+
+
+def _reference_density(raw):
+    """The density through the whole canonical lift and its jet
+    derivatives."""
+    Y = canonical_lift(raw)
+    Yzzb = frames._laplacian(Y.du(), Y.dv())
+    return Yzzb.inner(Yzzb).real.value
+
+
+_TORUS = catalog_chart("torus", t=T)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [catalog_chart(name) for name in sorted(CATALOG)]
+    + [chart_from_source("r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]"),
+       moved_chart(_TORUS, compose(plane_rotation(0, 4, 0.4),
+                                   plane_rotation(1, 2, 0.9))),
+       scaled_chart(_TORUS, -1.7)],
+    ids=lambda chart: chart.name)
+def test_pair_density_is_the_jet_density_bit_for_bit(chart):
+    u, v = sample_axes(chart, 5, 4)
+    for order in range(3, 7):
+        # on grid axes, and at one point with no batch axes
+        for raw in (chart.lift_at(u, v, order=order),
+                    chart.lift_at(u[2, 0], v[0, 1], order=order)):
+            density, reference = pair_density(raw), _reference_density(raw)
+            assert density.dtype == np.float64
+            assert density.shape == reference.shape
+            assert np.array_equal(density, reference), (chart.name, order)
+
+
+def test_pair_density_of_a_complex_lift_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for order in range(3, 7):
+        c = (rng.standard_normal((7, 6, order + 1, order + 1))
+             + 0.3j * rng.standard_normal((7, 6, order + 1, order + 1)))
+        # Y_u and Y_v lean on e_1 and e_2, so the metric is positive
+        c[:, 1, 1, 0] += 5.0
+        c[:, 2, 0, 1] += 5.0
+        raw = jets.JetVec6(c)
+        assert np.array_equal(pair_density(raw), _reference_density(raw))
+
+
+def test_pair_density_gates_as_canonical_lift():
+    raw = chart_from_source("r31 [0.1*u, 0.1*v, u]").lift_at(
+        np.array([0.3, 0.5]), np.array([0.4, 0.1]), order=3)
+    with pytest.raises(NotSpacelike) as lift:
+        canonical_lift(raw)
+    with pytest.raises(NotSpacelike) as density:
+        pair_density(raw)
+    assert density.value.payload() == lift.value.payload()
+
+
+_CHART_NAMES = st.sampled_from(sorted(CATALOG))
+
+
+@given(_CHART_NAMES, st.lists(st.floats(-1.0, 1.0), min_size=15,
+                              max_size=15))
+@settings(max_examples=25)
+def test_pair_density_is_motion_invariant(name, entries):
+    chart = catalog_chart(name)
+    skew = np.zeros((6, 6))
+    skew[np.triu_indices(6, 1)] = entries
+    moved = moved_chart(chart, motion_from_generator(skew - skew.T))
+    u, v = sample_axes(chart, 5, 4)
+    density = pair_density(chart.lift_at(u, v, order=3))
+    moved_density = pair_density(moved.lift_at(u, v, order=3))
+    scale = 1.0 + np.max(np.abs(density))
+    assert np.max(np.abs(moved_density - density)) <= 1e-9 * scale
+
+
+@given(_CHART_NAMES, st.floats(0.25, 4.0), st.booleans())
+@settings(max_examples=25)
+def test_pair_density_scales_as_the_inverse_square(name, size, flip):
+    # z -> f z: Y becomes f Y(z / f), and Y_zzbar takes a factor 1 / f
+    factor = -size if flip else size
+    chart = catalog_chart(name)
+    scaled = scaled_chart(chart, factor)
+    u, v = sample_axes(scaled, 5, 4)
+    density = pair_density(scaled.lift_at(u, v, order=3))
+    expected = pair_density(chart.lift_at(u * (1.0 / factor),
+                                          v * (1.0 / factor), order=3))
+    expected = expected / factor ** 2
+    scale = 1.0 + np.max(np.abs(expected))
+    assert np.max(np.abs(density - expected)) <= 1e-11 * scale
 
 
 def test_invariants_batch_independent():
