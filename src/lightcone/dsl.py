@@ -17,8 +17,8 @@ import numpy as np
 
 from .charts import (SurfaceChart, embed_flat, embed_hyperbolic,
                      embed_sphere)
-from .errors import (ArityMismatch, DomainError, ParseError,
-                     UnknownIdentifier)
+from .errors import (ArityMismatch, DomainError, ParameterOutOfRange,
+                     ParseError, UnknownIdentifier)
 from .jets import Jet2, JetVec6
 
 FUNCTIONS = {
@@ -235,16 +235,49 @@ def evaluate(node, env):
     return left.power(exponent.real)
 
 
+def free_parameters(text):
+    """Names used by a program beyond ``u``, ``v`` and ``pi``, sorted."""
+    _, exprs = parse_program(text)
+    seen = set()
+
+    def walk(node):
+        kind = node[0]
+        if kind == "name":
+            seen.add(node[1])
+        elif kind == "call":
+            walk(node[2])
+        elif kind == "neg":
+            walk(node[1])
+        elif kind == "bin":
+            walk(node[2])
+            walk(node[3])
+
+    for e in exprs:
+        walk(e)
+    return sorted(seen - {"u", "v", "pi"})
+
+
 def chart_from_source(text, params=None, name="dsl", domain=None,
                       periodic=(False, False)):
     """Build a chart from program text.
 
-    ``params`` binds the free parameter names; ``domain`` defaults to
-    the unit square centered at the origin.
+    ``params`` binds the free parameter names; a name the program does
+    not read raises UnknownIdentifier listing those it does, and a value
+    that is not finite raises ParameterOutOfRange.  ``domain`` defaults
+    to the unit square centered at the origin.
     """
     form, exprs = parse_program(text)
     arity, embed = FORMS[form]
     params = {k: float(v) for k, v in (params or {}).items()}
+    accepted = free_parameters(text)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise UnknownIdentifier("unknown chart parameters", names=unknown,
+                                available=accepted)
+    bad = sorted(k for k, v in params.items() if not np.isfinite(v))
+    if bad:
+        raise ParameterOutOfRange("chart parameters must be finite",
+                                  names=bad)
     if domain is None:
         domain = ((-1.0, 1.0), (-1.0, 1.0))
 

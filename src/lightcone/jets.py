@@ -12,17 +12,22 @@ carry no discretization error, only rounding.
 Storage is coefficient-first: ``jet.coef`` is an array of shape
 (K+1, K+1, *batch), so ``coef[j, k]`` is one contiguous batch vector.
 The truncated product (the Taylor-mode kernel of Griewank & Walther,
-*Evaluating Derivatives*, ch. 13) flattens the batch into lanes and
-runs an index plan, built once per pair of orders: every term
-a[p, q] b[j-p, k-q] of the triangle j + k <= K as a pair of flat
-indices, listed by rank, the r-th term of every output coefficient
-that has one.  A pass gathers and multiplies the factors of a run of
-terms, and one add per rank accumulates them, so a product costs about
-one numpy call per rank, not one per coefficient of the left factor.
-Each output still sums its terms in increasing (p, q).  ``jet.c`` is
-the same coefficients seen batch-first, shape
-(*batch, K+1, K+1): a writable view of the storage, not a copy, and the
-constructors ``Jet2(c)`` and ``JetVec6(c)`` take that layout.
+*Evaluating Derivatives*, ch. 13) takes its terms a[p, q] b[j-p, k-q]
+of the triangle j + k <= K from an index plan, built once per pair of
+orders, and walks the batch in one of two ways.  A narrow batch, at
+most _LANES entries, is flattened into lanes, and the plan runs over
+it by rank, the r-th term of every output coefficient that has one: a
+pass gathers and multiplies the factors of a run of terms, and one add
+per rank accumulates them, so a product costs about one numpy call per
+rank.  A wider batch goes term by term, one multiply and one add on
+the broadcast batch each, straight from the operands: a factor on a
+grid line (batch (nu, 1) or (1, nv)) is read on its line, not copied
+out to the grid.  Either way each output sums the same terms in
+increasing (p, q) from 0.0, so the bits of a batch entry do not depend
+on the batch around it.  ``jet.c`` is the same coefficients seen
+batch-first, shape (*batch, K+1, K+1): a writable view of the storage,
+not a copy, and the constructors ``Jet2(c)`` and ``JetVec6(c)`` take
+that layout.
 
 The storage dtype follows the data: float64 for a jet that is real by
 construction, complex128 only where an operation makes it complex (the
@@ -133,7 +138,8 @@ class _Plan:
     a and b, rank after rank.
     """
 
-    __slots__ = ("target", "counts", "ia", "ib", "_passes")
+    __slots__ = ("target", "counts", "ia", "ib", "_sides", "_passes",
+                 "_by_factor")
 
     def __init__(self, top, order):
         side = order + 1
@@ -153,15 +159,38 @@ class _Plan:
             self.counts.append(len(rank))
             pairs += rank
         self.ia, self.ib = np.array(pairs, dtype=np.intp).T.copy()
+        self._sides = top + 1, side
         self._passes = {}
+        self._by_factor = None
+
+    def by_factor(self):
+        """The terms grouped by their right factor, built on first use:
+        (jb, kb, group) in decreasing (jb, kb), where each (t, p, q) of
+        the group adds a[p, q] b[jb, kb] into the flat output t.
+        Increasing (p, q) is decreasing (j-p, k-q), so each output meets
+        its terms in the plan's order here too."""
+        if self._by_factor is None:
+            width, side = self._sides
+            # the output of each term: rank r covers the first counts[r]
+            outputs = self.target[np.concatenate(
+                [np.arange(count) for count in self.counts])]
+            groups = {}
+            for t, ia, ib in zip(outputs.tolist(), self.ia.tolist(),
+                                 self.ib.tolist()):
+                groups.setdefault(divmod(ib, side), []).append(
+                    (t,) + divmod(ia, width))
+            self._by_factor = tuple(
+                (jb, kb, tuple(groups[jb, kb]))
+                for jb, kb in sorted(groups, reverse=True))
+        return self._by_factor
 
     def passes(self, width):
         """The terms cut into passes of at most _PASS // width terms, for
-        blocks of ``width`` lanes, cached per pass size: a list of
-        (lo, hi, adds) for the terms lo:hi, where each (d0, d1, s0, s1)
-        of adds adds the pass's products s0:s1 into acc[d0:d1].  A rank
-        cut by a pass boundary is added in two pieces, so each output
-        still adds its terms in rank order."""
+        ``width`` lanes, cached per pass size: a list of (lo, hi, adds)
+        for the terms lo:hi, where each (d0, d1, s0, s1) of adds adds the
+        pass's products s0:s1 into acc[d0:d1].  A rank cut by a pass
+        boundary is added in two pieces, so each output still adds its
+        terms in rank order."""
         size = max(1, _PASS // width)
         passes = self._passes.get(size)
         if passes is None:
@@ -180,7 +209,8 @@ class _Plan:
         return passes
 
 
-#: lanes (flattened batch entries) per block of the product kernel
+#: widest batch, in lanes (flattened batch entries), that the product
+#: kernel runs through the index plan; wider ones go term by term
 _LANES = 1024
 #: term x lane elements per pass, so that a pass's operands stay in cache
 _PASS = 1 << 14
@@ -197,45 +227,52 @@ def _plan(top, order):
 
 
 def _lanes(s, batch, lanes):
-    """Coefficient-first s broadcast to ``batch`` and flattened to
-    (coefficients, lanes); a copy only where s is broadcast."""
+    """Coefficient-first s broadcast to ``batch`` and flattened to a
+    contiguous (coefficients, lanes) array; a copy only where s is
+    broadcast or not contiguous."""
     if s.shape[2:] != batch:
         s = np.broadcast_to(s, s.shape[:2] + batch)
-    return s.reshape(-1, lanes)
+    return np.ascontiguousarray(s.reshape(-1, lanes))
 
 
 def _mul(a, b):
     """Truncated product of coefficient-first arrays at the order of b.
 
     a may have a lower order than b; its terms above that order count as
-    zero.  Trailing axes broadcast.  The batch is flattened into lanes,
-    and each block of at most _LANES lanes runs the cached ``_Plan`` of
-    the two orders (``_block``).  Every output coefficient sums its terms
-    in the order of increasing (p, q) of a, starting from 0.0, and only
-    the triangle j + k <= K is computed; the entries above it are zero
-    whatever the operands hold.
+    zero.  Trailing axes broadcast.  Every output coefficient sums its
+    terms in the order of increasing (p, q) of a, starting from 0.0, and
+    only the triangle j + k <= K is computed; the entries above it are
+    zero whatever the operands hold.  Two regimes walk the batch:
+
+    - a batch of at most _LANES lanes is flattened into one block and
+      runs the cached ``_Plan`` of the two orders (``_block``), a few
+      numpy calls per rank of terms;
+    - a wider batch runs term by term (``_wide``), two numpy calls per
+      term on the broadcast batch, straight from the operands: a factor
+      that spans fewer axes than the batch, such as a grid line, is read
+      where it lies, and no operand is copied out to the batch whole.
+
+    Both take their terms from the same plan and form each product out
+    of place in a buffer of its own, so a lane's bits do not depend on
+    the regime or on the batch around it.
     """
     order, top = b.shape[0] - 1, a.shape[0] - 1
     ndim = max(a.ndim, b.ndim)
     a, b = _widen(a, ndim), _widen(b, ndim)
     batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
     lanes = math.prod(batch)
-    a, b = _lanes(a, batch, lanes), _lanes(b, batch, lanes)
     dtype = np.result_type(a, b)
     plan = _plan(top, order)
+    if lanes > _LANES:
+        return _wide(plan, a, b, (order + 1, order + 1) + batch, dtype)
     out = np.zeros(((order + 1) ** 2, lanes), dtype)
-    for lo in range(0, lanes, _LANES):
-        # take copies a non-contiguous operand whole on every call, so a
-        # block of a wider batch is copied once, before its passes
-        block = slice(lo, lo + _LANES)
-        out[plan.target, block] = _block(
-            plan, np.ascontiguousarray(a[:, block]),
-            np.ascontiguousarray(b[:, block]), dtype)
+    out[plan.target] = _block(plan, _lanes(a, batch, lanes),
+                              _lanes(b, batch, lanes), dtype)
     return out.reshape((order + 1, order + 1) + batch)
 
 
 def _block(plan, a, b, dtype):
-    """The plan's outputs, in plan order, over one block of lanes of the
+    """The plan's outputs, in plan order, over the lanes of the
     flattened operands a and b.  Each pass gathers its terms' factors,
     multiplies them, and adds each rank's slice into a prefix of the
     accumulator."""
@@ -258,6 +295,35 @@ def _block(plan, a, b, dtype):
         for d0, d1, s0, s1 in adds:
             acc[d0:d1] += terms[s0:s1]
     return acc
+
+
+def _wide(plan, a, b, shape, dtype):
+    """The product of shape ``shape`` term by term on the broadcast
+    batch, one right-factor coefficient after another (``by_factor``):
+    each term is multiplied into one batch-sized buffer, out of place as
+    in ``_block``, and added into its output.
+
+    A right factor broadcast along the last batch axis, as the scalar of
+    ``JetVec6 * Jet2`` is along the component axis, would have numpy
+    multiply in runs of that axis's length, six elements; so each of its
+    coefficients is first spread over the batch, once, into a second
+    buffer."""
+    out = np.zeros(shape, dtype)
+    # one view per coefficient, taken once, not one per term
+    acc = list(out.reshape((-1,) + shape[2:]))
+    xa, xb = [list(map(list, s)) for s in (a, b)]
+    term = np.empty(shape[2:], dtype)
+    spread = np.empty(shape[2:], b.dtype) if b.shape[-1] < shape[-1] else None
+    for jb, kb, group in plan.by_factor():
+        y = xb[jb][kb]
+        if spread is not None:
+            np.copyto(spread, y)
+            y = spread
+        for t, p, q in group:
+            np.multiply(xa[p][q], y, out=term)
+            target = acc[t]
+            np.add(target, term, out=target)
+    return out
 
 
 _WEIGHTS = {}
@@ -674,10 +740,14 @@ class JetVec6(_Jet):
             raise ValueError("need exactly 6 components")
         order = min(j.order for j in comps)
         batch = np.broadcast_shapes(*[j.batch_shape for j in comps])
-        parts = [np.broadcast_to(_truncate(j.coef, order),
-                                 (order + 1, order + 1) + batch)
-                 for j in comps]
-        return cls._wrap(np.stack(parts, axis=-1))
+        parts = [_truncate(j.coef, order) for j in comps]
+        # each part is written once into the result, a part that spans
+        # fewer axes (a function of one coordinate) broadcast as it goes
+        out = np.empty((order + 1, order + 1) + batch + (6,),
+                       np.result_type(*parts))
+        for i, part in enumerate(parts):
+            out[..., i] = _widen(part, len(batch) + 2)
+        return cls._wrap(out)
 
     @property
     def batch_shape(self):

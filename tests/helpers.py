@@ -1,5 +1,5 @@
 """Test-only helpers built on the package: exact test motions, the DSL
-printer and parameter scan, the mu Riccati identity, the frame that
+printer, the mu Riccati identity, the frame that
 ``duality_report`` reads, and the two-pass Willmore energy quadrature
 that ``willmore_energy`` must reproduce."""
 
@@ -8,7 +8,7 @@ import numpy as np
 from lightcone.ambient import ETA, SIGNS, Motion
 from lightcone.analysis import WILLMORE_ORDER, _axis_quadrature
 from lightcone.charts import sample_axes
-from lightcone.dsl import _Parser, _tokenize, parse_program
+from lightcone.dsl import _Parser, _tokenize
 from lightcone.frames import (Tolerances, canonical_lift, frame_field,
                               pair_density, side_field)
 
@@ -131,28 +131,6 @@ def _print(node):
 def print_program(form, exprs):
     return "{} [{}]".format(form,
                             ", ".join(print_expression(e) for e in exprs))
-
-
-def free_parameters(text):
-    """Names used by a program beyond ``u``, ``v`` and ``pi``."""
-    _, exprs = parse_program(text)
-    seen = set()
-
-    def walk(node):
-        kind = node[0]
-        if kind == "name":
-            seen.add(node[1])
-        elif kind == "call":
-            walk(node[2])
-        elif kind == "neg":
-            walk(node[1])
-        elif kind == "bin":
-            walk(node[2])
-            walk(node[3])
-
-    for e in exprs:
-        walk(e)
-    return sorted(seen - {"u", "v", "pi"})
 
 
 # analysis

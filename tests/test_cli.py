@@ -414,6 +414,28 @@ def test_dsl_parse_error_carries_position(capsys, tmp_path):
     assert payload["context"] == {"line": 1, "col": 13}
 
 
+@pytest.mark.parametrize("source,binding,error,context", [
+    # a binding the program never reads is refused before any work,
+    # finite or not, as a catalog chart refuses one
+    (CATENOID_SRC, "a=2", "UnknownIdentifier",
+     {"names": ["a"], "available": []}),
+    (CATENOID_SRC, "a=nan", "UnknownIdentifier",
+     {"names": ["a"], "available": []}),
+    ("r3 [cosh(u)*cos(v), cosh(u)*sin(v), a*u]", "a=nan",
+     "ParameterOutOfRange", {"names": ["a"]}),
+    ("r3 [cosh(u)*cos(v), cosh(u)*sin(v), a*u]", "a=-inf",
+     "ParameterOutOfRange", {"names": ["a"]}),
+])
+def test_dsl_params_are_checked(capsys, tmp_path, source, binding, error,
+                                context):
+    path = tmp_path / "chart.lc"
+    path.write_text(source)
+    payload = run_error(capsys, "verify", "--dsl", str(path),
+                        "--param", binding, "--grid", "4x4")
+    assert payload["error"] == error
+    assert payload["context"] == context
+
+
 def test_usage_gates(capsys):
     assert run_error(capsys, "invariants",
                      "--grid", "4x4")["error"] == "ParameterOutOfRange"

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from lightcone import dsl
 from lightcone.charts import (SurfaceChart, catalog_chart, embed_flat,
                               sample_grid)
-from lightcone.dsl import chart_from_source, evaluate, parse_program
-from lightcone.errors import (ArityMismatch, DomainError, ParseError,
+from lightcone.dsl import (chart_from_source, evaluate, free_parameters,
+                           parse_program)
+from lightcone.errors import (ArityMismatch, DomainError,
+                              ParameterOutOfRange, ParseError,
                               UnknownIdentifier)
 from lightcone.jets import seed_point
 
-from helpers import (free_parameters, parse_expression, print_expression,
-                     print_program)
+from helpers import parse_expression, print_expression, print_program
 
 TORUS_SOURCE = """raw6 [cos(t*u/sqrt(t*t-1))*cos(v),
                         cos(t*u/sqrt(t*t-1))*sin(v),
@@ -182,6 +183,26 @@ def test_free_parameters():
     assert free_parameters(TORUS_SOURCE) == ["t"]
     assert free_parameters("r3 [a*u, b*v, u+c]") == ["a", "b", "c"]
     assert free_parameters("r3 [u, v, pi]") == []
+
+
+def test_params_the_program_does_not_read_are_refused():
+    # as a catalog chart refuses a parameter its builder does not take;
+    # the coordinates and pi are not parameters either
+    for params in ({"a": 2.0}, {"t": 2.0, "a": 2.0}, {"u": 1.0}):
+        with pytest.raises(UnknownIdentifier) as exc:
+            chart_from_source(TORUS_SOURCE, params=params)
+        assert exc.value.context == {
+            "names": sorted(set(params) - {"t"}), "available": ["t"]}
+    with pytest.raises(UnknownIdentifier) as exc:
+        chart_from_source("r3 [u, v, pi]", params={"pi": 3.0})
+    assert exc.value.context == {"names": ["pi"], "available": []}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_must_be_finite(value):
+    with pytest.raises(ParameterOutOfRange) as exc:
+        chart_from_source("r3 [a*u, b*v, u]", params={"a": 1.0, "b": value})
+    assert exc.value.context == {"names": ["b"]}
 
 
 def test_print_round_trip_handwritten():

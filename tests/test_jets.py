@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -679,8 +680,8 @@ def test_kernel_matches_block_loop_bit_for_bit(shapes, real):
 
 @pytest.mark.parametrize("order, lanes", [(4, 1500), (11, 384)])
 def test_kernel_across_lane_blocks_and_passes(order, lanes):
-    # 1500 lanes cross a lane block; at K = 11 the 1365 terms of 384
-    # lanes take several passes
+    # 1500 lanes are more than _LANES and go term by term; at K = 11 the
+    # 1365 terms of 384 lanes take several passes
     assert lanes > jets._LANES or \
         math.comb(order + 4, 4) * lanes > 4 * jets._PASS
     rng = np.random.default_rng(order)
@@ -695,14 +696,98 @@ def test_kernel_across_lane_blocks_and_passes(order, lanes):
             assert np.array_equal(alone[..., 0], got[..., lane])
 
 
+def same_bits(got, want):
+    """got equals want bit for bit on the triangle, -0.0 and NaN
+    payloads included, and is +0.0 above it (where the block loop's
+    mask leaves the sign of a zero to the data)."""
+    tri = jets._mask(got.shape[0] - 1)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got[tri].view(np.uint64),
+                               want[tri].view(np.uint64))
+            and not np.any(got[~tri].view(np.uint64)))
+
+
+def lane_alone(s, index):
+    """Coefficient-first s cut to one entry of the batch: index holds a
+    position per batch axis, or None to keep that axis whole; an axis
+    that s broadcasts is kept as it is."""
+    cut = tuple(slice(None) if i is None or n == 1 else slice(i, i + 1)
+                for i, n in zip(index, s.shape[2:]))
+    return s[(slice(None), slice(None)) + cut]
+
+
+# (left batch, right batch, lanes checked alone): a u line by a v line, a
+# flat batch, and a JetVec6 on 24 x 24 by a scalar on its unit component
+# axis; each is wider than _LANES
+WIDE_SHAPES = [
+    ((40, 1), (1, 40), [(0, 0), (17, 39), (39, 5)]),
+    ((1500,), (1500,), [(0,), (777,), (1499,)]),
+    ((24, 24, 6), (24, 24, 1), [(0, 0, None), (11, 23, None)]),
+]
+
+
+@pytest.mark.parametrize("real", [(True, True), (True, False),
+                                  (False, True), (False, False)])
+@pytest.mark.parametrize("left, right, alone", WIDE_SHAPES)
+def test_wide_kernel_matches_block_loop_bit_for_bit(left, right, alone,
+                                                    real):
+    batch = np.broadcast_shapes(left, right)
+    assert math.prod(batch) > jets._LANES
+    rng = np.random.default_rng(len(left) + 2 * sum(real))
+    for order in (0, 1, 3, 6):
+        for top in sorted({max(order - 1, 0), order}):
+            a = storage(rng, top, left, real[0])
+            b = storage(rng, order, right, real[1])
+            # a term -0.0 must still add to the output's 0.0
+            a[0, 0, :3] = -0.0
+            got = jets._mul(a, b)
+            assert same_bits(got, block_loop_product(a, b)), (order, top)
+            # each lane alone, a batch of the narrow regime, gives the
+            # bits it gets inside the wide one
+            for index in alone:
+                one = jets._mul(lane_alone(a, index), lane_alone(b, index))
+                assert same_bits(one, lane_alone(got, index)), \
+                    (order, top, index)
+
+
+def test_wide_product_allocates_its_output_and_one_buffer():
+    # a u line by a v line reads its factors on the axes: no operand is
+    # copied out to the grid
+    rng = np.random.default_rng(3)
+    a = storage(rng, 3, (128, 1), True)
+    b = storage(rng, 3, (1, 128), True)
+    jets._mul(a, b)
+    tracemalloc.start()
+    try:
+        out = jets._mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = 128 * 128 * out.itemsize
+    # numpy's ufunc iterator holds a buffer of getbufsize() elements for
+    # each broadcast input, whatever the batch
+    iterator = 2 * np.getbufsize() * out.itemsize
+    assert peak <= out.nbytes + batch + iterator + 16 * 1024
+
+
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
 def test_entries_above_the_triangle_stay_zero(entry):
     # the entry sits inside the triangle of its operand; products and
     # truncations still leave everything above their own triangle zero
+    check_entries_above_the_triangle(entry, (3,))
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_entries_above_the_triangle_stay_zero_on_a_wide_batch(entry):
+    # the same in the wide regime of the product kernel
+    check_entries_above_the_triangle(entry, (jets._LANES + 1,))
+
+
+def check_entries_above_the_triangle(entry, batch):
     rng = np.random.default_rng(5)
-    f = Jet2(coefficients(rng, 4, (3,), real=True))
-    g = Jet2(coefficients(rng, 4, (3,), real=False))
-    w = JetVec6(coefficients(rng, 4, (3,), (6,)))
+    f = Jet2(coefficients(rng, 4, batch, real=True))
+    g = Jet2(coefficients(rng, 4, batch, real=False))
+    w = JetVec6(coefficients(rng, 4, batch, (6,)))
     f.c[2, 2, 1] = entry
     w.c[0, 4, 3, 1] = entry
     with np.errstate(invalid="ignore", over="ignore"):
@@ -745,6 +830,15 @@ def test_plan_structure(order):
             want = [(p, q, j - p, k - q) for p in range(j + 1)
                     for q in range(k + 1) if p + q <= top]
             assert got == want, (top, order, j, k)
+        # the wide regime's walk by right factor meets each output's
+        # terms in the same order
+        walked = {out: [] for out in outputs}
+        factors = [(jb, kb) for jb, kb, _ in plan.by_factor()]
+        assert factors == sorted(set(factors), reverse=True)
+        for jb, kb, group in plan.by_factor():
+            for t, p, q in group:
+                walked[divmod(t, side)].append((p, q, jb, kb))
+        assert walked == terms
 
 
 @pytest.mark.parametrize("width", [1, 7, 384, 1024])
