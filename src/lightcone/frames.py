@@ -297,13 +297,37 @@ def _gauge(L, R, tol):
     pR = R.component(chosen) * SIGNS[chosen]
     sL = np.where(pL.value.real >= 0, 1.0, -1.0)
     sR = np.where(pR.value.real >= 0, 1.0, -1.0)
-    lam = ((pR * sR) * (pL * sL).reciprocal()).power(0.5)
+    ratio = (pR * sR) / (pL * sL)
     # the product by -sL is an exact negation where <L, W0> > 0
-    return L * lam * -sL, R * lam.reciprocal() * -sL, chosen
+    return (L * ratio.power(0.5) * -sL, R * ratio.power(-0.5) * -sL,
+            chosen)
+
+
+def _field(form):
+    """An ``InvariantSet`` field: ``form(inv)`` on first read, cached."""
+    name = form.__name__
+
+    def read(inv):
+        cache = inv._cache
+        if name not in cache:
+            cache[name] = form(inv)
+        return cache[name]
+
+    return property(read, doc=form.__doc__)
 
 
 class InvariantSet:
-    """Pointwise conformal invariants of a framed chart.
+    """Pointwise conformal invariants of a framed chart, each formed
+    from the frame on first read and then cached, so a caller pays only
+    for the fields it reads: the polar-step gates form lambda1, lambda2
+    and s, the Willmore residual adds alpha and gamma.  A field is the
+    same jet, bit for bit, whichever fields were read before it.  An
+    error of a field, such as the DomainError of a mu division at a
+    lambda under a zero umbilic floor, surfaces when that field is read.
+    Every field is products, derivatives and, for mu, the quotient
+    recurrence of ``jets``, none of which depends on the order: so the
+    fields of a truncated frame are the truncated fields, and the gates
+    read the same values at their least order as at any higher one.
 
     lambda1 and lambda2 weight the null normal directions in Y_zz, s is
     the Schwarzian-like coefficient, alpha the normal connection form,
@@ -312,18 +336,120 @@ class InvariantSet:
     vanishes where the adjoint directions coincide.  The division-based
     fields (mu, rho, sigma) are only meaningful off the umbilic masks,
     and rho is None when the frame order cannot support one more
-    derivative of mu.
+    derivative of mu.  The umbilic masks come from ``tol.umbilic``.
     """
 
-    __slots__ = ("lambda1", "lambda2", "s", "alpha", "gamma1", "gamma2",
-                 "swillmore_disc", "beta", "kappa_pair", "kappa_iso",
-                 "mu_left", "mu_right", "theta", "rho_left", "rho_right",
-                 "sigma_left", "sigma_right", "umbilic_left",
-                 "umbilic_right")
+    __slots__ = ("frame", "tol", "_cache")
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    def __init__(self, frame, tol=Tolerances()):
+        self.frame = frame
+        self.tol = tol
+        self._cache = {}
+
+    def _yzz(self):
+        # formed again for each of its three fields, not kept: it is a
+        # vector, and no other field reads it
+        return self.frame.Yz.z()
+
+    @_field
+    def lambda1(self):
+        return -self._yzz().inner(self.frame.R)
+
+    @_field
+    def lambda2(self):
+        return -self._yzz().inner(self.frame.L)
+
+    @_field
+    def s(self):
+        return self._yzz().inner(self.frame.N) * 2.0
+
+    @_field
+    def alpha(self):
+        return -self.frame.L.z().inner(self.frame.R)
+
+    @_field
+    def gamma1(self):
+        return self.lambda1.zbar() + self.lambda1 * self.alpha.conj()
+
+    @_field
+    def gamma2(self):
+        return self.lambda2.zbar() - self.lambda2 * self.alpha.conj()
+
+    @_field
+    def beta(self):
+        return (self.lambda1 * self.lambda2.conj()
+                + self.lambda2 * self.lambda1.conj()).real
+
+    @_field
+    def kappa_pair(self):
+        return self.frame.Yzzb.inner(self.frame.Yzzb).real
+
+    @_field
+    def kappa_iso(self):
+        return self.lambda1 * self.lambda2 * (-2.0)
+
+    def _umbilic(self, lam):
+        floor = self.tol.umbilic * (1.0 + np.abs(self.s.value))
+        return np.abs(lam.value) < floor
+
+    @_field
+    def umbilic_right(self):
+        return self._umbilic(self.lambda1)
+
+    @_field
+    def umbilic_left(self):
+        return self._umbilic(self.lambda2)
+
+    def _mubar(self, gamma, lam, umbilic):
+        # a constant 1 stands in for lambda on its umbilic mask
+        one = Jet2.constant(np.ones(lam.batch_shape), lam.order)
+        return gamma * (-2.0) / jet_where(umbilic, one, lam)
+
+    @_field
+    def _mubar_left(self):
+        return self._mubar(self.gamma2, self.lambda2, self.umbilic_left)
+
+    @_field
+    def _mubar_right(self):
+        return self._mubar(self.gamma1, self.lambda1, self.umbilic_right)
+
+    @_field
+    def mu_left(self):
+        return self._mubar_left.conj()
+
+    @_field
+    def mu_right(self):
+        return self._mubar_right.conj()
+
+    @_field
+    def swillmore_disc(self):
+        return self.lambda1 * self.gamma2 - self.lambda2 * self.gamma1
+
+    @_field
+    def theta(self):
+        return self.swillmore_disc * self.swillmore_disc
+
+    # rho sits one derivative below mu; leave it out when the frame does
+    # not carry that order (transform steps run at the edge)
+    @_field
+    def rho_left(self):
+        if self._mubar_left.order == 0:
+            return None
+        return self._mubar_left.z() + self.beta * 2.0
+
+    @_field
+    def rho_right(self):
+        if self._mubar_right.order == 0:
+            return None
+        return self._mubar_right.z() + self.beta * 2.0
+
+    @_field
+    def sigma_left(self):
+        return self.gamma1 * 2.0 + self.lambda1 * self._mubar_left
+
+    @_field
+    def sigma_right(self):
+        return self.gamma2 * 2.0 + self.lambda2 * self._mubar_right
 
 
 #: raw lift order from which ``invariants`` forms every field, down to
@@ -332,54 +458,16 @@ INVARIANTS_ORDER = 4
 
 
 def invariants(frame, tol=Tolerances()):
-    """Extract the invariant scalars from an adapted frame; the umbilic
-    masks come from ``tol.umbilic``."""
-    Yzz = frame.Yz.z()
-    lambda1 = -Yzz.inner(frame.R)
-    lambda2 = -Yzz.inner(frame.L)
-    s = Yzz.inner(frame.N) * 2.0
-    alpha = -frame.L.z().inner(frame.R)
-    abar = alpha.conj()
-    gamma1 = lambda1.zbar() + lambda1 * abar
-    gamma2 = lambda2.zbar() - lambda2 * abar
-    beta = (lambda1 * lambda2.conj() + lambda2 * lambda1.conj()).real
-    kappa_pair = frame.Yzzb.inner(frame.Yzzb).real
-    kappa_iso = lambda1 * lambda2 * (-2.0)
-
-    floor = tol.umbilic * (1.0 + np.abs(s.value))
-    umb_right = np.abs(lambda1.value) < floor
-    umb_left = np.abs(lambda2.value) < floor
-    one = Jet2.constant(np.ones(lambda1.batch_shape), lambda1.order)
-    safe1 = jet_where(umb_right, one, lambda1)
-    safe2 = jet_where(umb_left, one, lambda2)
-
-    mubar_left = gamma2 * (-2.0) / safe2
-    mubar_right = gamma1 * (-2.0) / safe1
-    mu_left = mubar_left.conj()
-    mu_right = mubar_right.conj()
-
-    swillmore_disc = lambda1 * gamma2 - lambda2 * gamma1
-    theta = swillmore_disc * swillmore_disc
-
-    # rho sits one derivative below mu; leave it out when the frame
-    # does not carry that order (transform steps run at the edge)
-    if mubar_left.order > 0:
-        rho_left = mubar_left.z() + beta * 2.0
-        rho_right = mubar_right.z() + beta * 2.0
-    else:
-        rho_left = None
-        rho_right = None
-    sigma_left = gamma1 * 2.0 + lambda1 * mubar_left
-    sigma_right = gamma2 * 2.0 + lambda2 * mubar_right
-
-    return InvariantSet(
-        lambda1=lambda1, lambda2=lambda2, s=s, alpha=alpha,
-        gamma1=gamma1, gamma2=gamma2, swillmore_disc=swillmore_disc,
-        beta=beta, kappa_pair=kappa_pair, kappa_iso=kappa_iso,
-        mu_left=mu_left, mu_right=mu_right,
-        theta=theta, rho_left=rho_left, rho_right=rho_right,
-        sigma_left=sigma_left, sigma_right=sigma_right,
-        umbilic_left=umb_left, umbilic_right=umb_right)
+    """The invariant scalars of an adapted frame, formed as they are
+    read (``InvariantSet``); the umbilic masks come from
+    ``tol.umbilic``.  Raises OrderExhausted for the frame of a raw lift
+    below ``INVARIANTS_ORDER``, which cannot form alpha and gamma."""
+    order = frame.Y.order + 1
+    if order < INVARIANTS_ORDER:
+        raise OrderExhausted(
+            "the invariants need the frame of a raw lift of order %d or "
+            "more" % INVARIANTS_ORDER, order=order)
+    return InvariantSet(frame, tol)
 
 
 def frame_and_invariants(raw, tol=Tolerances()):

@@ -37,17 +37,27 @@ promotion picks its result type, so a product of two real jets does one
 real multiply-add per term.  A real jet's ``.c`` takes real values
 only; on a real jet ``conj()`` and ``.real`` return the jet itself.
 
-Analytic functions (exp, sin, sqrt, powers, ...) are composed through
-their Taylor series evaluated on the nilpotent part n of the argument,
-by Horner's rule.  The partial sum that is multiplied by n^m only
-matters up to order K - m, so each Horner step runs at the order the
-result needs from it.  When the argument is affine in du and dv, as
-every coordinate seed is, a Horner step needs no product: multiplying
-by n shifts the partial sum one degree up in u and in v, so two
-multiply-adds take the place of the convolution, with the same bits
-(Griewank & Walther, ch. 13).  Division and non-integer powers require
-the constant term to be bounded away from zero and raise DomainError
-otherwise.
+Analytic functions take one of two paths.  exp, sin, cos, sinh and
+cosh are composed through their Taylor series evaluated on the
+nilpotent part n of the argument, by Horner's rule.  The partial sum
+that is multiplied by n^m only matters up to order K - m, so each
+Horner step runs at the order the result needs from it.  When the
+argument is affine in du and dv, as every coordinate seed is, a Horner
+step needs no product: multiplying by n shifts the partial sum one
+degree up in u and in v, so two multiply-adds take the place of the
+convolution, with the same bits (Griewank & Walther, ch. 13).  Negative
+and non-integer powers (sqrt, reciprocal, g^(-1/2)) and the quotient of
+two jets take no product at all: they solve g E f = a f E g and g f = n
+degree by degree, E the Euler operator, so each degree is one pass over
+its terms (Griewank & Walther, ch. 13; Jorba & Zou, Experimental Math.
+14, 2005).  That path is the same at every order and for every
+argument, affine or not: the frame is built at one order and read at
+lower ones as ``FrameData.truncated``, and the command line evaluates at
+its floor order what the library checks at a higher one, so the bits of
+a coefficient must not depend on the order or on the shape of the
+argument.  Non-negative integer powers multiply out.  Division and
+non-integer powers require the constant term to be bounded away from
+zero and raise DomainError otherwise.
 
 Wirtinger derivatives follow z = u + iv:
 
@@ -125,64 +135,28 @@ def _coefficient_first(c, vector=False):
     return np.array(c, dtype=_dtype(c), order="C")
 
 
-class _Plan:
-    """Index plan of the truncated product of an order-``top`` left
-    factor by an order-``order`` right factor, top <= order.
+class _Terms:
+    """Terms x[ia] y[ib] summed into outputs by rank, the layout that
+    ``_block`` walks.
 
-    Output (j, k) of the triangle sums a[p, q] b[j-p, k-q] over p <= j,
-    q <= k, p + q <= top, in increasing (p, q).  The outputs are sorted
-    longest first into ``target`` (flat indices j (K+1) + k), and their
-    terms are listed by rank: rank r holds the r-th term of the first
-    ``counts[r]`` outputs, which are all those with more than r terms.
-    ``ia`` and ``ib`` are the flat coefficient indices of the terms into
-    a and b, rank after rank.
+    ``terms`` lists each output's terms as (ia, ib) index pairs, outputs
+    longest first.  Rank r holds the r-th term of the first ``counts[r]``
+    outputs, which are all those with more than r terms; ``ia`` and
+    ``ib`` list the terms rank after rank.
     """
 
-    __slots__ = ("target", "counts", "ia", "ib", "_sides", "_passes",
-                 "_by_factor")
+    __slots__ = ("counts", "ia", "ib", "_passes", "_by_factor")
 
-    def __init__(self, top, order):
-        side = order + 1
-        outputs = []
-        for j in range(side):
-            for k in range(side - j):
-                terms = [(p * (top + 1) + q, (j - p) * side + k - q)
-                         for p in range(min(j, top) + 1)
-                         for q in range(min(k, top - p) + 1)]
-                outputs.append((j * side + k, terms))
-        outputs.sort(key=lambda output: -len(output[1]))
-        self.target = np.array([t for t, _ in outputs], dtype=np.intp)
+    def __init__(self, terms):
         self.counts = []
         pairs = []
-        for r in range(len(outputs[0][1])):
-            rank = [terms[r] for _, terms in outputs if len(terms) > r]
+        for r in range(len(terms[0])):
+            rank = [output[r] for output in terms if len(output) > r]
             self.counts.append(len(rank))
             pairs += rank
         self.ia, self.ib = np.array(pairs, dtype=np.intp).T.copy()
-        self._sides = top + 1, side
         self._passes = {}
         self._by_factor = None
-
-    def by_factor(self):
-        """The terms grouped by their right factor, built on first use:
-        (jb, kb, group) in decreasing (jb, kb), where each (t, p, q) of
-        the group adds a[p, q] b[jb, kb] into the flat output t.
-        Increasing (p, q) is decreasing (j-p, k-q), so each output meets
-        its terms in the plan's order here too."""
-        if self._by_factor is None:
-            width, side = self._sides
-            # the output of each term: rank r covers the first counts[r]
-            outputs = self.target[np.concatenate(
-                [np.arange(count) for count in self.counts])]
-            groups = {}
-            for t, ia, ib in zip(outputs.tolist(), self.ia.tolist(),
-                                 self.ib.tolist()):
-                groups.setdefault(divmod(ib, side), []).append(
-                    (t,) + divmod(ia, width))
-            self._by_factor = tuple(
-                (jb, kb, tuple(groups[jb, kb]))
-                for jb, kb in sorted(groups, reverse=True))
-        return self._by_factor
 
     def passes(self, width):
         """The terms cut into passes of at most _PASS // width terms, for
@@ -207,6 +181,54 @@ class _Plan:
                     start += count
                 passes.append((lo, hi, tuple(adds)))
         return passes
+
+
+class _Plan(_Terms):
+    """Index plan of the truncated product of an order-``top`` left
+    factor by an order-``order`` right factor, top <= order.
+
+    Output (j, k) of the triangle sums a[p, q] b[j-p, k-q] over p <= j,
+    q <= k, p + q <= top, in increasing (p, q).  The outputs are sorted
+    longest first into ``target`` (flat indices j (K+1) + k); ``ia`` and
+    ``ib`` are the flat coefficient indices of the terms into a and b.
+    """
+
+    __slots__ = ("target", "_sides")
+
+    def __init__(self, top, order):
+        side = order + 1
+        outputs = []
+        for j in range(side):
+            for k in range(side - j):
+                terms = [(p * (top + 1) + q, (j - p) * side + k - q)
+                         for p in range(min(j, top) + 1)
+                         for q in range(min(k, top - p) + 1)]
+                outputs.append((j * side + k, terms))
+        outputs.sort(key=lambda output: -len(output[1]))
+        self.target = np.array([t for t, _ in outputs], dtype=np.intp)
+        super().__init__([terms for _, terms in outputs])
+        self._sides = top + 1, side
+
+    def by_factor(self):
+        """The terms grouped by their right factor, built on first use:
+        (jb, kb, group) in decreasing (jb, kb), where each (t, p, q) of
+        the group adds a[p, q] b[jb, kb] into the flat output t.
+        Increasing (p, q) is decreasing (j-p, k-q), so each output meets
+        its terms in the plan's order here too."""
+        if self._by_factor is None:
+            width, side = self._sides
+            # the output of each term: rank r covers the first counts[r]
+            outputs = self.target[np.concatenate(
+                [np.arange(count) for count in self.counts])]
+            groups = {}
+            for t, ia, ib in zip(outputs.tolist(), self.ia.tolist(),
+                                 self.ib.tolist()):
+                groups.setdefault(divmod(ib, side), []).append(
+                    (t,) + divmod(ia, width))
+            self._by_factor = tuple(
+                (jb, kb, tuple(groups[jb, kb]))
+                for jb, kb in sorted(groups, reverse=True))
+        return self._by_factor
 
 
 #: widest batch, in lanes (flattened batch entries), that the product
@@ -266,35 +288,43 @@ def _mul(a, b):
     if lanes > _LANES:
         return _wide(plan, a, b, (order + 1, order + 1) + batch, dtype)
     out = np.zeros(((order + 1) ** 2, lanes), dtype)
-    out[plan.target] = _block(plan, _lanes(a, batch, lanes),
-                              _lanes(b, batch, lanes), dtype)
+    if lanes:
+        out[plan.target] = _block(plan, _lanes(a, batch, lanes),
+                                  _lanes(b, batch, lanes), dtype)
     return out.reshape((order + 1, order + 1) + batch)
 
 
 def _block(plan, a, b, dtype):
     """The plan's outputs, in plan order, over the lanes of the
-    flattened operands a and b.  Each pass gathers its terms' factors,
-    multiplies them, and adds each rank's slice into a prefix of the
-    accumulator."""
+    flattened operands a and b (``_accumulate``)."""
     width = a.shape[1]
-    passes = plan.passes(width)
     # the first pass, terms 0:hi, is the longest
-    x = np.empty((passes[0][1], width), a.dtype)
-    y = np.empty(x.shape, b.dtype)
-    # a separate product buffer: numpy multiplies one complex element in
-    # place by another rule than out of place, which changes its bits
-    terms = np.empty(x.shape, dtype)
+    rows = plan.passes(width)[0][1]
     acc = np.zeros((len(plan.target), width), dtype)
-    for lo, hi, adds in passes:
+    _accumulate(plan, a, b, np.empty((rows, width), a.dtype),
+                np.empty((rows, width), b.dtype),
+                np.empty((rows, width), dtype), acc)
+    return acc
+
+
+def _accumulate(plan, a, b, x, y, terms, acc):
+    """Add the terms a[ia] b[ib] of ``plan`` (a ``_Terms``) over the
+    lanes of the flattened a and b into acc, rank by rank.  Each pass
+    gathers its terms' factors into the buffers x and y, multiplies them
+    into ``terms``, and adds each rank's slice into a prefix of acc.  The
+    buffers hold a pass and have the dtypes of a, b and acc."""
+    for lo, hi, adds in plan.passes(a.shape[1]):
         n = hi - lo
         # the indices are in range; any mode but "raise" lets take write
         # straight into its out buffer
         a.take(plan.ia[lo:hi], 0, out=x[:n], mode="clip")
         b.take(plan.ib[lo:hi], 0, out=y[:n], mode="clip")
+        # a separate product buffer: numpy multiplies one complex element
+        # in place by another rule than out of place, which changes its
+        # bits
         np.multiply(x[:n], y[:n], out=terms[:n])
         for d0, d1, s0, s1 in adds:
             acc[d0:d1] += terms[s0:s1]
-    return acc
 
 
 def _wide(plan, a, b, shape, dtype):
@@ -323,6 +353,193 @@ def _wide(plan, a, b, shape, dtype):
             np.multiply(xa[p][q], y, out=term)
             target = acc[t]
             np.add(target, term, out=target)
+    return out
+
+
+class _Degree(_Terms):
+    """Index plan of total degree d >= 1 of the Taylor recurrences of a
+    power f = g^a and a quotient f = n / g (Griewank & Walther, ch. 13).
+
+    Both read g E f = a f E g and g f = n degree by degree, E the Euler
+    operator (E h)[j, k] = (j + k) h[j, k]:
+
+        f_d = sum_{i<d} (a (d - i) - i) f_i g_(d-i) / (d g_0),
+        f_d = (n_d - sum_{i<d} f_i g_(d-i)) / g_0.
+
+    Coefficients are held degree-major: degree d takes the positions
+    d (d+1) / 2 up to ``stop``, its outputs (j, d - j) longest first
+    (``outputs``), so a position does not depend on the order K.  Output
+    (j, k) sums the terms f[j-p, k-q] g[p, q] over p <= j, q <= k and
+    (p, q) != (0, 0), in increasing (p, q); ``ia`` and ``ib`` hold the
+    positions of their two factors.  ``degrees`` holds the total degree
+    of each position below ``stop``.
+    """
+
+    __slots__ = ("start", "stop", "outputs", "degrees", "_weights")
+
+    def __init__(self, d):
+        self.outputs = _degree_outputs(d)
+        self.start, self.stop = d * (d + 1) // 2, (d + 1) * (d + 2) // 2
+        self.degrees = np.repeat(np.arange(d + 1.0), np.arange(1, d + 2))
+        super().__init__([[(_position(j - p, k - q), _position(p, q))
+                           for p in range(j + 1) for q in range(k + 1)
+                           if p or q] for j, k in self.outputs])
+        self._weights = {}
+
+    def weights(self, a):
+        """The power's term weights (a (d - i) - i) / d by the position
+        of the factor g_(d-i), as a (stop, 1) column cached per a."""
+        w = self._weights.get(a)
+        if w is None:
+            d = len(self.outputs) - 1
+            w = self._weights[a] = (((a + 1.0) * self.degrees - d)
+                                    / d)[:, None]
+        return w
+
+    def by_factor(self):
+        """The terms grouped by their factor of g, built on first use:
+        (p, q, position, group) in increasing (p, q), where each
+        (slot, j, k) of the group adds f[j, k] g[p, q] into output
+        ``slot``.  Each output meets its terms in plan order here too."""
+        if self._by_factor is None:
+            groups = {}
+            for slot, (j, k) in enumerate(self.outputs):
+                for p in range(j + 1):
+                    for q in range(k + 1):
+                        if p or q:
+                            groups.setdefault((p, q), []).append(
+                                (slot, j - p, k - q))
+            self._by_factor = tuple(
+                (p, q, _position(p, q), tuple(groups[p, q]))
+                for p, q in sorted(groups))
+        return self._by_factor
+
+
+def _degree_outputs(d):
+    """The coefficients (j, d - j) of total degree d, longest first:
+    output (j, k) of a recurrence has (j + 1) (k + 1) - 1 terms."""
+    return sorted(((j, d - j) for j in range(d + 1)),
+                  key=lambda jk: -(jk[0] + 1) * (jk[1] + 1))
+
+
+def _position(j, k):
+    """The degree-major position of coefficient (j, k)."""
+    d = j + k
+    return d * (d + 1) // 2 + _degree_outputs(d).index((j, k))
+
+
+_DEGREES = {}
+_TARGETS = {}
+
+
+def _degree(d):
+    """The cached ``_Degree`` of d, built on first use."""
+    plan = _DEGREES.get(d)
+    if plan is None:
+        plan = _DEGREES[d] = _Degree(d)
+    return plan
+
+
+def _targets(order):
+    """Flat index j (K+1) + k of every degree-major position, cached."""
+    target = _TARGETS.get(order)
+    if target is None:
+        target = _TARGETS[order] = np.array(
+            [j * (order + 1) + k for d in range(order + 1)
+             for j, k in _degree_outputs(d)], dtype=np.intp)
+    return target
+
+
+def _recurrence(g, dtype, exponent=None, num=None):
+    """g**exponent, or num / g when num is given, of coefficient-first
+    arrays at the order of g, in storage dtype ``dtype``; num has the
+    order of g, and the batch axes broadcast.  The constant term of g
+    must be checked first.
+
+    f_0 is g_0**exponent or n_0 / g_0, and each degree d then sums its
+    terms from 0.0 in plan order (``_Degree``); the power weights each
+    factor g_(d-i) first.  As for the product, a batch of at most
+    _LANES lanes is flattened and gathered pass by pass with buffers
+    kept across the degrees, and a wider one goes term by term on
+    views; each lane does the same arithmetic either way, so its bits
+    depend neither on the batch nor on the order K.
+    """
+    order = g.shape[0] - 1
+    if num is not None:
+        ndim = max(g.ndim, num.ndim)
+        g, num = _widen(g, ndim), _widen(num, ndim)
+        batch = np.broadcast_shapes(g.shape[2:], num.shape[2:])
+    else:
+        batch = g.shape[2:]
+    shape = (order + 1, order + 1) + batch
+    lanes = math.prod(batch)
+    if lanes > _LANES:
+        return _recurrence_wide(g, shape, dtype, exponent, num)
+    out = np.zeros(((order + 1) ** 2, lanes), dtype)
+    if not lanes:
+        return out.reshape(shape)
+    target = _targets(order)
+    gs = _lanes(g, batch, lanes).take(target, 0)
+    g0 = gs[0]
+    fs = np.empty((len(target), lanes), dtype)
+    if num is None:
+        fs[0] = g0.astype(dtype, copy=False) ** exponent
+    else:
+        ns = _lanes(num, batch, lanes).take(target, 0)
+        np.divide(ns[0], g0, out=fs[0])
+    if order:
+        rows = _degree(order).passes(lanes)[0][1]
+        x = np.empty((rows, lanes), dtype)
+        y = np.empty((rows, lanes), gs.dtype)
+        terms = np.empty((rows, lanes), dtype)
+        acc = np.empty((order + 1, lanes), dtype)
+        factor = gs if num is not None else np.empty_like(gs)
+    for d in range(1, order + 1):
+        plan = _degree(d)
+        start, stop = plan.start, plan.stop
+        if num is None:
+            np.multiply(gs[:stop], plan.weights(exponent), out=factor[:stop])
+        acc[:d + 1] = 0.0
+        _accumulate(plan, fs, factor, x, y, terms, acc)
+        if num is not None:
+            np.subtract(ns[start:stop], acc[:d + 1], out=acc[:d + 1])
+        np.divide(acc[:d + 1], g0, out=fs[start:stop])
+    out[target] = fs
+    return out.reshape(shape)
+
+
+def _recurrence_wide(g, shape, dtype, exponent, num):
+    """``_recurrence`` term by term on views of the batch, one factor of
+    g after another (``_Degree.by_factor``), into an accumulator per
+    output of the degree."""
+    order = shape[0] - 1
+    out = np.zeros(shape, dtype)
+    xf, xg = list(map(list, out)), list(map(list, g))
+    g0 = xg[0][0]
+    if num is None:
+        xf[0][0][...] = g0.astype(dtype, copy=False) ** exponent
+        weighted = np.empty(g.shape[2:], g.dtype)
+    else:
+        xn = list(map(list, num))
+        np.divide(xn[0][0], g0, out=xf[0][0])
+    sums = np.empty((order + 1,) + shape[2:], dtype)
+    acc = list(sums)
+    term = np.empty(shape[2:], dtype)
+    for d in range(1, order + 1):
+        plan = _degree(d)
+        sums[:d + 1] = 0.0
+        for p, q, position, group in plan.by_factor():
+            y = xg[p][q]
+            if num is None:
+                np.multiply(y, plan.weights(exponent)[position], out=weighted)
+                y = weighted
+            for slot, j, k in group:
+                np.multiply(xf[j][k], y, out=term)
+                np.add(acc[slot], term, out=acc[slot])
+        for slot, (j, k) in enumerate(plan.outputs):
+            if num is not None:
+                np.subtract(xn[j][k], acc[slot], out=acc[slot])
+            np.divide(acc[slot], g0, out=xf[j][k])
     return out
 
 
@@ -558,9 +775,13 @@ class Jet2(_Jet):
         return self.__mul__(other)
 
     def __truediv__(self, other):
+        """Quotient by a plain scalar, or by a scalar jet through the
+        recurrence of ``_Degree``, at the lower of the two orders."""
         if not isinstance(other, Jet2):
             return self * (1.0 / np.asarray(other))
-        return self * other.reciprocal()
+        a, b = self._pair(other)
+        _check_divisor(b[0, 0], "power or division")
+        return Jet2._wrap(_recurrence(b, np.result_type(a, b), num=a))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -647,9 +868,14 @@ class Jet2(_Jet):
     def power(self, exponent):
         """self**exponent for a constant scalar exponent.
 
-        Non-negative integers multiply out exactly (no constant-term
-        restriction); negative integers and non-integers go through the
-        binomial series, which needs |constant term| > DIVISION_TOL.
+        Non-negative integers multiply out exactly by repeated squaring
+        (no constant-term restriction).  Non-integers go through the
+        binomial series, summed by the Taylor recurrence of ``_Degree``
+        with no product, and a negative integer -n is the reciprocal so
+        formed, raised to n; both need |constant term| > DIVISION_TOL.
+        The recurrence takes the same path at every order and for every
+        argument, so a coefficient has the same bits whatever the order
+        of the jet and whether the argument is affine.
         """
         exponent = complex(exponent)
         if exponent.imag == 0 and float(exponent.real).is_integer():
@@ -678,19 +904,16 @@ class Jet2(_Jet):
             base = base * base
 
     def _binomial(self, a):
+        """self**a for a negative or non-integer a, the binomial series
+        summed by the power recurrence of ``_Degree``."""
         c0 = self.value
         _check_divisor(c0, "power or division")
+        dtype = self.coef.dtype
         if (np.isrealobj(c0) and not float(a).is_integer()
                 and np.any(c0 < 0)):
             # a fractional power of a negative number is complex
-            c0 = c0.astype(np.complex128)
-        derivs = []
-        coef = np.ones_like(c0)
-        for m in range(self.order + 1):
-            if m > 0:
-                coef = coef * ((a - (m - 1)) / m)
-            derivs.append(coef * c0 ** (a - m))
-        return self._compose(derivs)
+            dtype = np.complex128
+        return Jet2._wrap(_recurrence(self.coef, dtype, exponent=float(a)))
 
     def __repr__(self):
         return "Jet2(order=%d, batch=%s, value=%s)" % (

@@ -1,10 +1,12 @@
 """Test-only helpers built on the package: exact test motions, the DSL
 printer, the mu Riccati identity, the frame that
-``duality_report`` reads, and the two-pass Willmore energy quadrature
-that ``willmore_energy`` must reproduce."""
+``duality_report`` reads, the two-pass Willmore energy quadrature
+that ``willmore_energy`` must reproduce, and a counter of jet
+products."""
 
 import numpy as np
 
+from lightcone import jets
 from lightcone.ambient import ETA, SIGNS, Motion
 from lightcone.analysis import WILLMORE_ORDER, _axis_quadrature
 from lightcone.charts import sample_axes
@@ -172,3 +174,16 @@ def sample_frame(chart, nu, nv, order=WILLMORE_ORDER, tol=Tolerances()):
     u, v = sample_axes(chart, nu, nv)
     return frame_field(canonical_lift(chart.lift_at(u, v, order=order)),
                        tol=tol)
+
+
+def count_products(monkeypatch):
+    """A list that gains an entry at every ``jets._mul`` call."""
+    products = []
+    mul = jets._mul
+
+    def spy_mul(a, b):
+        products.append((a.shape, b.shape))
+        return mul(a, b)
+
+    monkeypatch.setattr(jets, "_mul", spy_mul)
+    return products

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightcone import frames, jets
+from lightcone import frames, jets, transforms
 from lightcone.ambient import SIGNS
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_axes, sample_grid, scaled_chart)
@@ -18,7 +18,8 @@ from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
 from lightcone.transforms import apply_chain
 
 import oracles
-from helpers import compose, motion_from_generator, plane_rotation
+from helpers import (compose, count_products, motion_from_generator,
+                     plane_rotation)
 
 T = 2.0
 TAU = np.sqrt(T * T - 1.0)
@@ -575,3 +576,71 @@ def test_truncated_frame_is_the_frame_of_the_truncated_lift(name):
         for field in ("orientation_det", "gauge_axis", "gauge_fallback"):
             assert np.array_equal(getattr(small, field),
                                   getattr(ref, field)), (order, field)
+
+
+# invariants formed as they are read
+
+INVARIANT_FIELDS = (
+    "lambda1", "lambda2", "s", "alpha", "gamma1", "gamma2",
+    "swillmore_disc", "beta", "kappa_pair", "kappa_iso", "mu_left",
+    "mu_right", "theta", "rho_left", "rho_right", "sigma_left",
+    "sigma_right", "umbilic_left", "umbilic_right")
+
+
+def torus_frame(order):
+    chart = catalog_chart("torus", t=T)
+    return frame_field(canonical_lift(
+        chart.lift_at(*sample_axes(chart, 4, 4), order=order)))
+
+
+@pytest.mark.parametrize("tag", ["L", "R"])
+def test_polar_gate_forms_only_the_lambda_and_s_it_reads(tag, monkeypatch):
+    chain = transforms.TransformedSurface(catalog_chart("torus", t=T), tag)
+    order, _, on_frame = transforms._gates(chain, 0, Tolerances())
+    frame = torus_frame(order)
+    formed = []
+    original = transforms.invariants
+
+    def spy(frame, tol):
+        formed.append(original(frame, tol))
+        return formed[-1]
+
+    monkeypatch.setattr(transforms, "invariants", spy)
+    products = count_products(monkeypatch)
+    on_frame(0, frame)
+    # its side's lambda and s, one inner product each
+    assert len(products) <= 2
+    monkeypatch.undo()
+    eager = frames.invariants(frame.truncated(order - 1))
+    for name in INVARIANT_FIELDS:
+        getattr(eager, name)
+    gate, = formed
+    for name in ("umbilic_left", "umbilic_right"):
+        assert np.array_equal(getattr(gate, name), getattr(eager, name))
+
+
+def test_invariant_fields_are_formed_once_in_any_order():
+    frame = torus_frame(INVARIANTS_ORDER + 2)
+    forward = frames.invariants(frame)
+    backward = frames.invariants(frame)
+    for name in INVARIANT_FIELDS[::-1]:
+        getattr(backward, name)
+    for name in INVARIANT_FIELDS:
+        got = getattr(forward, name)
+        # a field read twice is the same object
+        assert getattr(forward, name) is got
+        want = getattr(backward, name)
+        if isinstance(got, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got.coef, want.coef), name
+
+
+def test_frame_field_makes_a_pinned_number_of_products(monkeypatch):
+    # powers and quotients take no product; a change that adds products
+    # to the frame shows here
+    chart = catalog_chart("torus", t=T)
+    Y = canonical_lift(chart.lift_at(*sample_axes(chart, 4, 4), order=8))
+    products = count_products(monkeypatch)
+    frame_field(Y)
+    assert len(products) == 18

@@ -11,6 +11,7 @@ from lightcone.errors import DomainError, OrderExhausted
 from lightcone.jets import Jet2, JetVec6, jet_where, seed_point
 
 import oracles
+from helpers import count_products
 
 RNG = np.random.default_rng(7)
 
@@ -490,12 +491,15 @@ def test_composition_identities_at_order_16(seed, batch):
     e, ei = f.exp(), (-f).exp()
     s, c = f.sin(), f.cos()
     sh, ch = f.sinh(), f.cosh()
-    r, h = g.power(-1), g.power(0.5)
+    r, h, rh = g.power(-1), g.power(0.5), g.power(-0.5)
+    q = f / g
     cases = [(e, ei, e * ei, one),
              (s, c, s * s + c * c, one),
              (sh, ch, ch * ch - sh * sh, one),
              (r, g, r * g, one),
-             (h, h, h ** 2, g)]
+             (h, h, h ** 2, g),
+             (rh, h, rh * h, one),
+             (q, g, q * g, f)]
     for a, b, lhs, rhs in cases:
         assert lhs.order == 16
         size = max(1.0, np.max(np.abs(a.c)), np.max(np.abs(b.c)))
@@ -524,8 +528,7 @@ def test_writes_through_c_are_visible(batch, order, seed):
 
 AFFINE_FUNCTIONS = {
     "exp": Jet2.exp, "sin": Jet2.sin, "cos": Jet2.cos, "sinh": Jet2.sinh,
-    "cosh": Jet2.cosh, "sqrt": lambda f: f.power(0.5),
-    "rsqrt": lambda f: f.power(-0.5), "reciprocal": Jet2.reciprocal}
+    "cosh": Jet2.cosh}
 
 
 def affine_jet(rng, order, batch, real):
@@ -599,6 +602,117 @@ def test_affine_composition_matches_horner_products(name, real, batch,
         assert products == 0
         assert got.coef.shape == jet.coef.shape
         assert np.array_equal(got.coef, horner_reference(jet, derivs))
+
+
+# powers and quotients by Taylor recurrence: no product, and the bits of
+# a lane depend neither on the order, nor on the batch, nor on whether
+# the argument is affine
+
+RECURRENCES = {
+    "sqrt": 0.5, "rsqrt": -0.5, "reciprocal": -1.0, "quotient": None}
+
+
+def binomial_derivs(jet, a):
+    """The Taylor coefficients C(a, m) c0^(a - m) of x^a at the constant
+    term c0 of jet, for ``horner_reference``."""
+    c0 = jet.value
+    if np.isrealobj(c0) and np.any(c0 < 0):
+        c0 = c0.astype(np.complex128)
+    derivs, coef = [], np.ones_like(c0)
+    for m in range(jet.order + 1):
+        if m > 0:
+            coef = coef * ((a - (m - 1)) / m)
+        derivs.append(coef * c0 ** (a - m))
+    return derivs
+
+
+def recurrence(name, g, b):
+    """g**a for the power ``name``, or g / b for the quotient."""
+    a = RECURRENCES[name]
+    return g / b if a is None else g.power(a)
+
+
+@pytest.mark.parametrize("batch", [(), (3, 4), (1500,)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("name", sorted(RECURRENCES))
+def test_power_and_quotient_recurrences(name, real, batch, monkeypatch):
+    rng = np.random.default_rng(sorted(RECURRENCES).index(name) + 4 * real)
+
+    def draw():
+        c = decaying_jet(rng, batch, unit=True).c
+        if real:
+            # a real jet with a positive constant term has real powers
+            c = c.real.copy()
+            c[..., 0, 0] = rng.uniform(1, 2, batch)
+        return Jet2(c)
+
+    g, b = draw(), draw()
+    # about a third of the arguments affine, as coordinate seeds are
+    j = np.arange(17)
+    curved = (j[:, None] + j[None, :]) >= 2
+    g.c[..., curved] *= (rng.uniform(size=batch) > 0.3)[..., None]
+    lanes = math.prod(batch)
+    assert batch == () or (lanes > jets._LANES) == (lanes == 1500)
+    products = count_products(monkeypatch)
+    previous = None
+    for order in range(17):
+        gk, bk = g.truncated(order), b.truncated(order)
+        got = recurrence(name, gk, bk)
+        assert got.coef.shape == gk.coef.shape
+        assert got.coef.dtype == gk.coef.dtype
+        # the jet at order K, truncated, is the jet at order K - 1
+        if previous is not None:
+            assert np.array_equal(got.truncated(order - 1).coef,
+                                  previous.coef), order
+        previous = got
+        if batch and order in (0, 1, 7, 16):
+            # each lane run alone has the bits it gets inside the batch,
+            # in either regime
+            flat = [x.coef.reshape(order + 1, order + 1, lanes)
+                    for x in (gk, bk, got)]
+            for lane in (0, lanes // 2, lanes - 1):
+                one = recurrence(name, *[Jet2._wrap(x[..., lane:lane + 1])
+                                         for x in flat[:2]])
+                assert same_bits(one.coef[..., 0], flat[2][..., lane])
+    assert products == []
+    if lanes > jets._LANES:
+        # the references below cost products on every lane of a wide
+        # batch; each lane's bits are those of a narrow one, checked above
+        g, b, got = [Jet2._wrap(x.coef[..., :64]) for x in (g, b, got)]
+    a = RECURRENCES[name]
+    if a is None:
+        want = (g * b.reciprocal()).coef
+    else:
+        want = horner_reference(g, binomial_derivs(g, a))
+    size = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got.coef - want)) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("name", sorted(RECURRENCES))
+def test_recurrences_reject_a_near_zero_constant_term(name):
+    rng = np.random.default_rng(2)
+    g = decaying_jet(rng, (3, 4), order=5, unit=True)
+    b = decaying_jet(rng, (3, 4), order=5, unit=True)
+    divisor = b if RECURRENCES[name] is None else g
+    divisor.c[1, 2, 0, 0] = 3e-11
+    divisor.c[2, 0, 0, 0] = -5e-11
+    with pytest.raises(DomainError) as err:
+        recurrence(name, g, b)
+    assert err.value.message == "power or division at a near-zero " \
+        "constant term"
+    assert err.value.context == {"count": 2, "min_abs": 3e-11,
+                                 "tolerance": jets.DIVISION_TOL}
+
+
+@pytest.mark.parametrize("batch", [(0,), (0, 3)])
+def test_empty_batches_give_empty_jets(batch):
+    f = Jet2(np.ones(batch + (4, 4)))
+    g = Jet2(np.full((4, 4), 2.0))
+    for got in (f * f, f * g, f.power(-0.5), f.sqrt(), f.reciprocal(),
+                f / f, f / g, g / f):
+        assert got.order == 3
+        assert got.batch_shape == batch
+        assert got.coef.dtype == np.float64
 
 
 @pytest.mark.parametrize("entry", [0.5, np.nan, np.inf])
