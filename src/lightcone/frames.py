@@ -19,6 +19,7 @@ Frame conventions, fixed once:
     W0 chosen per point, with <L, W0> < 0.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -303,19 +304,6 @@ def _gauge(L, R, tol):
             chosen)
 
 
-def _field(form):
-    """An ``InvariantSet`` field: ``form(inv)`` on first read, cached."""
-    name = form.__name__
-
-    def read(inv):
-        cache = inv._cache
-        if name not in cache:
-            cache[name] = form(inv)
-        return cache[name]
-
-    return property(read, doc=form.__doc__)
-
-
 class InvariantSet:
     """Pointwise conformal invariants of a framed chart, each formed
     from the frame on first read and then cached, so a caller pays only
@@ -339,52 +327,49 @@ class InvariantSet:
     derivative of mu.  The umbilic masks come from ``tol.umbilic``.
     """
 
-    __slots__ = ("frame", "tol", "_cache")
-
     def __init__(self, frame, tol=Tolerances()):
         self.frame = frame
         self.tol = tol
-        self._cache = {}
 
     def _yzz(self):
         # formed again for each of its three fields, not kept: it is a
         # vector, and no other field reads it
         return self.frame.Yz.z()
 
-    @_field
+    @cached_property
     def lambda1(self):
         return -self._yzz().inner(self.frame.R)
 
-    @_field
+    @cached_property
     def lambda2(self):
         return -self._yzz().inner(self.frame.L)
 
-    @_field
+    @cached_property
     def s(self):
         return self._yzz().inner(self.frame.N) * 2.0
 
-    @_field
+    @cached_property
     def alpha(self):
         return -self.frame.L.z().inner(self.frame.R)
 
-    @_field
+    @cached_property
     def gamma1(self):
         return self.lambda1.zbar() + self.lambda1 * self.alpha.conj()
 
-    @_field
+    @cached_property
     def gamma2(self):
         return self.lambda2.zbar() - self.lambda2 * self.alpha.conj()
 
-    @_field
+    @cached_property
     def beta(self):
         return (self.lambda1 * self.lambda2.conj()
                 + self.lambda2 * self.lambda1.conj()).real
 
-    @_field
+    @cached_property
     def kappa_pair(self):
         return self.frame.Yzzb.inner(self.frame.Yzzb).real
 
-    @_field
+    @cached_property
     def kappa_iso(self):
         return self.lambda1 * self.lambda2 * (-2.0)
 
@@ -392,11 +377,11 @@ class InvariantSet:
         floor = self.tol.umbilic * (1.0 + np.abs(self.s.value))
         return np.abs(lam.value) < floor
 
-    @_field
+    @cached_property
     def umbilic_right(self):
         return self._umbilic(self.lambda1)
 
-    @_field
+    @cached_property
     def umbilic_left(self):
         return self._umbilic(self.lambda2)
 
@@ -405,49 +390,49 @@ class InvariantSet:
         one = Jet2.constant(np.ones(lam.batch_shape), lam.order)
         return gamma * (-2.0) / jet_where(umbilic, one, lam)
 
-    @_field
+    @cached_property
     def _mubar_left(self):
         return self._mubar(self.gamma2, self.lambda2, self.umbilic_left)
 
-    @_field
+    @cached_property
     def _mubar_right(self):
         return self._mubar(self.gamma1, self.lambda1, self.umbilic_right)
 
-    @_field
+    @cached_property
     def mu_left(self):
         return self._mubar_left.conj()
 
-    @_field
+    @cached_property
     def mu_right(self):
         return self._mubar_right.conj()
 
-    @_field
+    @cached_property
     def swillmore_disc(self):
         return self.lambda1 * self.gamma2 - self.lambda2 * self.gamma1
 
-    @_field
+    @cached_property
     def theta(self):
         return self.swillmore_disc * self.swillmore_disc
 
     # rho sits one derivative below mu; leave it out when the frame does
     # not carry that order (transform steps run at the edge)
-    @_field
+    @cached_property
     def rho_left(self):
         if self._mubar_left.order == 0:
             return None
         return self._mubar_left.z() + self.beta * 2.0
 
-    @_field
+    @cached_property
     def rho_right(self):
         if self._mubar_right.order == 0:
             return None
         return self._mubar_right.z() + self.beta * 2.0
 
-    @_field
+    @cached_property
     def sigma_left(self):
         return self.gamma1 * 2.0 + self.lambda1 * self._mubar_left
 
-    @_field
+    @cached_property
     def sigma_right(self):
         return self.gamma2 * 2.0 + self.lambda2 * self._mubar_right
 

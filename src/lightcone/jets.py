@@ -375,7 +375,7 @@ class _Degree(_Terms):
     of each position below ``stop``.
     """
 
-    __slots__ = ("start", "stop", "outputs", "degrees", "_weights")
+    __slots__ = ("start", "stop", "outputs", "degrees")
 
     def __init__(self, d):
         self.outputs = _degree_outputs(d)
@@ -384,17 +384,12 @@ class _Degree(_Terms):
         super().__init__([[(_position(j - p, k - q), _position(p, q))
                            for p in range(j + 1) for q in range(k + 1)
                            if p or q] for j, k in self.outputs])
-        self._weights = {}
 
     def weights(self, a):
         """The power's term weights (a (d - i) - i) / d by the position
-        of the factor g_(d-i), as a (stop, 1) column cached per a."""
-        w = self._weights.get(a)
-        if w is None:
-            d = len(self.outputs) - 1
-            w = self._weights[a] = (((a + 1.0) * self.degrees - d)
-                                    / d)[:, None]
-        return w
+        of the factor g_(d-i), as a (stop, 1) column."""
+        d = len(self.outputs) - 1
+        return (((a + 1.0) * self.degrees - d) / d)[:, None]
 
     def by_factor(self):
         """The terms grouped by their factor of g, built on first use:
@@ -527,11 +522,13 @@ def _recurrence_wide(g, shape, dtype, exponent, num):
     term = np.empty(shape[2:], dtype)
     for d in range(1, order + 1):
         plan = _degree(d)
+        if num is None:
+            weights = plan.weights(exponent)
         sums[:d + 1] = 0.0
         for p, q, position, group in plan.by_factor():
             y = xg[p][q]
             if num is None:
-                np.multiply(y, plan.weights(exponent)[position], out=weighted)
+                np.multiply(y, weights[position], out=weighted)
                 y = weighted
             for slot, j, k in group:
                 np.multiply(xf[j][k], y, out=term)
