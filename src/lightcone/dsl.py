@@ -212,6 +212,9 @@ def evaluate(node, env):
     if op == "/":
         if isinstance(right, Jet2):
             return left / right
+        if right == 0 or not np.isfinite(1.0 / right):
+            raise DomainError("division by a constant too close to zero",
+                              divisor=float(right))
         return left * (1.0 / right)
     # exponentiation: the exponent must come out constant
     if isinstance(right, Jet2):
@@ -227,10 +230,15 @@ def evaluate(node, env):
     if exponent.imag != 0:
         raise DomainError("complex exponents are not supported")
     if not isinstance(left, Jet2):
-        out = float(left) ** exponent.real
-        if not np.isfinite(out):
-            raise DomainError("power is not finite", base=float(left),
-                              exponent=exponent.real)
+        # Python's power raises at 0 to a negative power and on
+        # overflow, and turns complex at a negative base
+        try:
+            out = float(left) ** exponent.real
+        except (ZeroDivisionError, OverflowError):
+            out = np.inf
+        if isinstance(out, complex) or not np.isfinite(out):
+            raise DomainError("power is not a finite real number",
+                              base=float(left), exponent=exponent.real)
         return out
     return left.power(exponent.real)
 

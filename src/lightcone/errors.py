@@ -35,7 +35,8 @@ class OrderExhausted(LightconeError):
 
 class DomainError(LightconeError):
     """Jet composition outside the domain of the analytic function
-    (division or fractional power at a near-zero constant term)."""
+    (division or fractional power at a near-zero constant term), or a
+    constant of a chart program that is not a finite real number."""
 
 
 class NotOnQuadric(LightconeError):
@@ -54,8 +55,9 @@ class NotSpacelike(LightconeError):
 
 
 class NormalPlaneDegenerate(LightconeError):
-    """No ambient coordinate pair projects onto a nondegenerate Lorentzian
-    normal plane; the frame cannot be completed."""
+    """At some point the η-orthogonal complement of span{Y, Y_u, Y_v, N}
+    is not a nondegenerate Lorentzian plane; the frame cannot be
+    completed."""
 
 
 class GaugeReferenceDegenerate(LightconeError):

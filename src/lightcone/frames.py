@@ -169,10 +169,14 @@ class FrameData:
 def frame_field(Y, *, tol=Tolerances()):
     """Build the adapted frame from a canonical lift.
 
-    N, L, R come out two orders below Y.  The normal plane basis is
-    found by projecting coordinate axes off the tangent 4-space,
-    diagonalizing the best candidate pair at value level, then
-    orthonormalizing as jets so the frame identities hold exactly.
+    N, L, R come out two orders below Y.  The normal plane is the
+    η-orthogonal complement of span{Y, Y_u, Y_v, N}.  At each point the
+    last two right-singular vectors of the η-dual rows of those four
+    values are a Euclidean-orthonormal basis of it (Golub & Van Loan,
+    *Matrix Computations*, §2.5), in whatever ambient coordinates the
+    lift comes.  The basis is rotated to diagonalize its η-Gram at value
+    level, projected off the tangent jets and orthonormalized as jets,
+    so the frame identities hold exactly.
     """
     Yu = Y.du()
     Yv = Y.dv()
@@ -186,65 +190,45 @@ def frame_field(Y, *, tol=Tolerances()):
     Yut = Yu.truncated(order)
     Yvt = Yv.truncated(order)
 
-    # value-level candidate selection: project each coordinate axis off
-    # span{Y, Yu, Yv, N} and look for the best Lorentzian pair
+    # x is η-orthogonal to a where (a * SIGNS) . x = 0, so the plane is
+    # the null space of these rows.  LAPACK fails on NaN: a point that
+    # is not finite gets zero rows and a NaN discriminant instead
     Yval = Y.value.real
     Yuval = Yu.value.real
     Yvval = Yv.value.real
     Nval = N.value.real
-    eye = np.eye(6)
-    n_all = (eye
-             + SIGNS[:, None] * (Nval[..., None, :] * Yval[..., :, None]
-                                 + Yval[..., None, :] * Nval[..., :, None]
-                                 - Yuval[..., None, :] * Yuval[..., :, None]
-                                 - Yvval[..., None, :] * Yvval[..., :, None]))
-    q = np.einsum("...ic,...ic,c->...i", n_all, n_all, SIGNS)
-    C = np.einsum("...ic,...jc,c->...ij", n_all, n_all, SIGNS)
-    E = np.einsum("...ic,...ic->...i", n_all, n_all)
-    D = q[..., :, None] * q[..., None, :] - C ** 2
-    Dn = D / np.maximum(E[..., :, None] * E[..., None, :], 1e-300)
-    # an axis sitting inside the tangent 4-space projects to rounding
-    # noise; drop it or its 0/0 ratio can masquerade as a good pair
-    tiny = E < 1e-14 * np.max(E, axis=-1, keepdims=True)
-    usable = ~(tiny[..., :, None] | tiny[..., None, :])
-    upper = np.triu(np.ones((6, 6)), 1) > 0
-    # select by the raw Gram discriminant: it rewards pairs that are
-    # both Lorentzian and well-sized, so a thin near-tangent axis never
-    # wins and the normalization below stays well conditioned.  The
-    # scale-free ratio is kept for the degeneracy gate only.
-    score = np.where(usable & upper, D, np.inf)
-    flat = score.reshape(score.shape[:-2] + (36,))
-    best = np.argmin(flat, axis=-1)
-    flatn = np.where(usable & upper, Dn, np.inf).reshape(flat.shape)
-    worst = np.max(np.take_along_axis(flatn, best[..., None], axis=-1))
+    dual = np.stack([Yval, Yuval, Yvval, Nval], axis=-2) * SIGNS
+    finite = np.all(np.isfinite(dual), axis=(-2, -1))
+    dual = np.where(finite[..., None, None], dual, 0.0)
+    h = np.linalg.svd(dual)[2][..., 4:, :]
+    gram = np.einsum("...ic,...jc,c->...ij", h, h, SIGNS)
+    qa, qb, cab = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
+    # the basis has unit size, so the η-Gram determinant is scale-free;
     # written so that a NaN discriminant fails the gate too
+    worst = np.max(np.where(finite, qa * qb - cab ** 2, np.nan))
     if not worst <= -PLANE_TOL:
         raise NormalPlaneDegenerate(
-            "no Lorentzian plane in the projected axes",
+            "the normal complement is not a Lorentzian plane",
             worst=float(worst))
-    ia, ib = best // 6, best % 6
 
-    def project_off_tangent(idx):
-        sgn = SIGNS[idx]
-        one_hot = JetVec6.constant(eye[idx], order)
-        cn = N.component(idx) * sgn
-        cu = Yut.component(idx) * sgn
-        cv = Yvt.component(idx) * sgn
-        cy = Yt.component(idx) * sgn
-        return one_hot - (Yt * (-cn) + Yut * cu + Yvt * cv + N * (-cy))
+    # the rotation that makes the first vector spacelike and the second
+    # timelike with the largest margins; the jet-level Gram-Schmidt
+    # below then needs no branches
+    phi = (0.5 * np.arctan2(2.0 * cab, qa - qb))[..., None]
+    a1 = h[..., 0, :] * np.cos(phi) + h[..., 1, :] * np.sin(phi)
+    a2 = h[..., 0, :] * (-np.sin(phi)) + h[..., 1, :] * np.cos(phi)
 
-    na = project_off_tangent(ia)
-    nb = project_off_tangent(ib)
+    def project_off_tangent(a):
+        # a less its parts along Y, Y_u, Y_v, N, where <Y, N> = -1; each
+        # pairing <X, a> with the constant a contracts X's components
+        cy, cu, cv, cn = (
+            Jet2._wrap(np.einsum("...c,...c->...", X.coef, a * SIGNS))
+            for X in (Yt, Yut, Yvt, N))
+        return JetVec6.constant(a, order) - (
+            Yt * (-cn) + Yut * cu + Yvt * cv + N * (-cy))
 
-    # value-level diagonalization picks the rotation that makes the
-    # first vector spacelike and the second timelike with the largest
-    # margins; the jet-level Gram-Schmidt below then needs no branches
-    qa = np.take_along_axis(q, ia[..., None], axis=-1)[..., 0]
-    qb = np.take_along_axis(q, ib[..., None], axis=-1)[..., 0]
-    cab = _value_inner(na.value, nb.value).real
-    phi = 0.5 * np.arctan2(2.0 * cab, qa - qb)
-    m1 = na * np.cos(phi) + nb * np.sin(phi)
-    m2 = na * (-np.sin(phi)) + nb * np.cos(phi)
+    m1 = project_off_tangent(a1)
+    m2 = project_off_tangent(a2)
 
     q1 = m1.inner(m1).real
     f1 = m1 * q1.power(-0.5)
@@ -258,7 +242,7 @@ def frame_field(Y, *, tol=Tolerances()):
     # the gauge step below needs none of these; freeing them first
     # lowers the memory peak of a frame, and so of a transform chain,
     # whose innermost frames are built at the highest order
-    del Yt, Yut, Yvt, na, nb, m1, m2, f1, f2
+    del Yt, Yut, Yvt, m1, m2, f1, f2
 
     rows = np.stack([Yval, Yuval, Yvval, Nval,
                      L.value.real, R.value.real], axis=-2)

@@ -188,6 +188,18 @@ def test_transform_chain_on_torus_five_halves(capsys):
         assert bundle["gates"]["willmore_final"]["value"] < gate
 
 
+def test_transform_chain_on_enneper_passes_the_default_gate(capsys):
+    # the lift's values reach about 3e3 on this chart, so the chain
+    # passes only where the frame loses nothing to large coordinates
+    code, bundle = run_json(capsys, "transform", "--surface", "enneper",
+                            "--grid", "8x8", "--chain", "L,R,L")
+    assert code == 0
+    gate = bundle["gates"]["willmore_final"]
+    assert gate["tol"] == frames.Tolerances().willmore
+    assert gate["value"] <= gate["tol"]
+    assert gate["passed"]
+
+
 def test_transform_off_willmore_skips_duality(capsys, tmp_path):
     path = tmp_path / "cylinder.lc"
     path.write_text(CYLINDER_SRC)

@@ -143,6 +143,23 @@ def test_exponent_must_be_constant():
         chart.evaluate(U, V)
 
 
+@pytest.mark.parametrize("source", [
+    "r3 [u/0, v, u]",
+    "r3 [u/(1-1), v, u]",
+    "r3 [u/1e-320, v, u]",
+    "r3 [u*0^(-1), v, u]",
+    "r3 [u + (-1)^0.5, v, u]",
+    "r3 [u*10^400, v, u]",
+])
+def test_constant_subtrees_stay_finite_and_real(source):
+    # Python raises ZeroDivisionError or OverflowError on some of these
+    # and turns (-1)^0.5 complex; a chart program must see DomainError
+    chart = chart_from_source(source)
+    U, V = seed_point(0.1, 0.2, 2)
+    with pytest.raises(DomainError):
+        chart.evaluate(U, V)
+
+
 def test_integer_power_at_origin():
     chart = chart_from_source("r3 [u^3, v, u]")
     U, V = seed_point(0.0, 0.0, 4)

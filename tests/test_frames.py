@@ -465,13 +465,24 @@ def test_pair_density_scales_as_the_inverse_square(name, size, flip):
 
 
 def test_invariants_batch_independent():
-    chart = catalog_chart("catenoid")
-    u, v = sample_grid(chart, 4, 4)
-    _, inv_grid = frame_and_invariants(chart.lift_at(u, v, order=5))
-    _, inv_one = frame_and_invariants(chart.lift_at(u[2, 3], v[2, 3],
-                                                    order=5))
-    assert abs(inv_grid.mu_left.value[2, 3] - inv_one.mu_left.value) < 1e-13
-    assert abs(inv_grid.theta.value[2, 3] - inv_one.theta.value) < 1e-13
+    # the frame reads its normal plane off one LAPACK call per point, so
+    # a point's frame must not depend on the batch it is built in
+    for name in sorted(CATALOG):
+        chart = catalog_chart(name)
+        u, v = sample_grid(chart, 4, 4)
+        frame_grid, inv_grid = frame_and_invariants(
+            chart.lift_at(u, v, order=5))
+        for point in ((0, 0), (2, 3), (3, 1)):
+            frame_one, inv_one = frame_and_invariants(
+                chart.lift_at(u[point], v[point], order=5))
+            for field in ("N", "L", "R"):
+                assert np.array_equal(getattr(frame_grid, field).c[point],
+                                      getattr(frame_one, field).c), \
+                    (name, point, field)
+            for field in ("mu_left", "theta"):
+                assert np.array_equal(getattr(inv_grid, field).c[point],
+                                      getattr(inv_one, field).c), \
+                    (name, point, field)
 
 
 def test_scale_consistency():

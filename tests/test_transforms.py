@@ -19,7 +19,8 @@ from lightcone.transforms import (TransformedSurface, apply_chain,
                                   duality_report, inverse_check)
 
 import oracles
-from helpers import apply, motion_from_generator, sample_frame
+from helpers import (apply, motion_from_generator, plane_rotation,
+                     sample_frame)
 
 T = 2.0
 
@@ -90,6 +91,19 @@ def test_polar_and_adjoint_commute_with_motions(torus):
             motion, chart_values(apply_chain(torus, tag), u, v))
         assert np.max(projective_distance(moved_then_build,
                                           build_then_moved)) < 1e-10
+
+
+@pytest.mark.parametrize("rapidity", [-3.0, -1.0, 0.0, 1.5])
+def test_chain_is_willmore_after_a_boost(rapidity):
+    # a boost in the e_0, e_5 plane is a homothety of the flat chart and
+    # moves the lift's values by orders of magnitude; the chain's
+    # verdict and its residual's rounding level must not follow them
+    chart = moved_chart(catalog_chart("enneper"),
+                        plane_rotation(0, 5, rapidity))
+    chain = apply_chain(chart, "L,R,L")
+    raw = chain.lift_at(*sample_axes(chain, 8, 8), order=5)
+    _, inv = frame_and_invariants(raw)
+    assert willmore_report(inv).max_abs < Tolerances().willmore
 
 
 def test_polar_charts_are_willmore(torus, catenoid):
