@@ -12,12 +12,16 @@ workers as it likes on that pair; none of them samples again.  Reports
 leave here without a grid spec; the CLI stamps its own.
 """
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 from .ambient import SIGNS, gram_matrix
 from .charts import grid_axis
-from .errors import (DegenerateTransform, IntegrandSingular, NotSWillmore,
-                     NotWillmore)
+from .errors import (DegenerateTransform, IntegrandSingular, LightconeError,
+                     NotSWillmore, NotWillmore)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      conformal_gauss_data, pair_density, side_field,
                      willmore_operators)
@@ -218,6 +222,62 @@ def _axis_quadrature(lo, hi, n, periodic):
     return x, w * (hi - lo) / 2.0
 
 
+def _cores():
+    """Cores of the process's affinity set, read at each call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(rows, x):
+    """rows(x)[0], formed in one block of the nodes x per core and the
+    blocks' results concatenated.
+
+    ``rows`` maps nodes to (values, dtype), the values one row per node.
+    The first block runs on this thread and the others on threads of
+    their own, each block in a copy of this thread's context, so numpy's
+    error state (a context variable) holds in all of them.  A block's
+    rows must have the bits they have in the whole, which the jet
+    kernels promise of every lane.  Whatever a block raises reaches the
+    caller.  Where a block raises a ``LightconeError``, or its dtype
+    differs from another's (a fractional power turns complex only in a
+    block with a negative base), the whole of x runs again on this
+    thread: the error's context then describes all of x, and every lane
+    takes the dtype it takes there.  With one core nothing is split and
+    no thread starts.
+    """
+    blocks = np.array_split(x, max(1, min(_cores(), len(x))))
+    if len(blocks) == 1:
+        return rows(x)[0]
+    results = [None] * len(blocks)
+    errors = [None] * len(blocks)
+
+    def run(i):
+        try:
+            results[i] = rows(blocks[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, i))
+               for i in range(1, len(blocks))]
+    try:
+        for thread in threads:
+            thread.start()
+        contextvars.copy_context().run(run, 0)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    for exc in errors:
+        if exc is not None and not isinstance(exc, LightconeError):
+            raise exc
+    if (any(exc is not None for exc in errors)
+            or len({dtype for _, dtype in results}) > 1):
+        return rows(x)[0]
+    return np.concatenate([values for values, _ in results])
+
+
 def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     """Willmore energy of a chart over its domain.
 
@@ -230,6 +290,12 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     fine rule, so on periodic-by-periodic charts with even ``nu`` and
     ``nv`` it reuses the fine pass's density and lifts nothing more;
     Gauss-Legendre axes and odd grids lift it on its own nodes.
+
+    Each pass splits its u nodes into one block of rows per core of the
+    process's affinity set and lifts the blocks on threads at once
+    (``_split_rows``).  A lane's bits do not depend on the batch around
+    it, so the result is bit-identical to that of one thread; a process
+    held to one core (``taskset -c 0``) splits nothing.
     """
     (u0, u1), (v0, v1) = chart.domain
     coarse_nu = max(2, int(np.ceil(nu / 2)))
@@ -241,8 +307,11 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     cxv, cwv = _axis_quadrature(v0, v1, coarse_nv, chart.periodic[1])
 
     def density(x, y):
-        raw = chart.lift_at(x[:, None], y[None, :], order=order)
-        f = pair_density(raw)
+        def rows(xb):
+            raw = chart.lift_at(xb[:, None], y[None, :], order=order)
+            return pair_density(raw), raw.coef.dtype
+
+        f = _split_rows(rows, x)
         worst = float(np.max(np.abs(f)))
         if worst > SINGULAR_INTEGRAND:
             raise IntegrandSingular("energy density blows up on the grid",

@@ -164,11 +164,13 @@ class _Terms:
         for the terms lo:hi, where each (d0, d1, s0, s1) of adds adds the
         pass's products s0:s1 into acc[d0:d1].  A rank cut by a pass
         boundary is added in two pieces, so each output still adds its
-        terms in rank order."""
+        terms in rank order.  The list is built whole before it is
+        cached, so a thread that reads the cache never finds it part
+        filled."""
         size = max(1, _PASS // width)
         passes = self._passes.get(size)
         if passes is None:
-            passes = self._passes[size] = []
+            passes = []
             total = len(self.ia)
             for lo in range(0, total, size):
                 hi = min(lo + size, total)
@@ -180,6 +182,7 @@ class _Terms:
                                      x0 - lo, x1 - lo))
                     start += count
                 passes.append((lo, hi, tuple(adds)))
+            self._passes[size] = passes
         return passes
 
 

@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,8 @@ from lightcone.charts import CATALOG, DEFAULT_ORDER, SurfaceChart, \
     catalog_chart, moved_chart, sample_grid, scaled_chart, torus_chart
 from lightcone.dsl import chart_from_source
 from lightcone.errors import (DegenerateTransform, IntegrandSingular,
-                              NotSWillmore, NotWillmore, OrderExhausted)
+                              LightconeError, NonFinite, NotSWillmore,
+                              NotWillmore, OrderExhausted)
 from lightcone.frames import (INVARIANTS_ORDER, frame_and_invariants,
                               pair_density)
 
@@ -399,19 +404,147 @@ def test_energy_reuses_the_fine_pass_exactly(t, nu, nv, fold):
     assert result.estimate == abs(fine - coarse)
 
 
+def use_cores(monkeypatch, n):
+    """Make the process's affinity set hold n cores."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("name, nu, nv, lifts", [
     ("torus", 128, 128, 1), ("torus", 33, 32, 2), ("catenoid", 24, 48, 2)])
 def test_energy_lifts_once_where_the_rules_nest(monkeypatch, name, nu, nv,
                                                 lifts):
-    # the catenoid's u axis is Gauss-Legendre, whose nodes do not nest
-    shapes = []
+    # each pass lifts its nodes in row blocks, one per core; the blocks
+    # of a pass must tile its grid exactly once.  The catenoid's u axis
+    # is Gauss-Legendre, whose nodes do not nest, so its coarse grid is
+    # lifted once more
+    use_cores(monkeypatch, 3)
+    calls = []
     original = SurfaceChart.lift_at
 
     def spy(self, u, v, order=DEFAULT_ORDER):
-        shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        calls.append((np.asarray(u), np.asarray(v)))
         return original(self, u, v, order=order)
 
     monkeypatch.setattr(SurfaceChart, "lift_at", spy)
-    an.willmore_energy(catalog_chart(name), nu, nv, order=3)
-    assert len(shapes) == lifts
-    assert shapes[-1] == (nu, nv)
+    chart = catalog_chart(name)
+    an.willmore_energy(chart, nu, nv, order=3)
+
+    (u0, u1), (v0, v1) = chart.domain
+    sizes = [(nu, nv), (-(-nu // 2), -(-nv // 2))][:lifts]
+    assert len(calls) == 3 * lifts
+    for n_u, n_v in sizes:
+        xu, _ = an._axis_quadrature(u0, u1, n_u, chart.periodic[0])
+        xv, _ = an._axis_quadrature(v0, v1, n_v, chart.periodic[1])
+        blocks = [(u, v) for u, v in calls
+                  if v.shape == (1, n_v) and np.array_equal(v[0], xv)]
+        assert len(blocks) == 3
+        assert all(u.shape[1] == 1 for u, _ in blocks)
+        assert sum(u.shape[0] for u, _ in blocks) == n_u
+        rows = np.concatenate(sorted((u[:, 0] for u, _ in blocks),
+                                     key=lambda r: r[0]))
+        assert np.array_equal(rows, xu)
+
+
+# each density pass splits its u nodes into one block of rows per core;
+# a lane's bits do not depend on the batch around it, so every result
+# and every error must be those of one core
+
+SPLIT_CASES = [("torus", {"t": 2.0}, 128, 128), ("catenoid", {}, 24, 48),
+               ("enneper", {}, 5, 7)]
+
+
+def energy_bits(chart, nu, nv):
+    result = an.willmore_energy(chart, nu, nv, order=3)
+    return [result.value.hex(), result.estimate.hex()] + [
+        (r["nu"], r["nv"], r["value"].hex()) for r in result.refinements]
+
+
+@pytest.mark.parametrize("name, params, nu, nv", SPLIT_CASES)
+def test_energy_split_is_bit_identical(monkeypatch, name, params, nu, nv):
+    chart = catalog_chart(name, **params)
+    use_cores(monkeypatch, 1)
+    serial = energy_bits(chart, nu, nv)
+    for cores in (2, 3, nu):
+        use_cores(monkeypatch, cores)
+        assert energy_bits(chart, nu, nv) == serial, cores
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 16])
+def test_energy_starts_a_thread_per_block_but_one(monkeypatch, cores):
+    # the calling thread runs the first block; one core starts no thread
+    use_cores(monkeypatch, cores)
+    started = []
+    original = threading.Thread.start
+
+    def spy(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    an.willmore_energy(catalog_chart("torus"), 16, 16, order=3)
+    assert len(started) == cores - 1
+
+
+# lifts that fail in their upper rows only: a block of those rows alone
+# would report a count or a worst value of its own
+UPPER_ROW_FAILURES = {
+    "NonFinite": "r3 [u, v, exp(exp(exp(exp(4*u))))]",
+    "NotSpacelike": "r31 [u, v, (u+1)^3/4]",
+}
+
+
+@pytest.mark.parametrize("error", sorted(UPPER_ROW_FAILURES))
+@pytest.mark.parametrize("nu, nv", [(16, 16), (5, 7)])
+def test_energy_split_errors_describe_the_whole_grid(monkeypatch, error,
+                                                     nu, nv):
+    chart = chart_from_source(UPPER_ROW_FAILURES[error])
+
+    def payload(cores):
+        use_cores(monkeypatch, cores)
+        with np.errstate(all="ignore"), pytest.raises(LightconeError) as info:
+            an.willmore_energy(chart, nu, nv, order=3)
+        return info.value.payload()
+
+    serial = payload(1)
+    assert serial["error"] == error
+    for cores in (2, 3, nu):
+        assert payload(cores) == serial, cores
+
+
+def test_energy_blocks_share_the_callers_error_state(monkeypatch):
+    # numpy's error state is a context variable; a block that did not run
+    # in a copy of the caller's context would warn on the overflow
+    use_cores(monkeypatch, 3)
+    chart = chart_from_source(UPPER_ROW_FAILURES["NonFinite"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            an.willmore_energy(chart, 16, 16, order=3)
+
+
+def test_energy_block_exceptions_reach_the_caller(monkeypatch):
+    # an exception that is no LightconeError, raised on a worker thread
+    # only, so that running the grid again would not raise it
+    use_cores(monkeypatch, 3)
+    base = catalog_chart("torus")
+
+    def lift(U, V):
+        if threading.current_thread() is not threading.main_thread():
+            raise KeyError("worker block")
+        return base.evaluate(U, V)
+
+    chart = SurfaceChart("worker_fails", lift, base.domain, base.periodic)
+    with pytest.raises(KeyError, match="worker block"):
+        an.willmore_energy(chart, 16, 16, order=3)
+
+
+def test_energy_split_keeps_the_dtype_of_the_whole_grid(monkeypatch):
+    # sqrt(u) turns the lift complex where a node has u < 0: the bottom
+    # block alone would be complex and the top one real, so the grid
+    # runs whole and every lane takes the complex path it takes there
+    chart = chart_from_source("r3 [u, v, 2 + sqrt(u + 0.3) * 0.1]")
+    use_cores(monkeypatch, 1)
+    serial = energy_bits(chart, 9, 8)
+    use_cores(monkeypatch, 3)
+    assert energy_bits(chart, 9, 8) == serial

@@ -750,15 +750,51 @@ def test_transform_at_the_floor_equals_the_library_at_the_cap(
     assert bundle["duality"] == duality.as_dict()
 
 
-def run_module(*argv):
-    """Exit status, stdout and stderr of ``python -m lightcone``."""
+def run_python(*args):
+    """Exit status, stdout and stderr of ``python *args`` with the
+    package's sources on the path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join([str(src)] + [p for p in [
         os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "lightcone", *argv],
+    proc = subprocess.run([sys.executable, *args],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_module(*argv):
+    """Exit status, stdout and stderr of ``python -m lightcone``."""
+    return run_python("-m", "lightcone", *argv)
+
+
+# the command line on a process whose affinity set holds the given
+# number of cores
+ON_CORES = """
+import os, sys
+cores = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(cores))
+from lightcone.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("source, error", [
+    ("r3 [u, v, exp(exp(exp(exp(4*u))))]", "NonFinite"),
+    ("r31 [u, v, (u+1)^3/4]", "NotSpacelike")])
+def test_energy_split_errors_as_one_strict_json(tmp_path, source, error):
+    # the chart fails in its upper rows only, which worker threads lift;
+    # no warning of theirs may reach stderr ahead of the document
+    path = tmp_path / "upper_rows.lc"
+    path.write_text(source)
+    argv = ("energy", "--dsl", str(path), "--grid", "16x16")
+    payloads = []
+    for cores in (1, 3):
+        code, out, err = run_python("-c", ON_CORES, str(cores), *argv)
+        assert (code, out) == (2, "")
+        payloads.append(json.loads(err, parse_constant=_reject_constant))
+    VALIDATOR.validate(payloads[0])
+    assert payloads[0]["error"] == error
+    assert payloads[1] == payloads[0]
 
 
 def test_module_entry_point():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -975,6 +977,49 @@ def test_plan_passes_add_every_term_once_in_rank_order(width):
                 for i in range(count)]
         assert seen == want
         assert passes[-1][1] == len(plan.ia)
+
+
+def test_plan_caches_are_thread_safe(monkeypatch):
+    # threads that meet cold caches must each read whole plans: a pass
+    # list read while another thread fills it would drop terms.  More
+    # threads than cores, switching as often as the interpreter allows
+    rng = np.random.default_rng(11)
+    cases = [(random_jet(order, (width,), rng),
+              random_jet(order, (width,), rng))
+             for order in (3, 8, 12) for width in (16, 1000)]
+
+    def work():
+        out = []
+        for a, b in cases:
+            out += [(a * b).coef, (a / b).coef, a.power(0.5).coef,
+                    a.du().coef]
+        return out
+
+    def cold():
+        for name in ("_PLANS", "_DEGREES", "_TARGETS", "_MASKS", "_WEIGHTS"):
+            monkeypatch.setattr(jets, name, {})
+
+    cold()
+    serial = work()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            cold()
+            results = [None] * 8
+            threads = [threading.Thread(target=lambda i=i: results.__setitem__(
+                i, work())) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for result in results:
+                assert result is not None
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(result, serial))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def two_step_derivative(s, axis):
