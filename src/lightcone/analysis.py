@@ -222,6 +222,14 @@ def _axis_quadrature(lo, hi, n, periodic):
     return x, w * (hi - lo) / 2.0
 
 
+# Least grid points a block of rows holds.  A block pays about 2 ms of
+# interpreter work that holds the GIL, whatever its size, so small
+# blocks lose to one thread: on a 2-core Xeon two blocks lost up to
+# 64x64 grids, tied near 80x80 and won from 96x96 on (4,608 points a
+# block; BENCH_23.json)
+MIN_BLOCK_POINTS = 4096
+
+
 def _cores():
     """Cores of the process's affinity set, read at each call."""
     if hasattr(os, "sched_getaffinity"):
@@ -229,11 +237,14 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _split_rows(rows, x):
+def _split_rows(rows, x, width):
     """rows(x)[0], formed in one block of the nodes x per core and the
     blocks' results concatenated.
 
-    ``rows`` maps nodes to (values, dtype), the values one row per node.
+    ``rows`` maps nodes to (values, dtype), the values one row of
+    ``width`` points per node.  No block holds fewer than
+    ``MIN_BLOCK_POINTS`` points, so a grid of fewer than twice that
+    many runs whole on this thread.
     The first block runs on this thread and the others on threads of
     their own, each block in a copy of this thread's context, so numpy's
     error state (a context variable) holds in all of them.  A block's
@@ -246,7 +257,8 @@ def _split_rows(rows, x):
     takes the dtype it takes there.  With one core nothing is split and
     no thread starts.
     """
-    blocks = np.array_split(x, max(1, min(_cores(), len(x))))
+    most = len(x) * width // MIN_BLOCK_POINTS
+    blocks = np.array_split(x, max(1, min(_cores(), len(x), most)))
     if len(blocks) == 1:
         return rows(x)[0]
     results = [None] * len(blocks)
@@ -293,9 +305,11 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
 
     Each pass splits its u nodes into one block of rows per core of the
     process's affinity set and lifts the blocks on threads at once
-    (``_split_rows``).  A lane's bits do not depend on the batch around
-    it, so the result is bit-identical to that of one thread; a process
-    held to one core (``taskset -c 0``) splits nothing.
+    (``_split_rows``), each block of at least ``MIN_BLOCK_POINTS`` grid
+    points, so grids of fewer than 8,192 points run on one thread.  A
+    lane's bits do not depend on the batch around it, so the result is
+    bit-identical to that of one thread; a process held to one core
+    (``taskset -c 0``) splits nothing.
     """
     (u0, u1), (v0, v1) = chart.domain
     coarse_nu = max(2, int(np.ceil(nu / 2)))
@@ -311,7 +325,7 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
             raw = chart.lift_at(xb[:, None], y[None, :], order=order)
             return pair_density(raw), raw.coef.dtype
 
-        f = _split_rows(rows, x)
+        f = _split_rows(rows, x, len(y))
         worst = float(np.max(np.abs(f)))
         if worst > SINGULAR_INTEGRAND:
             raise IntegrandSingular("energy density blows up on the grid",

@@ -404,10 +404,17 @@ def test_energy_reuses_the_fine_pass_exactly(t, nu, nv, fold):
     assert result.estimate == abs(fine - coarse)
 
 
-def use_cores(monkeypatch, n):
+def hold_cores(monkeypatch, n):
     """Make the process's affinity set hold n cores."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n)), raising=False)
+
+
+def use_cores(monkeypatch, n):
+    """Make the process's affinity set hold n cores, and let a block be
+    as small as one grid row, so that small grids split too."""
+    hold_cores(monkeypatch, n)
+    monkeypatch.setattr(an, "MIN_BLOCK_POINTS", 1)
 
 
 @pytest.mark.parametrize("name, nu, nv, lifts", [
@@ -474,6 +481,12 @@ def test_energy_split_is_bit_identical(monkeypatch, name, params, nu, nv):
 def test_energy_starts_a_thread_per_block_but_one(monkeypatch, cores):
     # the calling thread runs the first block; one core starts no thread
     use_cores(monkeypatch, cores)
+    started = count_thread_starts(monkeypatch)
+    an.willmore_energy(catalog_chart("torus"), 16, 16, order=3)
+    assert len(started) == cores - 1
+
+
+def count_thread_starts(monkeypatch):
     started = []
     original = threading.Thread.start
 
@@ -482,23 +495,41 @@ def test_energy_starts_a_thread_per_block_but_one(monkeypatch, cores):
         original(self)
 
     monkeypatch.setattr(threading.Thread, "start", spy)
-    an.willmore_energy(catalog_chart("torus"), 16, 16, order=3)
-    assert len(started) == cores - 1
+    return started
+
+
+@pytest.mark.parametrize("nu, nv, cores, threads", [
+    (16, 16, 16, 0), (32, 32, 2, 0), (64, 64, 16, 0), (64, 127, 16, 0),
+    (64, 128, 3, 1), (128, 128, 2, 1), (128, 128, 16, 3)])
+def test_energy_blocks_hold_at_least_the_least_block(monkeypatch, nu, nv,
+                                                     cores, threads):
+    # a block costs interpreter time whatever its size, so no block may
+    # hold fewer than MIN_BLOCK_POINTS points, whatever the cores
+    hold_cores(monkeypatch, cores)
+    started = count_thread_starts(monkeypatch)
+    an.willmore_energy(catalog_chart("torus"), nu, nv, order=3)
+    assert len(started) == threads
 
 
 # lifts that fail in their upper rows only: a block of those rows alone
-# would report a count or a worst value of its own
+# would report a count or a worst value of its own.  And exponents that
+# are constant only up to rounding, which differs from row to row: a
+# block that took the exponent of its own first row would give other
+# bits than the whole grid, or a report where the whole grid refuses
 UPPER_ROW_FAILURES = {
     "NonFinite": "r3 [u, v, exp(exp(exp(exp(4*u))))]",
     "NotSpacelike": "r31 [u, v, (u+1)^3/4]",
 }
+SPLIT_FAILURES = sorted(UPPER_ROW_FAILURES.items()) + [
+    ("DomainError", "r3 [u, v, (u+2)^(3*(sin(u)^2+cos(u)^2))]"),
+    ("DomainError", "r3 [u, v, (u+2)^(3 + (sin(u)^2+cos(u)^2 - 1)*64)]")]
 
 
-@pytest.mark.parametrize("error", sorted(UPPER_ROW_FAILURES))
+@pytest.mark.parametrize("error, source", SPLIT_FAILURES)
 @pytest.mark.parametrize("nu, nv", [(16, 16), (5, 7)])
 def test_energy_split_errors_describe_the_whole_grid(monkeypatch, error,
-                                                     nu, nv):
-    chart = chart_from_source(UPPER_ROW_FAILURES[error])
+                                                     source, nu, nv):
+    chart = chart_from_source(source)
 
     def payload(cores):
         use_cores(monkeypatch, cores)

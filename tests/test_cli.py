@@ -783,10 +783,12 @@ sys.exit(main(sys.argv[1:]))
     ("r31 [u, v, (u+1)^3/4]", "NotSpacelike")])
 def test_energy_split_errors_as_one_strict_json(tmp_path, source, error):
     # the chart fails in its upper rows only, which worker threads lift;
-    # no warning of theirs may reach stderr ahead of the document
+    # no warning of theirs may reach stderr ahead of the document.  The
+    # coarse pass, 128x128, runs first and is large enough to make a
+    # block per core of 3
     path = tmp_path / "upper_rows.lc"
     path.write_text(source)
-    argv = ("energy", "--dsl", str(path), "--grid", "16x16")
+    argv = ("energy", "--dsl", str(path), "--grid", "256x256")
     payloads = []
     for cores in (1, 3):
         code, out, err = run_python("-c", ON_CORES, str(cores), *argv)

@@ -144,6 +144,28 @@ def test_exponent_must_be_constant():
 
 
 @pytest.mark.parametrize("source", [
+    "r3 [u^(v-v+2), u, v]",
+    "r3 [(u+2)^(sin(u)^2+cos(u)^2), u, v]",
+])
+def test_exponent_must_not_read_u_or_v(source):
+    # even an exponent that is constant up to rounding: its rounding
+    # differs from point to point, so no one value serves every batch
+    chart = chart_from_source(source)
+    for u, v in [(0.5, 2.0), (np.linspace(0.1, 0.9, 5)[:, None],
+                              np.linspace(1.0, 2.0, 3)[None, :])]:
+        U, V = seed_point(u, v, 3)
+        with pytest.raises(DomainError, match="u or v"):
+            chart.evaluate(U, V)
+
+
+def test_exponent_may_read_parameters():
+    chart = chart_from_source("r3 [u^(2*a), u, v]", params={"a": 1.5})
+    U, V = seed_point(0.5, 2.0, 3)
+    cubed = chart_from_source("r3 [u^3, u, v]").evaluate(U, V)
+    assert np.array_equal(chart.evaluate(U, V).coef, cubed.coef)
+
+
+@pytest.mark.parametrize("source", [
     "r3 [u/0, v, u]",
     "r3 [u/(1-1), v, u]",
     "r3 [u/1e-320, v, u]",
