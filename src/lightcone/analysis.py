@@ -231,10 +231,78 @@ MIN_BLOCK_POINTS = 4096
 
 
 def _cores():
-    """Cores of the process's affinity set, read at each call."""
+    """Cores the process can run on at once, read at each call: its
+    affinity set, capped by its cgroup's CPU quota."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return cores if limit is None else max(1, min(cores, limit))
+
+
+def _cgroup_cpu_limit(proc="/proc/self"):
+    """ceil(quota / period) of the tightest CPU quota on the process's
+    cgroup and its ancestors, from cgroup v2 ``cpu.max`` or v1
+    ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us``; None where no quota
+    is set ("max", or -1) or none can be read.  ``proc`` is the process's
+    /proc directory, whose ``cgroup`` and ``mountinfo`` locate the files.
+    """
+    try:
+        groups = [line.split(":", 2) for line in
+                  _read_text(os.path.join(proc, "cgroup")).splitlines()]
+        mounts = [line.split() for line in
+                  _read_text(os.path.join(proc, "mountinfo")).splitlines()]
+    except OSError:
+        return None
+    limits = []
+    for fields in mounts:
+        # mount root and mount point, then after "-" the type and the
+        # superblock options, which name a v1 hierarchy's controllers
+        tail = fields[fields.index("-") + 1:]
+        v2 = tail[0] == "cgroup2"
+        if not v2 and (tail[0] != "cgroup" or
+                       "cpu" not in tail[2].split(",")):
+            continue
+        for hierarchy, controllers, path in groups:
+            if (hierarchy == "0") != v2 or (
+                    not v2 and "cpu" not in controllers.split(",")):
+                continue
+            rel = os.path.relpath(path, fields[3])
+            if rel.startswith(".."):
+                continue
+            parts = [] if rel == "." else rel.split("/")
+            for depth in range(len(parts) + 1):
+                limit = _quota_cores(os.path.join(fields[4], *parts[:depth]),
+                                     v2)
+                if limit is not None:
+                    limits.append(limit)
+    return min(limits, default=None)
+
+
+def _quota_cores(directory, v2):
+    """ceil(quota / period) of the cgroup in ``directory``, or None."""
+    try:
+        if v2:
+            quota, period = _read_text(
+                os.path.join(directory, "cpu.max")).split()
+        else:
+            quota, period = (_read_text(os.path.join(directory, name))
+                             for name in ("cpu.cfs_quota_us",
+                                          "cpu.cfs_period_us"))
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):
+        # "max" (v2) is no quota, as is a file that is missing or cannot
+        # be parsed
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
+def _read_text(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _split_rows(rows, x, width):
@@ -257,8 +325,10 @@ def _split_rows(rows, x, width):
     takes the dtype it takes there.  With one core nothing is split and
     no thread starts.
     """
-    most = len(x) * width // MIN_BLOCK_POINTS
-    blocks = np.array_split(x, max(1, min(_cores(), len(x), most)))
+    most = min(len(x), len(x) * width // MIN_BLOCK_POINTS)
+    # the cores are counted only where more than one block may run, as
+    # reading the CPU quota takes about 0.1 ms
+    blocks = np.array_split(x, min(_cores(), most) if most > 1 else 1)
     if len(blocks) == 1:
         return rows(x)[0]
     results = [None] * len(blocks)

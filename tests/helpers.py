@@ -1,10 +1,11 @@
 """Test-only helpers built on the package: exact test motions, the DSL
-printer, the mu Riccati identity, the frame that
-``duality_report`` reads, the two-pass Willmore energy quadrature
-that ``willmore_energy`` must reproduce, and a counter of jet
-products."""
+printer and a strategy for DSL expression trees, the mu Riccati
+identity, the frame that ``duality_report`` reads, the two-pass Willmore
+energy quadrature that ``willmore_energy`` must reproduce, and a counter
+of jet products."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lightcone import jets
 from lightcone.ambient import ETA, SIGNS, Motion
@@ -133,6 +134,24 @@ def _print(node):
 def print_program(form, exprs):
     return "{} [{}]".format(form,
                             ", ".join(print_expression(e) for e in exprs))
+
+
+_leaf = st.sampled_from([("name", "u"), ("name", "v"), ("name", "t"),
+                         ("num", 2.0), ("num", 0.5), ("num", 3.0)])
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp"]),
+                  children),
+        st.tuples(st.just("bin"), st.sampled_from(["+", "-", "*", "/", "^"]),
+                  children, children),
+    )
+
+
+# expression trees as ``parse_expression`` returns them
+ast_trees = st.recursive(_leaf, _extend, max_leaves=12)
 
 
 # analysis

@@ -405,9 +405,87 @@ def test_energy_reuses_the_fine_pass_exactly(t, nu, nv, fold):
 
 
 def hold_cores(monkeypatch, n):
-    """Make the process's affinity set hold n cores."""
+    """Make the process's affinity set hold n cores, under no CPU
+    quota."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(an, "_cgroup_cpu_limit", lambda: None)
+
+
+def fake_proc(tmp_path, groups, mounts, files):
+    """A stand-in for /proc/self under ``tmp_path``: its ``cgroup`` holds
+    the lines ``groups``, its ``mountinfo`` a line per (root, mount
+    point, type, options) of ``mounts``, the mount points being taken
+    under ``tmp_path``, where the ``files`` (path: text) are written."""
+    proc = tmp_path / "proc"
+    proc.mkdir()
+    (proc / "cgroup").write_text("".join(line + "\n" for line in groups))
+    (proc / "mountinfo").write_text("".join(
+        "%d 24 0:%d %s %s rw,relatime shared:%d - %s %s rw,%s\n"
+        % (30 + i, 30 + i, root, tmp_path / point, i, kind, kind, options)
+        for i, (root, point, kind, options) in enumerate(mounts)))
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    return str(proc)
+
+
+V1_CPU = ("/", "cpu", "cgroup", "cpu")
+V2 = ("/", "unified", "cgroup2", "nsdelegate")
+
+
+@pytest.mark.parametrize("groups, mounts, files, limit", [
+    # v2: the tightest quota on the path from the mount to the cgroup
+    (["0::/a/b"], [V2], {"unified/a/cpu.max": "150000 100000\n",
+                         "unified/a/b/cpu.max": "max 100000\n"}, 2),
+    (["0::/a"], [V2], {"unified/cpu.max": "100000 100000\n",
+                       "unified/a/cpu.max": "250000 100000\n"}, 1),
+    (["0::/a"], [V2], {"unified/a/cpu.max": "max 100000\n"}, None),
+    # v1, its cpu controller mounted alone or with cpuacct
+    (["4:cpu,cpuacct:/c"], [("/", "cpu,cpuacct", "cgroup", "cpu,cpuacct")],
+     {"cpu,cpuacct/c/cpu.cfs_quota_us": "50000\n",
+      "cpu,cpuacct/c/cpu.cfs_period_us": "100000\n"}, 1),
+    (["1:cpu:/"], [V1_CPU], {"cpu/cpu.cfs_quota_us": "-1\n",
+                             "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    # a container's cgroup is the root of its mount
+    (["1:cpu:/docker/x"], [("/docker/x", "cpu", "cgroup", "cpu")],
+     {"cpu/cpu.cfs_quota_us": "300000\n",
+      "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    # both versions, as on a hybrid host: the tighter
+    (["1:cpu:/", "0::/a"], [V1_CPU, V2],
+     {"cpu/cpu.cfs_quota_us": "400000\n",
+      "cpu/cpu.cfs_period_us": "100000\n",
+      "unified/a/cpu.max": "120000 100000\n"}, 2),
+    # no controller mounted, no file, a file that does not parse, a
+    # cgroup outside its mount, another controller's hierarchy
+    (["0::/a"], [], {"unified/a/cpu.max": "100000 100000\n"}, None),
+    (["0::/a"], [V2], {}, None),
+    (["0::/a"], [V2], {"unified/a/cpu.max": "lots\n"}, None),
+    (["0::/a"], [("/b", "unified", "cgroup2", "rw")],
+     {"unified/cpu.max": "100000 100000\n"}, None),
+    (["5:memory:/"], [("/", "memory", "cgroup", "memory")],
+     {"memory/cpu.cfs_quota_us": "100000\n",
+      "memory/cpu.cfs_period_us": "100000\n"}, None),
+])
+def test_cgroup_cpu_limit_reads_the_quota(tmp_path, groups, mounts, files,
+                                          limit):
+    proc = fake_proc(tmp_path, groups, mounts, files)
+    assert an._cgroup_cpu_limit(proc) == limit
+
+
+def test_cgroup_cpu_limit_without_proc(tmp_path):
+    assert an._cgroup_cpu_limit(str(tmp_path / "nothing")) is None
+
+
+@pytest.mark.parametrize("affinity, limit, cores", [
+    (16, 2, 2), (2, 8, 2), (4, None, 4), (3, 1, 1)])
+def test_cores_are_capped_by_the_cpu_quota(monkeypatch, affinity, limit,
+                                           cores):
+    # a container that sees more cores than its quota lets it use must
+    # not split into more blocks than it can run at once
+    hold_cores(monkeypatch, affinity)
+    monkeypatch.setattr(an, "_cgroup_cpu_limit", lambda: limit)
+    assert an._cores() == cores
 
 
 def use_cores(monkeypatch, n):

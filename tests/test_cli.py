@@ -1,17 +1,23 @@
+import contextlib
+import ctypes
+import io
 import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import types
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightcone import analysis as an
-from lightcone import charts, errors, frames, transforms
+from lightcone import charts, cli, errors, frames, transforms
 from lightcone.ambient import projective_distance
 from lightcone.charts import CATALOG, catalog_chart, sample_grid
 from lightcone.cli import (_COMMANDS, INVARIANT_COLUMNS, MESH_COLUMNS,
@@ -19,7 +25,7 @@ from lightcone.cli import (_COMMANDS, INVARIANT_COLUMNS, MESH_COLUMNS,
 from lightcone.dsl import chart_from_source
 from lightcone.frames import classify_point, frame_and_invariants
 
-from helpers import sample_frame
+from helpers import ast_trees, print_expression, sample_frame
 
 SCHEMA = json.loads(resources.files("lightcone")
                     .joinpath("report_schema.json").read_text("utf-8"))
@@ -489,6 +495,44 @@ def test_every_cli_error_names_a_package_error(capsys, argv, error):
                                                     errors.LightconeError)
 
 
+@st.composite
+def fuzzed_programs(draw):
+    """An ``r3`` program of three random expressions, about half of them
+    with a little junk text spliced in at a random place."""
+    source = "r3 [%s]" % ", ".join(print_expression(draw(ast_trees))
+                                    for _ in range(3))
+    junk = draw(st.just("") | st.text(
+        st.sampled_from("()[],+-*/^.e019 uvtx#\n")
+        | st.characters(codec="utf-8"), min_size=1, max_size=4))
+    at = draw(st.integers(0, len(source)))
+    return source[:at] + junk + source[at:]
+
+
+@given(fuzzed_programs())
+@settings(max_examples=80)
+def test_fuzzed_programs_leave_one_strict_json_document(tmp_path_factory,
+                                                        source):
+    path = tmp_path_factory.mktemp("fuzz") / "chart.lc"
+    path.write_text(source, encoding="utf-8")
+    argv = ["verify", "--dsl", str(path), "--grid", "4x4"]
+    # a program that reads t gets it bound; an unused binding is refused
+    if re.search(r"\bt\b", source):
+        argv += ["--param", "t=2"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    document, other = (err, out) if code == 2 else (out, err)
+    assert other.getvalue() == ""
+    payload = json.loads(document.getvalue(),
+                         parse_constant=_reject_constant)
+    VALIDATOR.validate(payload)
+    if code == 2:
+        cls = getattr(errors, payload["error"], None)
+        assert isinstance(cls, type) and issubclass(
+            cls, errors.LightconeError), payload
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--surface", "torus", "--param", "t=2", "--grid", "4x4"),
     ("invariants", "--surface", "torus", "--grid", "4x4",
@@ -809,3 +853,103 @@ def test_module_entry_point():
     payload = json.loads(err, parse_constant=_reject_constant)
     VALIDATOR.validate(payload)
     assert payload["error"] == "UsageError"
+
+
+def on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults of each of three energy commands run in one process
+REPEATED_ENERGY = """
+import contextlib, io, json, resource
+from lightcone.cli import main
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["energy", "--surface", "torus", "--param", "t=2",
+                     "--grid", "32x32"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
+def test_repeated_energy_commands_reuse_freed_heap():
+    # with glibc's default policy the third command faulted its arrays in
+    # afresh, 550-590 faults on a 2-core Xeon; kept heap takes 1-5
+    code, out, err = run_python("-c", REPEATED_ENERGY)
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)[2] < 50
+
+
+# the mallopt calls a process makes by the time it has imported the CLI
+# and after each of two commands, with glibc's mallopt recorded, not
+# called
+MALLOPT_CALLS = """
+import contextlib, ctypes, io, json, os, types
+calls, counts = [], []
+
+def mallopt(param, value):
+    calls.append([param, value])
+    return 1
+
+os.confstr = lambda name: "glibc 2.36"
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+import lightcone
+from lightcone.cli import main
+counts.append(len(calls))
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["catalog-list"])
+    counts.append(len(calls))
+print(json.dumps([counts, calls]))
+"""
+
+
+def test_heap_policy_is_set_once_by_main_never_at_import():
+    code, out, err = run_python("-c", MALLOPT_CALLS)
+    assert (code, err) == (0, ""), err
+    assert json.loads(out) == [[0, 2, 2], [[-3, 32 << 20], [-1, 128 << 20]]]
+
+
+@pytest.mark.parametrize("confstr, libc, returns, calls", [
+    # glibc: both thresholds; where the trim threshold is refused the
+    # mmap threshold goes back to glibc's starting value
+    ("glibc 2.36", "mallopt", [1, 1], [(-3, 32 << 20), (-1, 128 << 20)]),
+    ("glibc 2.36", "mallopt", [0], [(-3, 32 << 20)]),
+    ("glibc 2.36", "mallopt", [1, 0, 1],
+     [(-3, 32 << 20), (-1, 128 << 20), (-3, 128 << 10)]),
+    # not glibc, no C library, or one without mallopt: nothing is called
+    (None, "mallopt", [], []),
+    (ValueError("unrecognized configuration name"), "mallopt", [], []),
+    ("glibc 2.36", OSError("no C library"), [], []),
+    ("glibc 2.36", "no mallopt", [], []),
+])
+def test_heap_policy_keeps_the_defaults_on_any_failure(monkeypatch, confstr,
+                                                       libc, returns, calls):
+    seen = []
+
+    def mallopt(param, value):
+        seen.append((param, value))
+        return returns[len(seen) - 1]
+
+    def answer(value):
+        def call(name):
+            if isinstance(value, Exception):
+                raise value
+            return value
+        return call
+
+    if isinstance(libc, str):
+        libc = types.SimpleNamespace(
+            **({"mallopt": mallopt} if libc == "mallopt" else {}))
+    monkeypatch.setattr(os, "confstr", answer(confstr))
+    monkeypatch.setattr(ctypes, "CDLL", answer(libc))
+    # the helper's body: the helper itself runs it once per process
+    assert cli._keep_freed_heap.__wrapped__() == (returns == [1, 1])
+    assert seen == calls

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from lightcone import dsl
 from lightcone.charts import (SurfaceChart, catalog_chart, embed_flat,
@@ -12,7 +12,8 @@ from lightcone.errors import (ArityMismatch, DomainError,
                               UnknownIdentifier)
 from lightcone.jets import seed_point
 
-from helpers import parse_expression, print_expression, print_program
+from helpers import (ast_trees, parse_expression, print_expression,
+                     print_program)
 
 TORUS_SOURCE = """raw6 [cos(t*u/sqrt(t*t-1))*cos(v),
                         cos(t*u/sqrt(t*t-1))*sin(v),
@@ -254,23 +255,6 @@ def test_print_round_trip_handwritten():
         form, exprs = parse_program(text)
         printed = print_program(form, exprs)
         assert parse_program(printed) == (form, exprs)
-
-
-_leaf = st.sampled_from([("name", "u"), ("name", "v"), ("name", "t"),
-                         ("num", 2.0), ("num", 0.5), ("num", 3.0)])
-
-
-def _extend(children):
-    return st.one_of(
-        st.tuples(st.just("neg"), children),
-        st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp"]),
-                  children),
-        st.tuples(st.just("bin"), st.sampled_from(["+", "-", "*", "/", "^"]),
-                  children, children),
-    )
-
-
-ast_trees = st.recursive(_leaf, _extend, max_leaves=12)
 
 
 @given(ast_trees)

@@ -97,6 +97,60 @@ def test_module_patch_finder_sees_each_form(tmp_path):
                                         for n in (3, 4, 5, 6, 7)]
 
 
+# what reaches C code past numpy: the ctypes module, numpy's loader for
+# it, and glibc's allocator entries
+NATIVE_MODULES = {"ctypes", "_ctypes", "cffi"}
+NATIVE_NAMES = {"ctypeslib", "mallopt", "malloc_trim"}
+
+
+def native_calls(src=SRC):
+    """Every place in ``src`` that imports a module of NATIVE_MODULES,
+    names one in a string, or names a NATIVE_NAMES entry, as
+    ``file:line`` strings."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[0] in NATIVE_MODULES
+                          for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[0] in NATIVE_MODULES
+            elif isinstance(node, ast.Constant):
+                hit = node.value in NATIVE_MODULES
+            elif isinstance(node, ast.Name):
+                hit = node.id in NATIVE_NAMES
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr in NATIVE_NAMES
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return ["%s:%d" % place for place in sorted(found)]
+
+
+def test_only_the_cli_calls_native_code():
+    # the heap policy is the command line's: a library caller's process
+    # keeps its own allocator settings.  The import-set test below
+    # cannot see ctypes, which numpy has imported already
+    assert {place.split(":")[0] for place in native_calls()} == {"cli.py"}
+
+
+def test_native_call_finder_sees_each_form(tmp_path):
+    (tmp_path / "jets.py").write_text(
+        "import ctypes\n"
+        "import ctypes.util as cu\n"
+        "from ctypes import CDLL\n"
+        "import importlib; importlib.import_module('ctypes')\n"
+        "import numpy as np; np.ctypeslib.load_library('libc', '.')\n"
+        "libc.mallopt(-1, 0)\n"
+        "malloc_trim(0)\n"
+        "import numpy, cffi\n"
+        "ctypes_like = 'c' + 'types'\n")
+    assert native_calls(tmp_path) == ["jets.py:%d" % n
+                                      for n in (1, 2, 3, 4, 5, 6, 7, 8)]
+
+
 def test_import_adds_only_the_library_modules():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env,

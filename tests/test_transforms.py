@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightcone import transforms
 from lightcone.ambient import Motion, projective_distance
@@ -65,9 +66,15 @@ def test_polar_charts_are_valid_charts(torus, catenoid):
             assert np.min(rep["spacelike_min"]) > 0.5
 
 
-def test_polar_round_trips_return_base(torus, catenoid):
-    assert inverse_check(torus) < 1e-8
-    assert inverse_check(catenoid) < 1e-8
+@given(st.sampled_from(["catenoid", "enneper", "maximal_catenoid", "torus"]),
+       st.integers(2, 12), st.integers(2, 12))
+@settings(max_examples=40)
+def test_polar_round_trips_return_base(name, nu, nv):
+    # the worst over every such grid is 5.8e-13, on enneper 6x11.  Moved
+    # charts are left out: the motions exp(S eta) with S antisymmetric,
+    # entries drawn from [-1, 1], read up to 8.5e-10 on 8x8, as the
+    # frame's residuals grow with the lift's coordinates
+    assert inverse_check(catalog_chart(name), grid=(nu, nv)) < 1e-12
 
 
 def test_inverse_check_is_motion_invariant(torus):
