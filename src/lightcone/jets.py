@@ -24,10 +24,12 @@ the broadcast batch each, straight from the operands: a factor on a
 grid line (batch (nu, 1) or (1, nv)) is read on its line, not copied
 out to the grid.  Either way each output sums the same terms in
 increasing (p, q) from 0.0, so the bits of a batch entry do not depend
-on the batch around it.  ``jet.c`` is the same coefficients seen
-batch-first, shape (*batch, K+1, K+1): a writable view of the storage,
-not a copy, and the constructors ``Jet2(c)`` and ``JetVec6(c)`` take
-that layout.
+on the batch around it.  A function of u on its grid line times one
+of v on its line, as in cos(a u) cos(v), skips the plan: it is the
+outer product of the two lines, with the same bits.  ``jet.c`` is the
+same coefficients seen batch-first, shape (*batch, K+1, K+1): a
+writable view of the storage, not a copy, and the constructors
+``Jet2(c)`` and ``JetVec6(c)`` take that layout.
 
 The storage dtype follows the data: float64 for a jet that is real by
 construction, complex128 only where an operation makes it complex (the
@@ -242,6 +244,10 @@ class _Plan(_Terms):
 _LANES = 1024
 #: term x lane elements per pass, so that a pass's operands stay in cache
 _PASS = 1 << 14
+#: fewest elements (lanes x 6) that ``JetVec6.from_components`` writes
+#: one coefficient at a time; the crossover (BENCH_25.json) lies between
+#: 1,536 and 6,144 at every K from 3 to 12
+_BLOCK_WRITES = 1 << 12
 
 _PLANS = {}
 
@@ -270,7 +276,9 @@ def _mul(a, b):
     zero.  Trailing axes broadcast.  Every output coefficient sums its
     terms in the order of increasing (p, q) of a, starting from 0.0, and
     only the triangle j + k <= K is computed; the entries above it are
-    zero whatever the operands hold.  Two regimes walk the batch:
+    zero whatever the operands hold.  A function of u alone by one of v
+    alone, each on its grid line, is an outer product (``_outer``); any
+    other product walks the batch in one of two regimes:
 
     - a batch of at most _LANES lanes is flattened into one block and
       runs the cached ``_Plan`` of the two orders (``_block``), a few
@@ -280,9 +288,9 @@ def _mul(a, b):
       that spans fewer axes than the batch, such as a grid line, is read
       where it lies, and no operand is copied out to the batch whole.
 
-    Both take their terms from the same plan and form each product out
-    of place in a buffer of its own, so a lane's bits do not depend on
-    the regime or on the batch around it.
+    All three form each product out of place in a buffer of its own and
+    give each output the bits of the same sum, so a lane's bits do not
+    depend on the path or on the batch around it.
     """
     order, top = b.shape[0] - 1, a.shape[0] - 1
     ndim = max(a.ndim, b.ndim)
@@ -290,6 +298,11 @@ def _mul(a, b):
     batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
     lanes = math.prod(batch)
     dtype = np.result_type(a, b)
+    if (a.shape[2:] != batch and b.shape[2:] != batch
+            and math.prod(a.shape[2:]) * math.prod(b.shape[2:]) == lanes):
+        out = _outer(a, b, (order + 1, order + 1) + batch, dtype)
+        if out is not None:
+            return out
     plan = _plan(top, order)
     if lanes > _LANES:
         return _wide(plan, a, b, (order + 1, order + 1) + batch, dtype)
@@ -298,6 +311,32 @@ def _mul(a, b):
         out[plan.target] = _block(plan, _lanes(a, batch, lanes),
                                   _lanes(b, batch, lanes), dtype)
     return out.reshape((order + 1, order + 1) + batch)
+
+
+def _line(s, axis):
+    """True where every coefficient of s off its line s[p, 0] (axis 0)
+    or s[0, q] (axis 1) is zero and those on it are finite."""
+    on, off = (s[:, 0], s[:, 1:]) if axis == 0 else (s[0], s[1:])
+    return not np.any(off) and bool(np.isfinite(on).all())
+
+
+def _outer(a, b, shape, dtype):
+    """The product of shape ``shape`` when one factor is a function of u
+    alone and the other of v alone, or None.  Every term of output
+    (j, k) but one multiplies an exact zero, so the plan's sum from 0.0
+    is a[j, 0] b[0, k] + 0.0, which turns -0.0 into +0.0; one multiply
+    per row.  On a non-finite line the zero terms would be NaNs."""
+    swap = not (_line(a, 0) and _line(b, 1))
+    if swap and not (_line(a, 1) and _line(b, 0)):
+        return None
+    top, side = a.shape[0] - 1, shape[0]
+    out = np.zeros(shape, dtype)
+    # a v-line a is a u-line with the coefficient axes swapped
+    x, y, rows = (s.swapaxes(0, 1) if swap else s for s in (a, b, out))
+    for r in range(top + 1):
+        np.multiply(x[r, 0], y[0, :side - r], out=rows[r, :side - r])
+    out += 0.0
+    return out
 
 
 def _block(plan, a, b, dtype):
@@ -966,13 +1005,25 @@ class JetVec6(_Jet):
             raise ValueError("need exactly 6 components")
         order = min(j.order for j in comps)
         batch = np.broadcast_shapes(*[j.batch_shape for j in comps])
-        parts = [_truncate(j.coef, order) for j in comps]
+        parts = [_widen(_truncate(j.coef, order), len(batch) + 2)
+                 for j in comps]
         # each part is written once into the result, a part that spans
         # fewer axes (a function of one coordinate) broadcast as it goes
         out = np.empty((order + 1, order + 1) + batch + (6,),
                        np.result_type(*parts))
-        for i, part in enumerate(parts):
-            out[..., i] = _widen(part, len(batch) + 2)
+        if math.prod(batch) * 6 < _BLOCK_WRITES:
+            for i, part in enumerate(parts):
+                out[..., i] = part
+            return cls._wrap(out)
+        # a large batch one coefficient at a time, so its slab stays in
+        # cache; the entries above the triangle are zero
+        side = order + 1
+        for j in range(side):
+            out[j, side - j:] = 0.0
+            for k in range(side - j):
+                target = out[j, k]
+                for i, part in enumerate(parts):
+                    target[..., i] = part[j, k]
         return cls._wrap(out)
 
     @property

@@ -1,8 +1,8 @@
 """Test-only helpers built on the package: exact test motions, the DSL
 printer and a strategy for DSL expression trees, the mu Riccati
 identity, the frame that ``duality_report`` reads, the two-pass Willmore
-energy quadrature that ``willmore_energy`` must reproduce, and a counter
-of jet products."""
+energy quadrature that ``willmore_energy`` must reproduce, a counter
+of jet products and a guard against the product's plan kernel."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -206,3 +206,13 @@ def count_products(monkeypatch):
 
     monkeypatch.setattr(jets, "_mul", spy_mul)
     return products
+
+
+def refuse_the_plan(monkeypatch):
+    """Make both regimes of the product's plan kernel raise, so that a
+    product that reaches it fails."""
+    def refuse(*args):
+        raise AssertionError("the product reached the plan kernel")
+
+    monkeypatch.setattr(jets, "_block", refuse)
+    monkeypatch.setattr(jets, "_wide", refuse)

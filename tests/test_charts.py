@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lightcone import jets
 from lightcone.charts import (catalog_chart, embed_flat, embed_hyperbolic,
                               embed_sphere, grid_axis, moved_chart,
                               rational_parameter, sample_axes, sample_grid,
@@ -12,7 +13,7 @@ from lightcone.jets import seed_point
 from lightcone.transforms import apply_chain
 
 import oracles
-from helpers import compose, plane_rotation
+from helpers import compose, plane_rotation, refuse_the_plan
 
 
 def test_torus_lift_matches_oracle():
@@ -208,6 +209,45 @@ def test_lift_on_axes_equals_lift_on_grid(order):
         on_grid = chart.lift_at(U, V, order=order)
         assert on_axes.batch_shape == (5, 4), chart.name
         assert np.array_equal(on_axes.coef, on_grid.coef), chart.name
+        assert same_bits_in_triangle(on_axes, on_grid), chart.name
+
+
+def same_bits_in_triangle(a, b):
+    """Jets a and b of one order hold the same bits, -0.0 apart from
+    +0.0, on the triangle j + k <= K; above it they may differ in the
+    sign of a zero."""
+    tri = jets._mask(a.order)
+    return (a.order == b.order and a.coef.dtype == b.coef.dtype
+            and np.array_equal(a.coef[tri].view(np.int64),
+                               b.coef[tri].view(np.int64)))
+
+
+@pytest.mark.parametrize("order", [3, 14])
+def test_torus_lift_on_axes_never_reaches_the_plan(order, monkeypatch):
+    # cos(a u) cos(v) and its kin are outer products of the two lines
+    chart = catalog_chart("torus", t=2.0)
+    u, v = sample_axes(chart, 5, 4)
+    on_grid = chart.lift_at(*sample_grid(chart, 5, 4), order=order)
+    refuse_the_plan(monkeypatch)
+    on_axes = chart.lift_at(u, v, order=order)
+    assert same_bits_in_triangle(on_axes, on_grid)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["dsl_catenoid"])
+def test_lift_coefficients_do_not_depend_on_the_order(name):
+    # a coefficient has the same bits at every order that holds it
+    if name in CATALOG:
+        chart = catalog_chart(name)
+    else:
+        chart = chart_from_source("r3 [cosh(u)*cos(v), cosh(u)*sin(v), u]",
+                                  domain=((-1.0, 1.0), (0.0, 2 * np.pi)),
+                                  periodic=(False, True))
+    u, v = sample_axes(chart, 5, 4)
+    lifts = [chart.lift_at(u, v, order=k) for k in range(13)]
+    for top in range(1, 13):
+        for k in range(top):
+            assert same_bits_in_triangle(lifts[top].truncated(k),
+                                         lifts[k]), (chart.name, top, k)
 
 
 def test_lift_reading_one_coordinate_spans_the_grid():

@@ -13,7 +13,7 @@ from lightcone.errors import DomainError, OrderExhausted
 from lightcone.jets import Jet2, JetVec6, jet_where, seed_point
 
 import oracles
-from helpers import count_products
+from helpers import count_products, refuse_the_plan
 
 RNG = np.random.default_rng(7)
 
@@ -886,6 +886,149 @@ def test_wide_product_allocates_its_output_and_one_buffer():
     # each broadcast input, whatever the batch
     iterator = 2 * np.getbufsize() * out.itemsize
     assert peak <= out.nbytes + batch + iterator + 16 * 1024
+
+
+# a u line by a v line multiplies as one outer product
+
+def line_storage(rng, order, batch, axis, real):
+    """Random coefficient-first storage of a function of u alone (axis
+    0: only a[p, 0] is nonzero) or of v alone (axis 1: only a[0, q])."""
+    s = storage(rng, order, batch, real)
+    keep = np.zeros((order + 1, order + 1), bool)
+    keep[(slice(None), 0) if axis == 0 else (0, slice(None))] = True
+    return np.where(keep.reshape(keep.shape + (1,) * len(batch)), s, 0.0)
+
+
+def on_grid(s, batch):
+    """Coefficient-first s broadcast to ``batch``: an operand that spans
+    the batch, so a product of two of them always takes the plan."""
+    s = jets._widen(s, len(batch) + 2)
+    return np.broadcast_to(s, s.shape[:2] + batch)
+
+
+def bits(s):
+    """s as integers: equal bits, where -0.0 differs from +0.0."""
+    return s.view(np.int64)
+
+
+# (u line, v line): a narrow batch and one wider than _LANES
+LINE_SHAPES = [((5, 1), (1, 4)), ((40, 1), (1, 40))]
+
+
+@pytest.mark.parametrize("real", [(True, True), (True, False),
+                                  (False, True), (False, False)])
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("left, right", LINE_SHAPES)
+def test_line_by_line_is_an_outer_product_bit_for_bit(left, right, swapped,
+                                                      real, monkeypatch):
+    batch = np.broadcast_shapes(left, right)
+    rng = np.random.default_rng(len(batch) + 2 * sum(real) + swapped)
+    for order in (0, 1, 3, 8, 14):
+        for top in sorted({max(order - 1, 0), order}):
+            # swapped: the left factor is the v line
+            a = line_storage(rng, top, right if swapped else left,
+                             1 if swapped else 0, real[0])
+            b = line_storage(rng, order, left if swapped else right,
+                             0 if swapped else 1, real[1])
+            # a zero on b's line: its products with a's negative
+            # coefficients give -0.0, which the plan's sum from 0.0
+            # turns into +0.0
+            k = min(order, 1)
+            b[(k, 0) if swapped else (0, k)] = 0.0
+            want = jets._mul(on_grid(a, batch), on_grid(b, batch))
+            with monkeypatch.context() as patch:
+                refuse_the_plan(patch)
+                got = jets._mul(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want)), (order, top)
+
+
+def test_product_that_gives_minus_zero_writes_plus_zero():
+    a = np.zeros((2, 2, 3, 1))
+    b = np.zeros((2, 2, 1, 2))
+    a[0, 0], a[1, 0] = -2.0, 1.5
+    b[0, 0], b[0, 1] = 0.0, -0.0
+    got = jets._mul(a, b)
+    assert not np.any(bits(got))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_vector_line_times_scalar_line_is_an_outer_product(real,
+                                                          monkeypatch):
+    rng = np.random.default_rng(5)
+    for order in (0, 3, 8):
+        w = JetVec6._wrap(line_storage(rng, order, (5, 1, 6), 0, real))
+        s = Jet2._wrap(line_storage(rng, order, (1, 4), 1, not real))
+        wide = JetVec6._wrap(np.ascontiguousarray(
+            on_grid(w.coef, (5, 4, 6))))
+        want = (wide * Jet2._wrap(on_grid(s.coef, (5, 4)))).coef
+        with monkeypatch.context() as patch:
+            refuse_the_plan(patch)
+            got = [(w * s).coef, (s * w).coef]
+        for product in got:
+            assert product.shape == want.shape
+            assert np.array_equal(bits(product), bits(want)), order
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("left, right", LINE_SHAPES)
+def test_nonfinite_line_takes_the_plan(left, right, entry):
+    # 0 * Inf in the terms that multiply an exact zero makes NaNs that
+    # the outer product would not
+    batch = np.broadcast_shapes(left, right)
+    rng = np.random.default_rng(9)
+    for swapped in (False, True):
+        a = line_storage(rng, 3, left, 0, True)
+        b = line_storage(rng, 3, right, 1, False)
+        a[2, 0, 1] = entry
+        if swapped:
+            a, b = b, a
+        with np.errstate(invalid="ignore"):
+            got = jets._mul(a, b)
+            want = jets._mul(on_grid(a, batch), on_grid(b, batch))
+        assert np.isnan(got).any()
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("where", [(1, 1), (0, 1), (2, 1)])
+@pytest.mark.parametrize("left, right", LINE_SHAPES)
+def test_line_operand_with_mixed_coefficients_takes_the_plan(left, right,
+                                                             where):
+    batch = np.broadcast_shapes(left, right)
+    rng = np.random.default_rng(13)
+    a = line_storage(rng, 4, left, 0, False)
+    b = line_storage(rng, 4, right, 1, True)
+    # a u line with a coefficient of v in it: the plan must sum it in
+    a[where + (0,)] = 0.75
+    got = jets._mul(a, b)
+    want = jets._mul(on_grid(a, batch), on_grid(b, batch))
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(got, block_loop_product(a, b))
+
+
+def test_from_components_writes_large_batches_per_coefficient(monkeypatch):
+    batch = (32, 24)
+    assert math.prod(batch) * 6 >= jets._BLOCK_WRITES
+    rng = np.random.default_rng(17)
+    line = Jet2(coefficients(rng, 4, (32, 1), real=True))
+    higher = Jet2(coefficients(rng, 6, batch, real=True))
+    complex_part = Jet2(coefficients(rng, 4, batch, real=False))
+    full = Jet2(coefficients(rng, 4, batch, real=True))
+    # -0.0 above the triangle, as a derivative can leave it there
+    full.c[..., 3, 2] = -0.0
+    parts = [line, full, higher, complex_part, full, line]
+    got = JetVec6.from_components(parts).coef
+    monkeypatch.setattr(jets, "_BLOCK_WRITES", 1 << 62)
+    want = JetVec6.from_components(parts).coef
+    assert got.dtype == want.dtype == np.complex128
+    assert got.shape == want.shape == (5, 5) + batch + (6,)
+    tri = jets._mask(4)
+    assert np.array_equal(bits(got[tri]), bits(want[tri]))
+    assert not np.any(bits(got[~tri]))
+    for i, part in enumerate(parts):
+        truncated = np.broadcast_to(part.truncated(4).c, batch + (5, 5))
+        assert np.array_equal(JetVec6._wrap(got).component(i).c[..., tri],
+                              truncated[..., tri])
 
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
