@@ -8,7 +8,9 @@ make the invariant scalars plain inner products.
 The Willmore energy density <Y_zzbar, Y_zzbar> needs no frame and not
 even the whole of Y: ``pair_density`` reads the two Taylor
 coefficients Y[2,0] and Y[0,2] at each base point, summed from the raw
-lift and g2^(-1/2) as the product kernel would sum them.
+lift and g2^(-1/2) as the product kernel would sum them; that metric
+factor is read only on the u and v grid lines through the point, the
+only coefficients of it those two need.
 
 Frame conventions, fixed once:
 
@@ -28,7 +30,7 @@ from .ambient import SIGNS, gram_wedge_inner
 from .charts import require_finite
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
                      NotSpacelike, OrderExhausted, ParameterOutOfRange)
-from .jets import Jet2, JetVec6, jet_where
+from .jets import Jet2, JetVec6, _check_divisor, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
@@ -106,8 +108,8 @@ def _inverse_sqrt_metric(raw):
     # the lift is real
     g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
     scale = np.sum(np.abs((ru.value - rv.value * 1j) * 0.5) ** 2, axis=-1)
-    # the u, v derivatives are not needed below; freeing them keeps the
-    # memory peak of a large, low-order lift where it is without them
+    # the u, v derivatives are not needed below; freeing them lowers the
+    # memory peak of the power that follows
     del ru, rv
     ratio = g2.value / np.maximum(scale, 1e-300)
     # written so that a NaN ratio fails the gate too
@@ -463,6 +465,67 @@ def classify_point(inv):
     return out
 
 
+def _line_metric(raw):
+    """h = g2^(-1/2) of a raw lift of order 3 or more on the u and v
+    lines through each base point, (2, 3, *batch): [0, j] is h[j, 0] and
+    [1, j] is h[0, j].  Raises as ``_inverse_sqrt_metric`` does.
+
+    A coefficient (j, 0) of a product or a power reads only the (p, 0)
+    coefficients of its factors, so g2 and h on a line need only r_u and
+    r_v on it; the v line is the u line of the transposed coefficients,
+    with r_u and r_v trading places.  Each output sums the terms of
+    ``_mul`` and ``_recurrence`` in their order: the same bits.
+    """
+    r = raw.coef
+    weights = np.arange(1.0, 4.0).reshape((3,) + (1,) * (r.ndim - 2))
+    one = weights[0]
+    real = np.isrealobj(r)
+
+    def metric(s):
+        # r_u[j, 0] = (j + 1) r[j + 1, 0] and r_v[j, 0] = 1.0 r[j, 1] of
+        # the coefficients s, one after the other; a real r_v is read in
+        # place, as 1.0 x is x
+        sums = []
+        for x in (s[1:4, 0] * weights, s[:3, 1] if real else s[:3, 1] * one):
+            signed = np.empty(x.shape[:-1], x.dtype)
+            for j in range(3):
+                # the kernel's terms x[p] x[j - p] in increasing p, summed
+                # from 0.0; a real product does not depend on the order
+                # of its factors, so a real line forms each pair once
+                terms = [x[p] * x[j - p]
+                         for p in range(j // 2 + 1 if real else j + 1)]
+                if real:
+                    terms += terms[:j + 1 - len(terms)][::-1]
+                square = terms[0] + 0.0
+                for term in terms[1:]:
+                    square += term
+                signed[j] = np.einsum("...i,i->...", square, SIGNS)
+            sums.append(signed)
+        return ((sums[0] + sums[1]) * 0.5).real
+
+    g2 = np.stack([metric(r), metric(r.swapaxes(0, 1))])
+    # r_u and r_v at the base point, as raw.du() and raw.dv() hold them
+    ru0, rv0 = r[1, 0] * one, r[0, 1] * one
+    scale = np.sum(np.abs((ru0 - rv0 * 1j) * 0.5) ** 2, axis=-1)
+    ratio = g2[0, 0] / np.maximum(scale, 1e-300)
+    # written so that a NaN ratio fails the gate too
+    if not np.min(ratio) > SPACELIKE_TOL:
+        raise NotSpacelike("induced metric is not positive",
+                           worst=float(np.min(ratio)))
+    g0 = g2[:, 0]
+    # the v line's g0 is the u line's, which alone counts
+    _check_divisor(g2[0, 0], "power or division")
+    # f_d = sum_p f_(d-p) (g_p w) / g_0, w = ((a + 1) p - d) / d, a = -1/2
+    h = np.empty_like(g2)
+    h[:, 0] = g0 ** -0.5
+    for d in (1, 2):
+        total = np.zeros_like(g0)
+        for p in range(1, d + 1):
+            total += h[:, d - p] * (g2[:, p] * ((0.5 * p - d) / d))
+        np.divide(total, g0, out=h[:, d])
+    return h
+
+
 def pair_density(raw):
     """<Y_zzbar, Y_zzbar> of the canonical lift Y at the base points,
     the Willmore energy density against du dv, as a float array.  Needs
@@ -473,27 +536,31 @@ def pair_density(raw):
     Taylor coefficients of Y.  A coefficient of a product reads only the
     factors' coefficients of equal or lower degree (Griewank & Walther,
     *Evaluating Derivatives*, ch. 13), so those two are summed here from
-    the raw lift and h, term by term in the product kernel's order.  The
-    density is then that of ``canonical_lift``, ``_laplacian`` and
-    ``inner`` bit for bit, without forming Y or any derivative of it.
+    the raw lift and h, term by term in the product kernel's order, and
+    h itself is formed only on the u and v lines through each point
+    (``_line_metric``).  The density is then that of ``canonical_lift``,
+    ``_laplacian`` and ``inner`` bit for bit, without forming Y, any
+    derivative of it or the whole metric.
     """
-    h = _inverse_sqrt_metric(raw).coef
     if raw.order < 3:
+        # the whole metric first, for the errors it raises before this
+        _inverse_sqrt_metric(raw)
         raise OrderExhausted(
             "the energy density needs a raw lift of order 3 or more",
             order=raw.order)
+    h = _line_metric(raw)
 
     def second(r, g):
         # Y[2, 0] of Y = r g: the kernel's terms r[p, 0] g[2 - p, 0] for
         # p = 0, 1, 2, each formed and then added to a sum from 0.0
         total = 0.0
         for p in range(3):
-            total = total + r[p, 0] * g[2 - p, 0][..., None]
+            total = total + r[p, 0] * g[2 - p][..., None]
         return total
 
     # Y[0, 2] is Y[2, 0] of the transposed coefficients
-    Yzzb = (second(raw.coef, h) * 2.0
-            + second(raw.coef.swapaxes(0, 1), h.swapaxes(0, 1)) * 2.0) * 0.25
+    Yzzb = (second(raw.coef, h[0]) * 2.0
+            + second(raw.coef.swapaxes(0, 1), h[1]) * 2.0) * 0.25
     return np.real(_value_inner(Yzzb, Yzzb))
 
 

@@ -7,8 +7,9 @@ from lightcone.ambient import SIGNS
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_axes, sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (GaugeReferenceDegenerate, NonFinite,
-                              NormalPlaneDegenerate, NotSpacelike,
+from lightcone.errors import (DomainError, GaugeReferenceDegenerate,
+                              NonFinite, NormalPlaneDegenerate,
+                              NotSpacelike, OrderExhausted,
                               ParameterOutOfRange)
 from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                               canonical_lift, classify_point,
@@ -397,37 +398,114 @@ _TORUS = catalog_chart("torus", t=T)
        scaled_chart(_TORUS, -1.7)],
     ids=lambda chart: chart.name)
 def test_pair_density_is_the_jet_density_bit_for_bit(chart):
-    u, v = sample_axes(chart, 5, 4)
-    for order in range(3, 7):
-        # on grid axes, and at one point with no batch axes
-        for raw in (chart.lift_at(u, v, order=order),
-                    chart.lift_at(u[2, 0], v[0, 1], order=order)):
-            density, reference = pair_density(raw), _reference_density(raw)
-            assert density.dtype == np.float64
-            assert density.shape == reference.shape
-            assert np.array_equal(density, reference), (chart.name, order)
+    # a 5x4 grid and one point with no batch axes run the products and
+    # the recurrence on lanes; on 24x24 the vector products go term by
+    # term, and on 40x40 the recurrence does too
+    for nu, nv, orders in ((5, 4, range(3, 7)), (24, 24, range(3, 7)),
+                           (40, 40, (3, 5))):
+        u, v = sample_axes(chart, nu, nv)
+        for order in orders:
+            raws = [chart.lift_at(u, v, order=order)]
+            if nu == 5:
+                raws.append(chart.lift_at(u[2, 0], v[0, 1], order=order))
+            for raw in raws:
+                density = pair_density(raw)
+                reference = _reference_density(raw)
+                assert density.dtype == np.float64
+                assert density.shape == reference.shape
+                # array_equal takes -0.0 for +0.0; the bits do not
+                assert np.array_equal(density.view(np.int64),
+                                      reference.view(np.int64)), (
+                    chart.name, nu, order)
+
+
+def _complex_lift(rng, batch, order):
+    c = (rng.standard_normal(batch + (6, order + 1, order + 1))
+         + 0.3j * rng.standard_normal(batch + (6, order + 1, order + 1)))
+    # Y_u and Y_v lean on e_1 and e_2, so the metric is positive
+    c[..., 1, 1, 0] += 5.0
+    c[..., 2, 0, 1] += 5.0
+    return jets.JetVec6(c)
 
 
 def test_pair_density_of_a_complex_lift_bit_for_bit():
     rng = np.random.default_rng(11)
-    for order in range(3, 7):
-        c = (rng.standard_normal((7, 6, order + 1, order + 1))
-             + 0.3j * rng.standard_normal((7, 6, order + 1, order + 1)))
-        # Y_u and Y_v lean on e_1 and e_2, so the metric is positive
-        c[:, 1, 1, 0] += 5.0
-        c[:, 2, 0, 1] += 5.0
-        raw = jets.JetVec6(c)
-        assert np.array_equal(pair_density(raw), _reference_density(raw))
+    for batch in ((7,), (40, 40)):
+        for order in range(3, 7):
+            raw = _complex_lift(rng, batch, order)
+            density = pair_density(raw)
+            assert density.dtype == np.float64
+            assert np.array_equal(density.view(np.int64),
+                                  _reference_density(raw).view(np.int64))
+
+
+def test_pair_density_runs_no_product_and_no_recurrence(monkeypatch):
+    # the metric is read on the grid lines, and every sum is written out
+    # in the kernel's order, so neither kernel is called
+    u, v = sample_axes(_TORUS, 128, 128)
+    raw = _TORUS.lift_at(u, v, order=3)
+    reference = _reference_density(raw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_density reached a jet kernel")
+
+    for name in ("_mul", "_wide", "_recurrence"):
+        monkeypatch.setattr(jets, name, refuse)
+    density = pair_density(raw)
+    assert np.array_equal(density.view(np.int64), reference.view(np.int64))
 
 
 def test_pair_density_gates_as_canonical_lift():
-    raw = chart_from_source("r31 [0.1*u, 0.1*v, u]").lift_at(
-        np.array([0.3, 0.5]), np.array([0.4, 0.1]), order=3)
-    with pytest.raises(NotSpacelike) as lift:
-        canonical_lift(raw)
-    with pytest.raises(NotSpacelike) as density:
-        pair_density(raw)
-    assert density.value.payload() == lift.value.payload()
+    timelike = chart_from_source("r31 [0.1*u, 0.1*v, u]")
+    # a metric of 1e-14 clears the spacelike gate, which is relative,
+    # and then fails the power's absolute floor
+    tiny = chart_from_source("r3 [1e-7*u, 1e-7*v, 0]")
+    for chart, order, error in ((timelike, 2, NotSpacelike),
+                                (timelike, 3, NotSpacelike),
+                                (tiny, 3, DomainError)):
+        raw = chart.lift_at(np.array([0.3, 0.5]), np.array([0.4, 0.1]),
+                            order=order)
+        with pytest.raises(error) as lift:
+            canonical_lift(raw)
+        with pytest.raises(error) as density:
+            pair_density(raw)
+        assert density.value.payload() == lift.value.payload()
+
+
+def test_pair_density_refuses_lifts_below_order_3():
+    # a derivative of an order-0 lift fails first; orders 1 and 2 pass
+    # the metric's gate and then meet the energy's own floor
+    u, v = sample_axes(_TORUS, 4, 3)
+    with pytest.raises(OrderExhausted) as order0:
+        pair_density(_TORUS.lift_at(u, v, order=0))
+    assert order0.value.payload() == {
+        "error": "OrderExhausted", "message": "derivative of an order-0 jet",
+        "context": {}}
+    for order in (1, 2):
+        with pytest.raises(OrderExhausted) as low:
+            pair_density(_TORUS.lift_at(u, v, order=order))
+        assert low.value.payload() == {
+            "error": "OrderExhausted",
+            "message": "the energy density needs a raw lift of order 3 or "
+                       "more", "context": {"order": order}}
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 6), (3, 16, 6), (3, 3, 64, 6),
+                                   (3, 128, 128, 6)])
+def test_signed_sum_pairs_even_and_odd_components(shape):
+    # the metric's signed sums rely on this einsum summing the six
+    # signed components in one order, whatever the shape of the array:
+    # a sum on the grid lines then has the bits of the same sum on the
+    # whole coefficient triangle.  A numpy that changes the order fails
+    # here
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    s = q * SIGNS
+    paired = ((s[..., 0] + s[..., 2]) + s[..., 4]) \
+        + ((s[..., 1] + s[..., 3]) + s[..., 5])
+    summed = np.einsum("...i,i->...", q, SIGNS)
+    assert np.array_equal(np.asarray(summed).view(np.int64),
+                          np.asarray(paired).view(np.int64))
 
 
 _CHART_NAMES = st.sampled_from(sorted(CATALOG))
