@@ -20,8 +20,8 @@ import numpy as np
 
 from .ambient import SIGNS, gram_matrix
 from .charts import grid_axis
-from .errors import (DegenerateTransform, IntegrandSingular, LightconeError,
-                     NotSWillmore, NotWillmore)
+from .errors import (DegenerateTransform, DomainError, IntegrandSingular,
+                     LightconeError, NotSWillmore, NotWillmore)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                      conformal_gauss_data, pair_density, side_field,
                      willmore_operators)
@@ -222,11 +222,13 @@ def _axis_quadrature(lo, hi, n, periodic):
     return x, w * (hi - lo) / 2.0
 
 
-# Least grid points a block of rows holds.  A block pays about 2 ms of
-# interpreter work that holds the GIL, whatever its size, so small
-# blocks lose to one thread: on a 2-core Xeon two blocks lost up to
-# 64x64 grids, tied near 80x80 and won from 96x96 on (4,608 points a
-# block; BENCH_23.json)
+# Least grid points a block of rows holds.  A block pays about 0.8 ms
+# of interpreter work that holds the GIL, whatever its size (a 2-row,
+# 256-point block of the 128-wide torus pass: 0.77-0.88 ms on one core
+# of a 2-core Xeon, against 8-10 ms for 64 rows; BENCH_27.json), so
+# small blocks lose to one thread: two blocks lost up to 64x64 grids,
+# tied near 80x80 and won from 96x96 on (4,608 points a block;
+# BENCH_23.json)
 MIN_BLOCK_POINTS = 4096
 
 
@@ -360,6 +362,19 @@ def _split_rows(rows, x, width):
     return np.concatenate([values for values, _ in results])
 
 
+def _check_real_lift(coef):
+    """Raise DomainError where the lift (coefficient-first, components
+    last) takes a complex value at a grid point: its density would be
+    complex there, and the energy is the integral of a real one."""
+    if not np.iscomplexobj(coef):
+        return
+    points = np.any(coef.imag != 0, axis=(0, 1, -1))
+    count = int(np.count_nonzero(points))
+    if count:
+        raise DomainError("the lift is complex at grid points",
+                          count=count, points=int(points.size))
+
+
 def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     """Willmore energy of a chart over its domain.
 
@@ -380,6 +395,10 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     lane's bits do not depend on the batch around it, so the result is
     bit-identical to that of one thread; a process held to one core
     (``taskset -c 0``) splits nothing.
+
+    A lift that is complex at some grid point, such as a fractional
+    power of a negative number, raises DomainError with the count of
+    those points and of all points of the pass, before any quadrature.
     """
     (u0, u1), (v0, v1) = chart.domain
     coarse_nu = max(2, int(np.ceil(nu / 2)))
@@ -393,7 +412,9 @@ def willmore_energy(chart, nu=64, nv=64, order=3, abs_integrand=False):
     def density(x, y):
         def rows(xb):
             raw = chart.lift_at(xb[:, None], y[None, :], order=order)
-            return pair_density(raw), raw.coef.dtype
+            f = pair_density(raw)
+            _check_real_lift(raw.coef)
+            return f, raw.coef.dtype
 
         f = _split_rows(rows, x, len(y))
         worst = float(np.max(np.abs(f)))

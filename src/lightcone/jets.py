@@ -26,7 +26,12 @@ out to the grid.  Either way each output sums the same terms in
 increasing (p, q) from 0.0, so the bits of a batch entry do not depend
 on the batch around it.  A function of u on its grid line times one
 of v on its line, as in cos(a u) cos(v), skips the plan: it is the
-outer product of the two lines, with the same bits.  ``jet.c`` is the
+outer product of the two lines, with the same bits.  What a product
+does that depends only on its operands' shapes and dtypes (the
+broadcast batch, the result dtype, the plan, the output shape) is
+worked out once per signature and kept; a narrow operand broadcast
+along its trailing unit axis, the scalar of ``JetVec6 * Jet2`` over the
+six components, is spread by ``np.repeat``.  ``jet.c`` is the
 same coefficients seen batch-first, shape (*batch, K+1, K+1): a
 writable view of the storage, not a copy, and the constructors
 ``Jet2(c)`` and ``JetVec6(c)`` take that layout.
@@ -79,7 +84,9 @@ takes plain scalars in sums, ``JetVec6`` scales by scalar jets and
 forms the inner product.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,10 +270,55 @@ def _plan(top, order):
 def _lanes(s, batch, lanes):
     """Coefficient-first s broadcast to ``batch`` and flattened to a
     contiguous (coefficients, lanes) array; a copy only where s is
-    broadcast or not contiguous."""
-    if s.shape[2:] != batch:
+    broadcast or not contiguous.  An operand broadcast along its trailing
+    unit axis alone, as the scalar of ``JetVec6 * Jet2`` is over the six
+    components, is spread by ``np.repeat``, which copies it out in about
+    half the time ``np.broadcast_to`` and a contiguous copy take; both
+    are plain copies, with the same bits."""
+    shape = s.shape[2:]
+    if shape != batch:
+        if shape[-1:] == (1,) and shape[:-1] == batch[:-1]:
+            return np.repeat(s, batch[-1], axis=-1).reshape(-1, lanes)
         s = np.broadcast_to(s, s.shape[:2] + batch)
     return np.ascontiguousarray(s.reshape(-1, lanes))
+
+
+class _Signature(NamedTuple):
+    """What a product does that depends only on its operands' shapes
+    and dtypes: the operands widen to ``ndim`` axes, broadcast to
+    ``batch`` of ``lanes`` lanes and give a ``dtype`` result of
+    ``shape``; ``outer`` says whether the outer-product test applies."""
+
+    ndim: int
+    batch: tuple
+    lanes: int
+    dtype: np.dtype
+    outer: bool
+    plan: _Plan
+    shape: tuple
+
+
+#: operand signatures whose ``_Signature`` the product keeps; the
+#: commands of the verify-transform benchmark meet 49 between them
+_SIGNATURES = 512
+
+
+@functools.lru_cache(maxsize=_SIGNATURES)
+def _signature(a_shape, b_shape, a_dtype, b_dtype):
+    """The ``_Signature`` of a product of operands of these shapes and
+    dtypes.  Shapes that do not broadcast raise ValueError, which is not
+    cached, so they raise it on every call."""
+    order, top = b_shape[0] - 1, a_shape[0] - 1
+    ndim = max(len(a_shape), len(b_shape))
+    a_batch, b_batch = ((1,) * (ndim - len(s)) + s[2:]
+                        for s in (a_shape, b_shape))
+    batch = np.broadcast_shapes(a_batch, b_batch)
+    lanes = math.prod(batch)
+    outer = (a_batch != batch and b_batch != batch
+             and math.prod(a_batch) * math.prod(b_batch) == lanes)
+    return _Signature(ndim, batch, lanes, np.result_type(a_dtype, b_dtype),
+                      outer, _plan(top, order),
+                      (order + 1, order + 1) + batch)
 
 
 def _mul(a, b):
@@ -291,26 +343,28 @@ def _mul(a, b):
     All three form each product out of place in a buffer of its own and
     give each output the bits of the same sum, so a lane's bits do not
     depend on the path or on the batch around it.
+
+    What depends only on the operands' shapes and dtypes (the broadcast
+    batch, the result dtype, whether the outer-product test applies, the
+    plan and the output shape) is worked out once per signature
+    (``_signature``); a narrow product costs its numpy calls on data and
+    a cache lookup.  The outer-product test itself reads values, so it
+    runs on every call.
     """
-    order, top = b.shape[0] - 1, a.shape[0] - 1
-    ndim = max(a.ndim, b.ndim)
-    a, b = _widen(a, ndim), _widen(b, ndim)
-    batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    lanes = math.prod(batch)
-    dtype = np.result_type(a, b)
-    if (a.shape[2:] != batch and b.shape[2:] != batch
-            and math.prod(a.shape[2:]) * math.prod(b.shape[2:]) == lanes):
-        out = _outer(a, b, (order + 1, order + 1) + batch, dtype)
+    sig = _signature(a.shape, b.shape, a.dtype, b.dtype)
+    a, b = _widen(a, sig.ndim), _widen(b, sig.ndim)
+    if sig.outer:
+        out = _outer(a, b, sig.shape, sig.dtype)
         if out is not None:
             return out
-    plan = _plan(top, order)
-    if lanes > _LANES:
-        return _wide(plan, a, b, (order + 1, order + 1) + batch, dtype)
-    out = np.zeros(((order + 1) ** 2, lanes), dtype)
+    if sig.lanes > _LANES:
+        return _wide(sig.plan, a, b, sig.shape, sig.dtype)
+    plan, lanes = sig.plan, sig.lanes
+    out = np.zeros((sig.shape[0] ** 2, lanes), sig.dtype)
     if lanes:
-        out[plan.target] = _block(plan, _lanes(a, batch, lanes),
-                                  _lanes(b, batch, lanes), dtype)
-    return out.reshape((order + 1, order + 1) + batch)
+        out[plan.target] = _block(plan, _lanes(a, sig.batch, lanes),
+                                  _lanes(b, sig.batch, lanes), sig.dtype)
+    return out.reshape(sig.shape)
 
 
 def _line(s, axis):
@@ -401,6 +455,11 @@ def _wide(plan, a, b, shape, dtype):
     return out
 
 
+#: (degree, exponent) pairs whose power weights ``_Degree.weights``
+#: keeps; the commands of the verify-transform benchmark meet 24
+_EXPONENTS = 256
+
+
 class _Degree(_Terms):
     """Index plan of total degree d >= 1 of the Taylor recurrences of a
     power f = g^a and a quotient f = n / g (Griewank & Walther, ch. 13).
@@ -430,11 +489,15 @@ class _Degree(_Terms):
                            for p in range(j + 1) for q in range(k + 1)
                            if p or q] for j, k in self.outputs])
 
+    @functools.lru_cache(maxsize=_EXPONENTS)
     def weights(self, a):
         """The power's term weights (a (d - i) - i) / d by the position
-        of the factor g_(d-i), as a (stop, 1) column."""
+        of the factor g_(d-i), as a read-only (stop, 1) column, built
+        once per exponent."""
         d = len(self.outputs) - 1
-        return (((a + 1.0) * self.degrees - d) / d)[:, None]
+        column = (((a + 1.0) * self.degrees - d) / d)[:, None]
+        column.flags.writeable = False
+        return column
 
     def by_factor(self):
         """The terms grouped by their factor of g, built on first use:

@@ -12,9 +12,9 @@ from lightcone import analysis as an
 from lightcone.charts import CATALOG, DEFAULT_ORDER, SurfaceChart, \
     catalog_chart, moved_chart, sample_grid, scaled_chart, torus_chart
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (DegenerateTransform, IntegrandSingular,
-                              LightconeError, NonFinite, NotSWillmore,
-                              NotWillmore, OrderExhausted)
+from lightcone.errors import (DegenerateTransform, DomainError,
+                              IntegrandSingular, LightconeError, NonFinite,
+                              NotSWillmore, NotWillmore, OrderExhausted)
 from lightcone.frames import (INVARIANTS_ORDER, frame_and_invariants,
                               pair_density)
 
@@ -261,6 +261,20 @@ def test_abs_integrand_flips_negative_density():
 def test_energy_singularity_gate():
     with pytest.raises(IntegrandSingular):
         an.willmore_energy(torus_chart(1.0 + 5e-8), 8, 8, order=3)
+
+
+@pytest.mark.parametrize("source, count", [
+    # complex on the whole domain
+    ("r3 [u, v, sqrt(u - 2)]", 153),
+    # complex where u < -0.3 only
+    ("r3 [u, v, 2 + sqrt(u + 0.3) * 0.1]", 63)])
+def test_energy_of_a_complex_lift_is_a_domain_error(source, count):
+    # the real part of a complex density is no energy; the coarse pass,
+    # 17x9, is lifted first and refuses
+    chart = chart_from_source(source)
+    with pytest.raises(DomainError) as info:
+        an.willmore_energy(chart, 33, 17, order=3)
+    assert info.value.context == {"count": count, "points": 153}
 
 
 def test_energy_is_motion_invariant():
@@ -600,7 +614,9 @@ UPPER_ROW_FAILURES = {
 }
 SPLIT_FAILURES = sorted(UPPER_ROW_FAILURES.items()) + [
     ("DomainError", "r3 [u, v, (u+2)^(3*(sin(u)^2+cos(u)^2))]"),
-    ("DomainError", "r3 [u, v, (u+2)^(3 + (sin(u)^2+cos(u)^2 - 1)*64)]")]
+    ("DomainError", "r3 [u, v, (u+2)^(3 + (sin(u)^2+cos(u)^2 - 1)*64)]"),
+    # complex in the lower rows only, where u < -0.3
+    ("DomainError", "r3 [u, v, 2 + sqrt(u + 0.3) * 0.1]")]
 
 
 @pytest.mark.parametrize("error, source", SPLIT_FAILURES)
@@ -649,10 +665,15 @@ def test_energy_block_exceptions_reach_the_caller(monkeypatch):
 
 
 def test_energy_split_keeps_the_dtype_of_the_whole_grid(monkeypatch):
-    # sqrt(u) turns the lift complex where a node has u < 0: the bottom
-    # block alone would be complex and the top one real, so the grid
-    # runs whole and every lane takes the complex path it takes there
-    chart = chart_from_source("r3 [u, v, 2 + sqrt(u + 0.3) * 0.1]")
+    # sqrt(u + 0.3) squared is real again, but stored complex where a
+    # node has u < -0.3: the bottom block alone would be complex and the
+    # top one real, so the grid runs whole and every lane takes the
+    # complex path it takes there
+    chart = chart_from_source("r3 [u, v, 2 + sqrt(u + 0.3) * sqrt(u + 0.3)"
+                              " * 0.1 + u*u*v*v*0.3]")
+    for u in (-1.0, 1.0):
+        lift = chart.lift_at(np.array([[u]]), np.array([[0.0]]), order=3)
+        assert np.iscomplexobj(lift.coef) == (u < -0.3)
     use_cores(monkeypatch, 1)
     serial = energy_bits(chart, 9, 8)
     use_cores(monkeypatch, 3)

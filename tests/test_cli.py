@@ -587,6 +587,60 @@ def test_help_lists_every_command(capsys):
         [name, text] for name, (_, text) in _COMMANDS.items()]
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_help_takes_the_terminal_width_when_printed(capsys, monkeypatch):
+    # the cached parser prints what a parser built afresh prints, at the
+    # width in effect when it prints
+    for columns in ("80", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        fresh = cli._build_parser.__wrapped__().format_help()
+        assert capsys.readouterr().out == fresh
+    assert cli._build_parser().format_help() == fresh
+
+
+# several commands in one process, each call's (status, stdout, stderr)
+MAIN_CALLS = """
+import contextlib, io, json, sys
+from lightcone.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print():
+    # --param and --tol append to lists; a list left over from one call
+    # must not reach the next
+    calls = [
+        ["verify", "--surface", "torus", "--param", "t=1.5", "--grid", "4x4",
+         "--tol", "willmore=1.0", "--tol", "theta=1e6"],
+        ["verify", "--surface", "torus", "--param", "t=2", "--grid", "4x4",
+         "--tol", "structure=1e-30"],
+        ["energy", "--surface", "torus", "--grid", "8x8", "--tol",
+         "bogus=1"],
+        ["energy", "--param", "t=3", "--surface", "torus", "--grid", "8x8"],
+        ["verify", "--surface", "torus", "--grid", "4x4"],
+    ]
+    code, out, err = run_python("-c", MAIN_CALLS, json.dumps(calls))
+    assert (code, err) == (0, "")
+    together = json.loads(out)
+    for argv, result in zip(calls, together):
+        assert list(run_module(*argv)) == result, argv
+    # a list left over would show in a later report's gate tolerances
+    # or surface parameters, or in its exit status
+    assert [code for code, _, _ in together] == [0, 1, 2, 0, 0]
+
+
 def _reject_constant(name):
     raise ValueError("non-strict JSON constant " + name)
 
@@ -613,6 +667,46 @@ def test_imaginary_chart_is_not_spacelike(capsys, tmp_path):
     assert payload["error"] == "NotSpacelike"
     assert payload["context"]["worst"] == pytest.approx(
         -0.9128544814738153, abs=1e-12)
+
+
+@pytest.mark.parametrize("source, whole", [
+    ("r3 [u, v, sqrt(u - 2)]", True),
+    ("r3 [u, v, 2 + sqrt(u + 0.3) * 0.1]", False)])
+@pytest.mark.parametrize("grid, points", [("16x16", 64), ("33x17", 153)])
+def test_energy_of_a_complex_lift_errors_as_strict_json(capsys, tmp_path,
+                                                        source, whole, grid,
+                                                        points):
+    # the real part of a complex density used to pass as an energy
+    path = tmp_path / "complex.lc"
+    path.write_text(source)
+    code, out, err = run(capsys, "energy", "--dsl", str(path),
+                         "--grid", grid)
+    assert (code, out) == (2, "")
+    payload = json.loads(err, parse_constant=_reject_constant)
+    VALIDATOR.validate(payload)
+    assert payload["error"] == "DomainError"
+    context = payload["context"]
+    assert context["points"] == points
+    assert 0 < context["count"] <= points
+    assert (context["count"] == points) == whole
+
+
+@pytest.mark.parametrize("source", [
+    CATENOID_SRC,
+    # stored complex where u < -0.3, and real at every point
+    "r3 [u, v, 2 + sqrt(u + 0.3) * sqrt(u + 0.3) * 0.1 + u*u*v*v*0.3]"])
+@pytest.mark.parametrize("grid", ["16x16", "33x17"])
+def test_energy_report_of_a_real_dsl_chart_is_unchanged(capsys, monkeypatch,
+                                                        tmp_path, source,
+                                                        grid):
+    # the check of a real lift changes no byte of the report
+    path = tmp_path / "real.lc"
+    path.write_text(source)
+    argv = ("energy", "--dsl", str(path), "--grid", grid)
+    checked = run(capsys, *argv)
+    assert checked[0] in (0, 1) and checked[2] == ""
+    monkeypatch.setattr(an, "_check_real_lift", lambda coef: None)
+    assert run(capsys, *argv) == checked
 
 
 @pytest.mark.parametrize("argv,builds", [

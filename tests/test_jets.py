@@ -1141,6 +1141,8 @@ def test_plan_caches_are_thread_safe(monkeypatch):
     def cold():
         for name in ("_PLANS", "_DEGREES", "_TARGETS", "_MASKS", "_WEIGHTS"):
             monkeypatch.setattr(jets, name, {})
+        jets._signature.cache_clear()
+        jets._Degree.weights.cache_clear()
 
     cold()
     serial = work()
@@ -1163,6 +1165,120 @@ def test_plan_caches_are_thread_safe(monkeypatch):
                            for x, y in zip(result, serial))
     finally:
         sys.setswitchinterval(interval)
+
+
+# the product's signature plan: what depends only on the operands'
+# shapes and dtypes, worked out once per signature
+
+# (left batch, right batch): a scalar jet on its unit component axis
+# times a JetVec6, either way round, narrow and wide
+SPREAD_SHAPES = [((3, 3, 6), (3, 3, 1)), ((8, 8, 6), (8, 8, 1)),
+                 ((8, 8, 1), (8, 8, 6)), ((24, 24, 6), (24, 24, 1))]
+SIGNATURE_SHAPES = (KERNEL_SHAPES + [(left, right) for left, right, _
+                                     in WIDE_SHAPES] + SPREAD_SHAPES)
+
+
+@pytest.mark.parametrize("real", [(True, True), (True, False),
+                                  (False, True), (False, False)])
+@pytest.mark.parametrize("shapes", SIGNATURE_SHAPES)
+def test_signature_plan_cold_and_warm_give_the_block_loop_bits(shapes,
+                                                               real):
+    rng = np.random.default_rng(len(shapes[0]) + 2 * sum(real))
+    for order in (0, 1, 3, 8):
+        for top in sorted({max(order - 1, 0), order}):
+            a = storage(rng, top, shapes[0], real[0])
+            b = storage(rng, order, shapes[1], real[1])
+            want = block_loop_product(a, b)
+            jets._signature.cache_clear()
+            cold = jets._mul(a, b)
+            warm = jets._mul(a, b)
+            assert jets._signature.cache_info().hits >= 1
+            assert same_bits(cold, want), (order, top)
+            assert same_bits(warm, want), (order, top)
+
+
+def test_float_and_complex_operands_never_share_a_signature():
+    rng = np.random.default_rng(5)
+    a, b = (storage(rng, 4, (4, 4), True) for _ in range(2))
+    jets._signature.cache_clear()
+    real = jets._mul(a, b)
+    mixed = jets._mul(a.astype(np.complex128), b)
+    assert jets._signature.cache_info().currsize == 2
+    assert real.dtype == np.float64 and mixed.dtype == np.complex128
+    assert same_bits(real, block_loop_product(a, b))
+    assert same_bits(mixed, block_loop_product(a.astype(np.complex128), b))
+    # and the float signature, met again, still gives a float product
+    assert same_bits(jets._mul(a, b), real)
+
+
+def test_shapes_that_do_not_broadcast_raise_on_every_call():
+    rng = np.random.default_rng(6)
+    a, b = storage(rng, 3, (4, 3), True), storage(rng, 3, (4, 5), True)
+    jets._signature.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            jets._mul(a, b)
+    assert jets._signature.cache_info().currsize == 0
+
+
+def test_signature_first_use_from_two_threads_gives_the_same_bits():
+    rng = np.random.default_rng(7)
+    cases = [(storage(rng, order, left, real),
+              storage(rng, order, right, not real))
+             for order in (3, 8) for left, right in SPREAD_SHAPES[:3]
+             for real in (True, False)]
+    serial = [jets._mul(a, b) for a, b in cases]
+    for _ in range(4):
+        jets._signature.cache_clear()
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def work(i):
+            start.wait()
+            results[i] = [jets._mul(a, b) for a, b in cases]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for result in results:
+            assert result is not None
+            assert all(same_bits(x, y) for x, y in zip(result, serial))
+
+
+def test_warm_signature_makes_no_shape_bookkeeping(monkeypatch):
+    # a warm (..., 6) x (..., 1) signature neither broadcasts shapes nor
+    # promotes dtypes again, and spreads the scalar by np.repeat
+    rng = np.random.default_rng(8)
+    for real in (True, False):
+        a = storage(rng, 8, (8, 8, 6), real)
+        b = storage(rng, 8, (8, 8, 1), not real)
+        want = jets._mul(a, b)
+        assert same_bits(want, block_loop_product(a, b))
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("shape bookkeeping on a warm signature")
+
+            for name in ("broadcast_shapes", "result_type", "broadcast_to"):
+                patch.setattr(np, name, refuse)
+            got = jets._mul(a, b)
+        assert same_bits(got, want)
+
+
+def test_power_weights_are_read_only_and_built_once():
+    for d in (1, 4, 11, 16):
+        plan = jets._degree(d)
+        for a in (-1.0, -0.5, 0.5, 1 / 3, 2.5):
+            column = plan.weights(a)
+            want = (((a + 1.0) * plan.degrees - d) / d)[:, None]
+            assert column.shape == want.shape == (plan.stop, 1)
+            assert np.array_equal(column.view(np.uint64),
+                                  want.view(np.uint64))
+            assert plan.weights(a) is column
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0, 0] = 1.0
 
 
 def two_step_derivative(s, axis):
