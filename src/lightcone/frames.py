@@ -129,43 +129,107 @@ def canonical_lift(raw):
     return raw.truncated(raw.order - 1) * _inverse_sqrt_metric(raw)
 
 
+def _gauged(null, ratio, sign, exponent):
+    """A null normal scaled by ratio**exponent and the joint sign: the
+    gauged L (exponent 1/2) or R (exponent -1/2) of ``_gauge``."""
+    return null * ratio.power(exponent) * sign
+
+
 class FrameData:
     """Adapted frame along a chart, all entries jets of equal order
-    except Y (one higher) and its first derivatives."""
+    except Y (one higher) and its first derivatives.
 
-    __slots__ = ("Y", "Yz", "Yzb", "Yzzb", "Yu", "Yv", "N", "L", "R",
-                 "orientation_det", "gauge_axis", "gauge_fallback")
+    Y, Y_zzbar, Y_u, Y_v and N are formed with the frame.  The gauged
+    null normals L and R and the Wirtinger derivatives Y_z and Y_zbar
+    are formed on first read, at the order of the frame they are read
+    from, and then kept: L and R from the ungauged pair, the gauge
+    ratio and the sign ``_gauge`` returns, Y_z and Y_zbar from Y_u and
+    Y_v.  A jet coefficient does not depend on the order it is formed at
+    (``jets``), so a piece formed on a truncated frame has the
+    coefficients of the whole frame's piece truncated, bit for bit, and
+    a piece has the same bits whichever pieces were read before it.  Every check
+    that can fail runs when the frame is built, so reading a piece
+    raises nothing.  A piece is stored only once whole; two threads that
+    read it first both form it, with the same bits.
+    """
 
-    def __init__(self, Y, Yz, Yzb, Yzzb, Yu, Yv, N, L, R, orientation_det,
-                 gauge_axis):
+    __slots__ = ("Y", "Yzzb", "Yu", "Yv", "N", "orientation_det",
+                 "gauge_axis", "gauge_fallback", "_null", "_ratio",
+                 "_sign", "_L", "_R", "_Yz", "_Yzb")
+
+    def __init__(self, Y, Yzzb, Yu, Yv, N, null, ratio, sign,
+                 orientation_det, gauge_axis):
         self.Y = Y
-        self.Yz = Yz
-        self.Yzb = Yzb
         self.Yzzb = Yzzb
         self.Yu = Yu
         self.Yv = Yv
         self.N = N
-        self.L = L
-        self.R = R
+        self._null = null
+        self._ratio = ratio
+        self._sign = sign
+        self._L = self._R = self._Yz = self._Yzb = None
         self.orientation_det = orientation_det
         self.gauge_axis = gauge_axis
         self.gauge_fallback = gauge_axis != GAUGE_PRIMARY
+
+    @property
+    def L(self):
+        L = self._L
+        if L is None:
+            L = self._L = _gauged(self._null[0], self._ratio, self._sign,
+                                  0.5)
+        return L
+
+    @property
+    def R(self):
+        R = self._R
+        if R is None:
+            R = self._R = _gauged(self._null[1], self._ratio, self._sign,
+                                  -0.5)
+        return R
+
+    @property
+    def Yz(self):
+        Yz = self._Yz
+        if Yz is None:
+            Yz = self._Yz = (self.Yu - self.Yv * 1j) * 0.5
+        return Yz
+
+    @property
+    def Yzb(self):
+        Yzb = self._Yzb
+        if Yzb is None:
+            Yzb = self._Yzb = (self.Yu + self.Yv * 1j) * 0.5
+        return Yzb
 
     def truncated(self, order):
         """The frame ``frame_field`` builds from the canonical lift
         truncated to ``order``: Y at ``order``, its first derivatives one
         below and Y_zzbar, N, L, R two below.  Every choice the frame
         makes is made on values, so the truncated frame is that frame
-        bit for bit."""
+        bit for bit.  A piece formed here already is truncated; the
+        truncated frame forms the others from truncated inputs when they
+        are read.  Raises OrderExhausted below order 2, where N, L and R
+        would have no coefficient left."""
+        if order < 2:
+            raise OrderExhausted(
+                "a frame needs Y of order 2 or more", order=order)
         if order == self.Y.order:
             return self
         first, second = order - 1, order - 2
-        return FrameData(
-            self.Y.truncated(order), self.Yz.truncated(first),
-            self.Yzb.truncated(first), self.Yzzb.truncated(second),
+        frame = FrameData(
+            self.Y.truncated(order), self.Yzzb.truncated(second),
             self.Yu.truncated(first), self.Yv.truncated(first),
-            self.N.truncated(second), self.L.truncated(second),
-            self.R.truncated(second), self.orientation_det, self.gauge_axis)
+            self.N.truncated(second),
+            tuple(x.truncated(second) for x in self._null),
+            self._ratio.truncated(second), self._sign,
+            self.orientation_det, self.gauge_axis)
+        for name, at in (("_L", second), ("_R", second), ("_Yz", first),
+                         ("_Yzb", first)):
+            piece = getattr(self, name)
+            if piece is not None:
+                setattr(frame, name, piece.truncated(at))
+        return frame
 
 
 def frame_field(Y, *, tol=Tolerances()):
@@ -182,8 +246,6 @@ def frame_field(Y, *, tol=Tolerances()):
     """
     Yu = Y.du()
     Yv = Y.dv()
-    Yz = (Yu - Yv * 1j) * 0.5
-    Yzb = (Yu + Yv * 1j) * 0.5
     Yzzb = _laplacian(Yu, Yv)
     N = Yzzb * 2.0 + Y * (Yzzb.inner(Yzzb) * 2.0)
 
@@ -252,9 +314,9 @@ def frame_field(Y, *, tol=Tolerances()):
     swap = det < 0
     L, R = jet_where(swap, R, L), jet_where(swap, L, R)
 
-    L, R, gauge_axis = _gauge(L, R, tol)
+    ratio, sign, gauge_axis = _gauge(L, R, tol)
 
-    return FrameData(Y, Yz, Yzb, Yzzb, Yu, Yv, N, L, R,
+    return FrameData(Y, Yzzb, Yu, Yv, N, (L, R), ratio, sign,
                      orientation_det=np.abs(det), gauge_axis=gauge_axis)
 
 
@@ -268,8 +330,14 @@ def _gauge(L, R, tol):
     pairing with L and R is largest.  Some axis pairs with both away
     from zero: <L, R> = -1 is a sum of six componentwise products.  The
     scale makes the two pairings equal in magnitude, the joint sign
-    makes <L, W0> negative.  Returns the gauged pair and the chosen axis
-    per point.
+    makes <L, W0> negative.
+
+    Returns the ratio of the pairings, the joint sign and the chosen
+    axis per point; the gauged pair is L ratio^(1/2) and R ratio^(-1/2),
+    each times the sign (``_gauged``), formed when ``FrameData`` reads
+    them.  The ratio's constant term is checked here, as those powers
+    would check it, so that every error of the gauge surfaces with the
+    frame.
     """
     weak = np.minimum(np.abs(L.value), np.abs(R.value))
     ok = weak >= tol.gauge
@@ -285,9 +353,9 @@ def _gauge(L, R, tol):
     sL = np.where(pL.value.real >= 0, 1.0, -1.0)
     sR = np.where(pR.value.real >= 0, 1.0, -1.0)
     ratio = (pR * sR) / (pL * sL)
+    _check_divisor(ratio.value, "power or division")
     # the product by -sL is an exact negation where <L, W0> > 0
-    return (L * ratio.power(0.5) * -sL, R * ratio.power(-0.5) * -sL,
-            chosen)
+    return ratio, -sL, chosen
 
 
 class InvariantSet:

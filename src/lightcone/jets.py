@@ -57,12 +57,16 @@ and non-integer powers (sqrt, reciprocal, g^(-1/2)) and the quotient of
 two jets take no product at all: they solve g E f = a f E g and g f = n
 degree by degree, E the Euler operator, so each degree is one pass over
 its terms (Griewank & Walther, ch. 13; Jorba & Zou, Experimental Math.
-14, 2005).  That path is the same at every order and for every
-argument, affine or not: the frame is built at one order and read at
-lower ones as ``FrameData.truncated``, and the command line evaluates at
-its floor order what the library checks at a higher one, so the bits of
-a coefficient must not depend on the order or on the shape of the
-argument.  Non-negative integer powers multiply out.  Division and
+14, 2005).  On a batch of at most _REDUCE_LANES lanes, as the frames of
+small grids are, a degree gathers all its terms at once, padded with
+zeros to one term per output and rank, and sums them in one reduction
+along the ranks, a few numpy calls per degree; a wider batch adds them
+a rank at a time as the product does.  That path is the same at every
+order and for every argument, affine or not: the frame is built at one
+order and read at lower ones as ``FrameData.truncated``, and the command
+line evaluates at its floor order what the library checks at a higher
+one, so the bits of a coefficient must not depend on the order or on the
+shape of the argument.  Non-negative integer powers multiply out.  Division and
 non-integer powers require the constant term to be bounded away from
 zero and raise DomainError otherwise.
 
@@ -249,6 +253,13 @@ class _Plan(_Terms):
 #: product, BENCH_21.json for the recurrences) lie between 384 and
 #: 3,072 lanes at every K from 2 to 16
 _LANES = 1024
+#: widest batch, in lanes, whose power and quotient recurrences sum each
+#: degree's padded terms in one reduction; wider ones, up to _LANES, add
+#: one rank at a time.  The measured crossover (BENCH_28.json) falls with
+#: K and with the item size: a real power's reduction wins at 128 lanes
+#: at every K from 2 to 16 and at 256 up to K = 8; a complex quotient's
+#: wins at 128 lanes up to K = 8 and at 64 up to K = 13
+_REDUCE_LANES = 128
 #: term x lane elements per pass, so that a pass's operands stay in cache
 _PASS = 1 << 14
 #: fewest elements (lanes x 6) that ``JetVec6.from_components`` writes
@@ -479,7 +490,7 @@ class _Degree(_Terms):
     of each position below ``stop``.
     """
 
-    __slots__ = ("start", "stop", "outputs", "degrees")
+    __slots__ = ("start", "stop", "outputs", "degrees", "_padded")
 
     def __init__(self, d):
         self.outputs = _degree_outputs(d)
@@ -488,6 +499,24 @@ class _Degree(_Terms):
         super().__init__([[(_position(j - p, k - q), _position(p, q))
                            for p in range(j + 1) for q in range(k + 1)
                            if p or q] for j, k in self.outputs])
+        self._padded = None
+
+    def padded(self):
+        """The terms as a (ranks, outputs) pair of position arrays, built
+        on first use: entry [r, o] of each is the r-th term's position
+        of f and of g in output o, and -1, the zero row the narrow path
+        appends to f and to g, where output o has fewer terms.  The pair
+        is built whole before it is cached."""
+        if self._padded is None:
+            shape = (len(self.counts), len(self.outputs))
+            ia, ib = np.full(shape, -1, np.intp), np.full(shape, -1, np.intp)
+            start = 0
+            for r, count in enumerate(self.counts):
+                ia[r, :count] = self.ia[start:start + count]
+                ib[r, :count] = self.ib[start:start + count]
+                start += count
+            self._padded = ia, ib
+        return self._padded
 
     @functools.lru_cache(maxsize=_EXPONENTS)
     def weights(self, a):
@@ -561,11 +590,22 @@ def _recurrence(g, dtype, exponent=None, num=None):
 
     f_0 is g_0**exponent or n_0 / g_0, and each degree d then sums its
     terms from 0.0 in plan order (``_Degree``); the power weights each
-    factor g_(d-i) first.  As for the product, a batch of at most
-    _LANES lanes is flattened and gathered pass by pass with buffers
-    kept across the degrees, and a wider one goes term by term on
-    views; each lane does the same arithmetic either way, so its bits
-    depend neither on the batch nor on the order K.
+    factor g_(d-i) first.  A batch of at most _LANES lanes is flattened
+    and runs in one of two ways:
+
+    - at most _REDUCE_LANES lanes, each degree gathers all its terms at
+      once, padded to (ranks, outputs, lanes) with zeros
+      (``_Degree.padded``), multiplies them and sums them with one
+      ``np.add.reduce`` along the ranks from 0.0, which adds each
+      output's terms one after another in rank order, as a loop of
+      ``+=`` does; a padded term is 0.0 x 0.0 = +0.0, and adding it to a
+      sum that started at +0.0 changes no bit;
+    - more lanes gather pass by pass (``_accumulate``), with buffers kept
+      across the degrees, one add per rank.
+
+    A wider batch goes term by term on views.  Each lane does the same
+    arithmetic every way, so its bits depend neither on the batch nor on
+    the order K.
     """
     order = g.shape[0] - 1
     if num is not None:
@@ -582,32 +622,44 @@ def _recurrence(g, dtype, exponent=None, num=None):
     if not lanes:
         return out.reshape(shape)
     target = _targets(order)
-    gs = _lanes(g, batch, lanes).take(target, 0)
+    size = len(target)
+    # f and g degree-major, each with a zero row last for the padded
+    # terms to read
+    gs = np.zeros((size + 1, lanes), g.dtype)
+    _lanes(g, batch, lanes).take(target, 0, out=gs[:size], mode="clip")
     g0 = gs[0]
-    fs = np.empty((len(target), lanes), dtype)
+    fs = np.empty((size + 1, lanes), dtype)
+    fs[size] = 0.0
     if num is None:
         fs[0] = g0.astype(dtype, copy=False) ** exponent
     else:
         ns = _lanes(num, batch, lanes).take(target, 0)
         np.divide(ns[0], g0, out=fs[0])
-    if order:
+    padded = lanes <= _REDUCE_LANES
+    if order and not padded:
         rows = _degree(order).passes(lanes)[0][1]
         x = np.empty((rows, lanes), dtype)
         y = np.empty((rows, lanes), gs.dtype)
         terms = np.empty((rows, lanes), dtype)
-        acc = np.empty((order + 1, lanes), dtype)
-        factor = gs if num is not None else np.empty_like(gs)
+        sums = np.empty((order + 1, lanes), dtype)
+    factor = gs if num is not None else np.zeros_like(gs)
     for d in range(1, order + 1):
         plan = _degree(d)
         start, stop = plan.start, plan.stop
         if num is None:
             np.multiply(gs[:stop], plan.weights(exponent), out=factor[:stop])
-        acc[:d + 1] = 0.0
-        _accumulate(plan, fs, factor, x, y, terms, acc)
+        if padded:
+            ia, ib = plan.padded()
+            acc = np.add.reduce(fs.take(ia, 0) * factor.take(ib, 0),
+                                axis=0, initial=0.0)
+        else:
+            acc = sums[:d + 1]
+            acc[...] = 0.0
+            _accumulate(plan, fs, factor, x, y, terms, acc)
         if num is not None:
-            np.subtract(ns[start:stop], acc[:d + 1], out=acc[:d + 1])
-        np.divide(acc[:d + 1], g0, out=fs[start:stop])
-    out[target] = fs
+            np.subtract(ns[start:stop], acc, out=acc)
+        np.divide(acc, g0, out=fs[start:stop])
+    out[target] = fs[:size]
     return out.reshape(shape)
 
 
@@ -745,6 +797,9 @@ class _Jet:
         return self.coef[0, 0]
 
     def truncated(self, order):
+        if order < 0:
+            raise OrderExhausted("cannot truncate a jet to a negative order",
+                                 order=order)
         if order > self.order:
             raise OrderExhausted(
                 "cannot extend a jet of order %d to order %d"
@@ -837,14 +892,6 @@ class Jet2(_Jet):
     @property
     def batch_shape(self):
         return self.coef.shape[2:]
-
-    def nilpotent_norm(self):
-        """Max absolute size of the non-constant coefficients."""
-        s = self.coef.copy()
-        s[0, 0] = 0
-        if s.size == 0:
-            return 0.0
-        return float(np.max(np.abs(s)))
 
     @property
     def imag(self):

@@ -8,7 +8,11 @@ tagged frame vector.  The costs are raw-to-raw: each step receives a raw
 light cone lift and pays one extra order to re-canonicalize it before
 the frame construction.  No step depends on which conformal coordinate
 frames the surface, so the chain rule carries whatever conformal
-coordinate jets a chain is given through its steps.  The gates of a
+coordinate jets a chain is given through its steps.  A frame forms its
+gauged null normals and Y_z, Y_zbar only when they are read
+(``FrameData``): a polar step forms the normal it hands on at the
+frame's order, and its gates form what else they read at the order they
+read it, so no step forms a piece that nothing reads.  The gates of a
 chain's steps, its final lift and the duality diagnostics of its root
 all read their frames from such walks, so no frame of a chain's prefix
 is built twice.  A library chain is gated in a walk on a fixed probe
@@ -74,11 +78,17 @@ def _step_lift(step, tol):
     step's raw lift at order k - cost out.
 
     It canonicalizes the raw lift, frames it with the tolerances ``tol``
-    and hands the frame to ``look``, if given, before the step's vector
-    is formed.  The raw lift is dropped before its frame is built and
-    the frame once its vector is taken.
+    and hands the frame to ``look``, if given.  A polar step's vector,
+    its side's null normal, is formed first, at the frame's order, so
+    that a gate that reads that side reads its truncation and does not
+    form it again; once the frame is built it raises nothing.  An
+    adjoint or envelope vector can raise DomainError, so it is formed
+    after ``look``, as the gates expect.  The raw lift is
+    dropped before its frame is built and the frame once its vector is
+    taken.
     """
     _, cost, _, side = _STEPS[step]
+    polar = step.startswith("polar")
 
     def lift(raw, look=None):
         order = raw.order - cost
@@ -86,13 +96,13 @@ def _step_lift(step, tol):
         del raw
         frame = frame_field(Y, tol=tol)
         del Y
+        if polar:
+            out = frame.L if side == "left" else frame.R
         if look is not None:
             look(frame)
-        if step.startswith("polar"):
-            out = frame.L if side == "left" else frame.R
-        elif step == "second_envelope":
+        if step == "second_envelope":
             out = envelope_vector(frame, invariants(frame, tol))
-        else:
+        elif not polar:
             out = adjoint_vector(frame, invariants(frame, tol), side)
         return out.truncated(order)
 

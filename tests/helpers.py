@@ -1,8 +1,9 @@
 """Test-only helpers built on the package: exact test motions, the DSL
 printer and a strategy for DSL expression trees, the mu Riccati
 identity, the frame that ``duality_report`` reads, the two-pass Willmore
-energy quadrature that ``willmore_energy`` must reproduce, a counter
-of jet products and a guard against the product's plan kernel."""
+energy quadrature that ``willmore_energy`` must reproduce, the size of
+a jet's non-constant part, a counter of jet products and a guard
+against the product's plan kernel."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -182,6 +183,18 @@ def two_pass_energy(chart, nu, nv, order=3, abs_integrand=False):
     coarse = single(max(2, int(np.ceil(nu / 2))),
                     max(2, int(np.ceil(nv / 2))))
     return coarse, single(nu, nv)
+
+
+# jets
+
+
+def nilpotent_norm(jet):
+    """Max absolute size of the non-constant coefficients of a jet."""
+    s = jet.coef.copy()
+    s[0, 0] = 0
+    if s.size == 0:
+        return 0.0
+    return float(np.max(np.abs(s)))
 
 
 # frames

@@ -1,16 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightcone import frames, jets, transforms
+from lightcone import analysis, frames, jets, transforms
 from lightcone.ambient import SIGNS
 from lightcone.charts import (CATALOG, catalog_chart, moved_chart,
                               sample_axes, sample_grid, scaled_chart)
 from lightcone.dsl import chart_from_source
-from lightcone.errors import (DomainError, GaugeReferenceDegenerate,
-                              NonFinite, NormalPlaneDegenerate,
-                              NotSpacelike, OrderExhausted,
-                              ParameterOutOfRange)
+from lightcone.errors import (DegenerateTransform, DomainError,
+                              GaugeReferenceDegenerate, NonFinite,
+                              NormalPlaneDegenerate, NotSpacelike,
+                              OrderExhausted, ParameterOutOfRange)
 from lightcone.frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
                               canonical_lift, classify_point,
                               conformal_gauss_data, envelope_vector,
@@ -275,7 +277,9 @@ def test_gauge_prefers_e4_then_the_strongest_weaker_pairing():
     # to zero 0.02 away in v, close enough to branch the jets' scale
     L, R = five_halves_null_pair()
     tol = Tolerances()
-    gL, gR, chosen = frames._gauge(L, R, tol)
+    ratio, sign, chosen = frames._gauge(L, R, tol)
+    gL = frames._gauged(L, ratio, sign, 0.5)
+    gR = frames._gauged(R, ratio, sign, -0.5)
     Lv, Rv = L.value.real, R.value.real
     primary = ((np.abs(Lv[..., 4]) >= tol.gauge)
                & (np.abs(Rv[..., 4]) >= tol.gauge))
@@ -687,6 +691,8 @@ def test_polar_gate_forms_only_the_lambda_and_s_it_reads(tag, monkeypatch):
     chain = transforms.TransformedSurface(catalog_chart("torus", t=T), tag)
     order, _, on_frame = transforms._gates(chain, 0, Tolerances())
     frame = torus_frame(order)
+    # a polar step forms the side it hands on before its gates read it
+    getattr(frame, tag)
     formed = []
     original = transforms.invariants
 
@@ -732,4 +738,200 @@ def test_frame_field_makes_a_pinned_number_of_products(monkeypatch):
     Y = canonical_lift(chart.lift_at(*sample_axes(chart, 4, 4), order=8))
     products = count_products(monkeypatch)
     frame_field(Y)
-    assert len(products) == 18
+    assert len(products) == 16
+
+
+@pytest.mark.parametrize("tag", ["L", "R"])
+def test_a_polar_step_makes_a_pinned_number_of_products(tag, monkeypatch):
+    # the frame, the gates and the output of one step: the other side's
+    # null normal is gauged only at the order its gate reads, and Y_z
+    # and Y_zbar only where they are read
+    chain = transforms.TransformedSurface(catalog_chart("torus", t=T), tag)
+    order, _, on_frame = transforms._gates(chain, 0, Tolerances())
+    cost = transforms.POLAR_ORDER_COST
+    raw = chain.walk(*sample_axes(chain, 4, 4), order + cost, stop=0)
+    products = count_products(monkeypatch)
+    recurrences = []
+    recurrence = jets._recurrence
+
+    def spy(*args, **kwargs):
+        recurrences.append(args[0].shape)
+        return recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "_recurrence", spy)
+    out = chain._lifts[0](raw, functools.partial(on_frame, 0))
+    assert out.order == order
+    assert (len(products), len(recurrences)) == (22, 5)
+
+
+# pieces of a frame formed on first read
+
+LAZY_FIELDS = ("L", "R", "Yz", "Yzb")
+
+
+def same_bits(a, b):
+    """True when two arrays have the same dtype, shape and bits; +0.0
+    and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def same_jet_bits(a, b):
+    """True when two jets of one order have the same bits on their
+    coefficient triangle and zeros above it.  A piece truncated after it
+    is formed and one formed from truncated inputs can hold zeros of
+    either sign there, which no operation reads."""
+    order = a.order
+    j = np.arange(order + 1)
+    keep = (j[:, None] + j[None, :]) <= order
+    return (b.order == order and same_bits(a.coef[keep], b.coef[keep])
+            and not np.any(a.coef[~keep]) and not np.any(b.coef[~keep]))
+
+
+def unread(frame):
+    """A frame on the same inputs as ``frame`` with no piece formed."""
+    return frames.FrameData(frame.Y, frame.Yzzb, frame.Yu, frame.Yv,
+                            frame.N, frame._null, frame._ratio, frame._sign,
+                            frame.orientation_det, frame.gauge_axis)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_frame_pieces_read_lazily_are_the_eager_ones(name):
+    chart = catalog_chart(name)
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=10)
+    whole = frame_field(canonical_lift(raw))
+    # each piece by its formula on the whole frame's inputs
+    L0, R0 = whole._null
+    ratio, sign = whole._ratio, whole._sign
+    eager = {"L": L0 * ratio.power(0.5) * sign,
+             "R": R0 * ratio.power(-0.5) * sign,
+             "Yz": (whole.Yu - whole.Yv * 1j) * 0.5,
+             "Yzb": (whole.Yu + whole.Yv * 1j) * 0.5}
+    for order in range(4, 11):
+        for reads in (LAZY_FIELDS, LAZY_FIELDS[::-1]):
+            # the first ``before`` pieces read on the whole frame, the
+            # rest only on its truncation
+            for before in range(len(reads) + 1):
+                frame = unread(whole)
+                for field in reads[:before]:
+                    assert same_bits(getattr(frame, field).coef,
+                                     eager[field].coef)
+                small = frame.truncated(order - 1)
+                for field in reads:
+                    got = getattr(small, field)
+                    assert getattr(small, field) is got
+                    want = eager[field].truncated(got.order)
+                    assert same_jet_bits(got, want), (order, field)
+                # a truncation forms nothing on the frame it came from
+                for field in reads[before:] if small is not frame else ():
+                    assert getattr(frame, "_" + field) is None
+
+
+def test_a_near_zero_gauge_ratio_raises_from_frame_field(monkeypatch):
+    # a null pair scaled by 1e6 and 1e-6 is still a null pair with
+    # <L, R> = -1, and both still pair with some axis above tol.gauge;
+    # its gauge ratio is about 1e-12, which the powers that gauge L and
+    # R refuse
+    chart = catalog_chart("torus", t=T)
+    Y = canonical_lift(chart.lift_at(*sample_axes(chart, 4, 4), order=6))
+    gauge = frames._gauge
+    monkeypatch.setattr(frames, "_gauge",
+                        lambda L, R, tol: gauge(L * 1e6, R * 1e-6, tol))
+    with pytest.raises(DomainError) as err:
+        frame_field(Y)
+    assert err.value.message == \
+        "power or division at a near-zero constant term"
+    assert err.value.context["count"] == 16
+    assert err.value.context["tolerance"] == jets.DIVISION_TOL
+
+
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_a_frame_is_not_truncated_below_order_2(order):
+    frame = torus_frame(INVARIANTS_ORDER)
+    assert frame.truncated(2).N.order == 0
+    with pytest.raises(OrderExhausted) as err:
+        frame.truncated(order)
+    assert err.value.payload() == {
+        "error": "OrderExhausted",
+        "message": "a frame needs Y of order 2 or more",
+        "context": {"order": order}}
+
+
+# a block of grid rows has the bits it has inside the whole grid
+
+BLOCK_REPORTS = {
+    "structure": lambda frame, inv: analysis.structure_residual(frame, inv),
+    "integrability": lambda frame, inv: analysis.integrability_residual(
+        frame, inv),
+    "willmore": lambda frame, inv: analysis.willmore_report(inv),
+    "swillmore": lambda frame, inv: analysis.swillmore_report(inv),
+    "theta": lambda frame, inv: analysis.theta_report(inv),
+    "gauss_metric": lambda frame, inv: analysis.gauss_metric_report(frame),
+    "harmonicity_left": lambda frame, inv: harmonicity(frame, inv, "left"),
+    "harmonicity_right": lambda frame, inv: harmonicity(frame, inv,
+                                                        "right"),
+}
+
+
+def harmonicity(frame, inv, side):
+    """The harmonicity residual of one side, or None where that side
+    degenerates on every point (laguerre_lift's left side does)."""
+    try:
+        return analysis.harmonicity_report(frame, inv, side)
+    except DegenerateTransform:
+        return None
+
+
+def per_point(frame, inv, monkeypatch):
+    """Every per-point array of the frame, its invariants and the
+    residuals of ``BLOCK_REPORTS``, each with the number of axes before
+    its grid axes: 2 for the coefficients of a jet, 0 for an array of
+    values.  A residual's arrays are those it hands to
+    ``analysis._stats``."""
+    out = {}
+    for field in FRAME_FIELDS:
+        out[field] = 2, getattr(frame, field).coef
+    for field in ("orientation_det", "gauge_axis"):
+        out[field] = 0, getattr(frame, field)
+    for field in INVARIANT_FIELDS:
+        value = getattr(inv, field)
+        out[field] = ((0, value) if isinstance(value, np.ndarray)
+                      else (2, value.coef))
+    stats = analysis._stats
+    for name, report in BLOCK_REPORTS.items():
+        stacks = []
+
+        def spy(stack, exclude=None):
+            stacks.append([np.asarray(a) for a in stack])
+            return stats(stack, exclude)
+
+        monkeypatch.setattr(analysis, "_stats", spy)
+        report(frame, inv)
+        monkeypatch.undo()
+        for i, stack in enumerate(stacks):
+            for j, a in enumerate(stack):
+                out[name, i, j] = 0, a
+    return out
+
+
+@pytest.mark.parametrize("nu", [12, 16])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_block_of_rows_has_the_bits_of_the_whole_grid(name, nu,
+                                                        monkeypatch):
+    # a 12 x 10 grid and its blocks run every scalar recurrence in one
+    # padded reduction per degree; a 16 x 10 grid runs them a rank at a
+    # time, and its blocks in the reduction
+    assert 12 * 10 <= jets._REDUCE_LANES < 16 * 10
+    chart = catalog_chart(name)
+    u, v = sample_axes(chart, nu, 10)
+    whole = per_point(*frame_and_invariants(chart.lift_at(u, v, order=6)),
+                      monkeypatch)
+    for lo, hi in ((0, 5), (5, nu), (3, 4)):
+        block = per_point(*frame_and_invariants(
+            chart.lift_at(u[lo:hi], v, order=6)), monkeypatch)
+        assert block.keys() == whole.keys()
+        for key, (lead, got) in block.items():
+            want = whole[key][1]
+            rows = (slice(None),) * lead + (slice(lo, hi),)
+            assert same_bits(got, want[rows]), (key, lo, hi)

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -13,7 +14,7 @@ from lightcone.errors import DomainError, OrderExhausted
 from lightcone.jets import Jet2, JetVec6, jet_where, seed_point
 
 import oracles
-from helpers import count_products, refuse_the_plan
+from helpers import count_products, nilpotent_norm, refuse_the_plan
 
 RNG = np.random.default_rng(7)
 
@@ -284,8 +285,23 @@ def test_fractional_power_of_negative_real_is_complex():
 
 def test_nilpotent_norm():
     U, _ = seed_point(2.0, 0.0, 3)
-    assert U.nilpotent_norm() == pytest.approx(1.0)
-    assert Jet2.constant(9.0, 3).nilpotent_norm() == pytest.approx(0.0)
+    assert nilpotent_norm(U) == pytest.approx(1.0)
+    assert nilpotent_norm(Jet2.constant(9.0, 3)) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("order", [-1, -2, -7])
+def test_truncating_to_a_negative_order_is_refused(order):
+    u = np.linspace(0.0, 1.0, 4)
+    for jet in (Jet2.variable(u, 3, 0),
+                JetVec6.constant(np.ones((4, 6)), 3)):
+        with pytest.raises(OrderExhausted) as err:
+            jet.truncated(order)
+        assert err.value.payload() == {
+            "error": "OrderExhausted",
+            "message": "cannot truncate a jet to a negative order",
+            "context": {"order": order}}
+        json.dumps(err.value.payload())
+    assert Jet2.variable(u, 3, 0).truncated(0).order == 0
 
 
 # JetVec6
@@ -636,7 +652,21 @@ def recurrence(name, g, b):
     return g / b if a is None else g.power(a)
 
 
-@pytest.mark.parametrize("batch", [(), (3, 4), (1500,)])
+def recurrence_regime(lanes):
+    """The way ``jets._recurrence`` walks a batch of ``lanes`` lanes."""
+    if lanes > jets._LANES:
+        return "wide"
+    return "padded" if lanes <= jets._REDUCE_LANES else "ranks"
+
+
+# a single point and a batch in each regime: the benchmark's 8 x 8
+# grid and a 3 x 4 one sum padded terms, 300 lanes add a rank at a time,
+# 1,500 go term by term
+RECURRENCE_BATCHES = {(): "padded", (3, 4): "padded", (1500,): "wide",
+                      (8, 8): "padded", (300,): "ranks"}
+
+
+@pytest.mark.parametrize("batch", list(RECURRENCE_BATCHES))
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("name", sorted(RECURRENCES))
 def test_power_and_quotient_recurrences(name, real, batch, monkeypatch):
@@ -656,7 +686,7 @@ def test_power_and_quotient_recurrences(name, real, batch, monkeypatch):
     curved = (j[:, None] + j[None, :]) >= 2
     g.c[..., curved] *= (rng.uniform(size=batch) > 0.3)[..., None]
     lanes = math.prod(batch)
-    assert batch == () or (lanes > jets._LANES) == (lanes == 1500)
+    assert recurrence_regime(lanes) == RECURRENCE_BATCHES[batch]
     products = count_products(monkeypatch)
     previous = None
     for order in range(17):
@@ -1139,6 +1169,7 @@ def test_plan_caches_are_thread_safe(monkeypatch):
         return out
 
     def cold():
+        # new plans carry no pass lists, factor groups or padded indices
         for name in ("_PLANS", "_DEGREES", "_TARGETS", "_MASKS", "_WEIGHTS"):
             monkeypatch.setattr(jets, name, {})
         jets._signature.cache_clear()
@@ -1165,6 +1196,70 @@ def test_plan_caches_are_thread_safe(monkeypatch):
                            for x, y in zip(result, serial))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_padded_indices_formed_by_two_threads_give_the_same_bits(
+        monkeypatch):
+    # two threads that meet a degree's padded indices cold both build
+    # them; each reads a whole pair, so both sum the same terms
+    rng = np.random.default_rng(12)
+    g = random_jet(12, (16,), rng)
+    n = random_jet(12, (16,), rng)
+
+    def work():
+        return [g.power(-0.5).coef, (n / g).coef]
+
+    serial = work()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            degrees = {d: jets._Degree(d) for d in range(1, 13)}
+            monkeypatch.setattr(jets, "_DEGREES", degrees)
+            start = threading.Barrier(2)
+            results = [None, None]
+
+            def run(i):
+                start.wait()
+                results[i] = work()
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(plan._padded is not None
+                       for plan in degrees.values())
+            for result in results:
+                assert all(same_bits(x, y) for x, y in zip(result, serial))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (5, 3, 16), (24, 9, 64),
+                                   (41, 12, 16), (80, 17, 128)])
+@pytest.mark.parametrize("real", [True, False])
+def test_add_reduce_sums_axis_0_in_order(shape, real):
+    # the padded recurrences rely on this reduction adding the rows one
+    # after another from its initial 0.0, as a loop of += does, when the
+    # other axes hold two or more elements.  A numpy that sums them in
+    # another order (pairwise, say) fails here
+    rng = np.random.default_rng(shape[0] + real)
+
+    def draw():
+        return (rng.standard_normal(shape)
+                * 10.0 ** rng.uniform(-8.0, 8.0, shape))
+
+    terms = draw() if real else draw() + 1j * draw()
+    terms[-1] = -0.0
+    acc = np.zeros(shape[1:], terms.dtype)
+    for row in terms:
+        acc += row
+    summed = np.add.reduce(terms, axis=0, initial=0.0)
+    assert summed.dtype == acc.dtype
+    assert np.array_equal(summed.view(np.uint64), acc.view(np.uint64))
 
 
 # the product's signature plan: what depends only on the operands'
