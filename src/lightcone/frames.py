@@ -30,7 +30,7 @@ from .ambient import SIGNS, gram_wedge_inner
 from .charts import require_finite
 from .errors import (GaugeReferenceDegenerate, NormalPlaneDegenerate,
                      NotSpacelike, OrderExhausted, ParameterOutOfRange)
-from .jets import Jet2, JetVec6, _check_divisor, jet_where
+from .jets import Jet2, JetVec6, _aligned, _check_divisor, jet_where
 
 SPACELIKE_TOL = 1e-10
 PLANE_TOL = 1e-10
@@ -97,6 +97,31 @@ def _value_inner(a, b):
     return np.einsum("...i,i->...", a * b, SIGNS)
 
 
+def _check_spacelike(g0, ru0, rv0):
+    """Raise NotSpacelike unless the metric value g0 is positive against
+    the scale sum |(r_u - i r_v) / 2|^2 of the first derivatives' values
+    ru0 and rv0, of one shape, component axis last, at every point.
+
+    The scale is that of the expression
+    ``np.sum(np.abs((ru0 - rv0 * 1j) * 0.5) ** 2, axis=-1)``, the same
+    numpy operations in the same order, each written into one of three
+    buffers; the complex product by 0.5 is formed out of place, as the
+    expression forms it.
+    """
+    z, w = (_aligned(ru0.shape, np.complex128) for _ in range(2))
+    size = _aligned(ru0.shape)
+    np.multiply(rv0, 1j, out=z)
+    np.subtract(ru0, z, out=w)
+    np.multiply(w, 0.5, out=z)
+    np.abs(z, out=size)
+    np.square(size, out=size)
+    ratio = g0 / np.maximum(np.sum(size, axis=-1), 1e-300)
+    # written so that a NaN ratio fails the gate too
+    if not np.min(ratio) > SPACELIKE_TOL:
+        raise NotSpacelike("induced metric is not positive",
+                           worst=float(np.min(ratio)))
+
+
 def _inverse_sqrt_metric(raw):
     """g2^(-1/2) of a raw lift, where g2 = 2 <r_z, r_zbar> is its
     induced metric: the scalar jet, one order below the lift, that
@@ -107,15 +132,10 @@ def _inverse_sqrt_metric(raw):
     # g2 = (<Y_u, Y_u> + <Y_v, Y_v>) / 2, formed from real products when
     # the lift is real
     g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
-    scale = np.sum(np.abs((ru.value - rv.value * 1j) * 0.5) ** 2, axis=-1)
+    _check_spacelike(g2.value, ru.value, rv.value)
     # the u, v derivatives are not needed below; freeing them lowers the
     # memory peak of the power that follows
     del ru, rv
-    ratio = g2.value / np.maximum(scale, 1e-300)
-    # written so that a NaN ratio fails the gate too
-    if not np.min(ratio) > SPACELIKE_TOL:
-        raise NotSpacelike("induced metric is not positive",
-                           worst=float(np.min(ratio)))
     return g2.power(-0.5)
 
 
@@ -533,6 +553,50 @@ def classify_point(inv):
     return out
 
 
+def _signed_squares(x, first, square, term, odd, out):
+    """The signed sums <x * x>[j] of a line factor x, (3, *batch, 6),
+    for j = first..2, into out[first:].
+
+    Output j sums the kernel's terms x[p] x[j - p] in increasing p from
+    0.0 into ``square``, each formed into ``term`` or ``square`` and then
+    added, and then sums the signed components.  A real product does not
+    depend on the order of its factors, so a real line forms each pair
+    once.  A real square is never -0.0, so a real sum that starts with
+    one, or adds one second, needs no + 0.0: adding the square turns a
+    -0.0 into +0.0 as the + 0.0 would.
+    """
+    real = np.isrealobj(x)
+    for j in range(first, 3):
+        if not real:
+            np.multiply(x[0], x[j], out=square)
+            np.add(square, 0.0, out=square)
+            for p in range(1, j + 1):
+                np.multiply(x[p], x[j - p], out=term)
+                np.add(square, term, out=square)
+            np.einsum("...i,i->...", square, SIGNS, out=out[j, ...])
+            continue
+        if j == 1:
+            # (x0 x1 + 0.0) + x1 x0
+            np.multiply(x[0], x[1], out=term)
+            np.add(term, 0.0, out=square)
+            np.add(square, term, out=square)
+        else:
+            # x0 x0, or (x0 x2 + x1 x1) + x2 x0
+            np.multiply(x[j // 2], x[j // 2], out=square)
+            if j:
+                np.multiply(x[0], x[2], out=term)
+                np.add(term, square, out=square)
+                np.add(square, term, out=square)
+        # SIGNS is (1, 1, 1, 1, -1, -1), and einsum sums the signed
+        # components as ((q0 + q2) + q4) + ((q1 + q3) + q5); a sign flip
+        # is exact, and x + (-y) is x - y
+        even = np.add(square[..., 0], square[..., 2], out=out[j, ...])
+        np.subtract(even, square[..., 4], out=even)
+        np.add(square[..., 1], square[..., 3], out=odd)
+        np.subtract(odd, square[..., 5], out=odd)
+        np.add(even, odd, out=even)
+
+
 def _line_metric(raw):
     """h = g2^(-1/2) of a raw lift of order 3 or more on the u and v
     lines through each base point, (2, 3, *batch): [0, j] is h[j, 0] and
@@ -541,56 +605,63 @@ def _line_metric(raw):
     A coefficient (j, 0) of a product or a power reads only the (p, 0)
     coefficients of its factors, so g2 and h on a line need only r_u and
     r_v on it; the v line is the u line of the transposed coefficients,
-    with r_u and r_v trading places.  Each output sums the terms of
-    ``_mul`` and ``_recurrence`` in their order: the same bits.
+    with r_u and r_v trading places, and its base point is the u line's.
+    Each output sums the terms of ``_mul`` and ``_recurrence`` in their
+    order: the same bits.  Every intermediate is written into a few work
+    arrays made here, each starting on a cache line (``_aligned``).
     """
     r = raw.coef
+    batch = r.shape[2:-1]
+    real = np.isrealobj(r)
     weights = np.arange(1.0, 4.0).reshape((3,) + (1,) * (r.ndim - 2))
     one = weights[0]
-    real = np.isrealobj(r)
-
-    def metric(s):
+    x = _aligned((3,) + batch + (6,), r.dtype)
+    square, term = (_aligned(batch + (6,), r.dtype) for _ in range(2))
+    signed = _aligned((2, 3) + batch, r.dtype)
+    odd = _aligned(batch)
+    g2 = _aligned((2, 3) + batch)
+    for k, s in enumerate((r, r.swapaxes(0, 1))):
+        first = min(k, 1)
         # r_u[j, 0] = (j + 1) r[j + 1, 0] and r_v[j, 0] = 1.0 r[j, 1] of
         # the coefficients s, one after the other; a real r_v is read in
         # place, as 1.0 x is x
-        sums = []
-        for x in (s[1:4, 0] * weights, s[:3, 1] if real else s[:3, 1] * one):
-            signed = np.empty(x.shape[:-1], x.dtype)
-            for j in range(3):
-                # the kernel's terms x[p] x[j - p] in increasing p, summed
-                # from 0.0; a real product does not depend on the order
-                # of its factors, so a real line forms each pair once
-                terms = [x[p] * x[j - p]
-                         for p in range(j // 2 + 1 if real else j + 1)]
-                if real:
-                    terms += terms[:j + 1 - len(terms)][::-1]
-                square = terms[0] + 0.0
-                for term in terms[1:]:
-                    square += term
-                signed[j] = np.einsum("...i,i->...", square, SIGNS)
-            sums.append(signed)
-        return ((sums[0] + sums[1]) * 0.5).real
-
-    g2 = np.stack([metric(r), metric(r.swapaxes(0, 1))])
+        np.multiply(s[1:4, 0], weights, out=x)
+        _signed_squares(x, first, square, term, odd, signed[0])
+        if real:
+            line = s[:3, 1]
+        else:
+            line = np.multiply(s[:3, 1], one, out=x)
+        _signed_squares(line, first, square, term, odd, signed[1])
+        sums = np.add(signed[0, first:], signed[1, first:],
+                      out=signed[0, first:])
+        if real:
+            np.multiply(sums, 0.5, out=g2[k, first:])
+        else:
+            g2[k, first:] = (sums * 0.5).real
+    # freed before the gate, whose own buffers can take their place
+    del x, square, term
+    # a view even where there is no batch axis
+    g0 = g2[0, 0, ...]
     # r_u and r_v at the base point, as raw.du() and raw.dv() hold them
-    ru0, rv0 = r[1, 0] * one, r[0, 1] * one
-    scale = np.sum(np.abs((ru0 - rv0 * 1j) * 0.5) ** 2, axis=-1)
-    ratio = g2[0, 0] / np.maximum(scale, 1e-300)
-    # written so that a NaN ratio fails the gate too
-    if not np.min(ratio) > SPACELIKE_TOL:
-        raise NotSpacelike("induced metric is not positive",
-                           worst=float(np.min(ratio)))
-    g0 = g2[:, 0]
-    # the v line's g0 is the u line's, which alone counts
-    _check_divisor(g2[0, 0], "power or division")
+    if real:
+        _check_spacelike(g0, r[1, 0], r[0, 1])
+    else:
+        _check_spacelike(g0, r[1, 0] * one, r[0, 1] * one)
+    _check_divisor(g0, "power or division")
     # f_d = sum_p f_(d-p) (g_p w) / g_0, w = ((a + 1) p - d) / d, a = -1/2
-    h = np.empty_like(g2)
-    h[:, 0] = g0 ** -0.5
+    h = _aligned((2, 3) + batch)
+    total = _aligned((2,) + batch)
+    np.power(g0, -0.5, out=h[0, 0, ...])
+    h[1, 0] = h[0, 0]
     for d in (1, 2):
-        total = np.zeros_like(g0)
         for p in range(1, d + 1):
-            total += h[:, d - p] * (g2[:, p] * ((0.5 * p - d) / d))
-        np.divide(total, g0, out=h[:, d])
+            np.multiply(g2[:, p], (0.5 * p - d) / d, out=total)
+            np.multiply(h[:, d - p], total, out=total)
+            if p == 1:
+                np.add(total, 0.0, out=h[:, d])
+            else:
+                np.add(h[:, d], total, out=h[:, d])
+        np.divide(h[:, d], g0, out=h[:, d])
     return h
 
 
@@ -608,7 +679,9 @@ def pair_density(raw):
     h itself is formed only on the u and v lines through each point
     (``_line_metric``).  The density is then that of ``canonical_lift``,
     ``_laplacian`` and ``inner`` bit for bit, without forming Y, any
-    derivative of it or the whole metric.
+    derivative of it or the whole metric.  The sums run in three work
+    arrays that start on a cache line; the result is an array of its
+    own.
     """
     if raw.order < 3:
         # the whole metric first, for the errors it raises before this
@@ -617,19 +690,26 @@ def pair_density(raw):
             "the energy density needs a raw lift of order 3 or more",
             order=raw.order)
     h = _line_metric(raw)
-
-    def second(r, g):
-        # Y[2, 0] of Y = r g: the kernel's terms r[p, 0] g[2 - p, 0] for
-        # p = 0, 1, 2, each formed and then added to a sum from 0.0
-        total = 0.0
-        for p in range(3):
-            total = total + r[p, 0] * g[2 - p][..., None]
-        return total
-
-    # Y[0, 2] is Y[2, 0] of the transposed coefficients
-    Yzzb = (second(raw.coef, h[0]) * 2.0
-            + second(raw.coef.swapaxes(0, 1), h[1]) * 2.0) * 0.25
-    return np.real(_value_inner(Yzzb, Yzzb))
+    r = raw.coef
+    ya, yb, term = (_aligned(r.shape[2:], r.dtype) for _ in range(3))
+    # Y[2, 0] of Y = r h, then Y[0, 2], its Y[2, 0] of the transposed
+    # coefficients: the kernel's terms r[p, 0] g[2 - p, 0] for p = 0, 1,
+    # 2, each formed and then added to a sum from 0.0
+    for total, s, g in zip((ya, yb), (r, r.swapaxes(0, 1)), h):
+        np.multiply(s[0, 0], g[2][..., None], out=total)
+        np.add(total, 0.0, out=total)
+        for p in (1, 2):
+            np.multiply(s[p, 0], g[2 - p][..., None], out=term)
+            np.add(total, term, out=total)
+    # Y_zzbar = (Y[2, 0] * 2.0 + Y[0, 2] * 2.0) * 0.25 and its square,
+    # every product out of place, as numpy may multiply a complex element
+    # in place by another rule
+    np.multiply(ya, 2.0, out=term)
+    np.multiply(yb, 2.0, out=ya)
+    np.add(term, ya, out=term)
+    np.multiply(term, 0.25, out=yb)
+    np.multiply(yb, yb, out=term)
+    return np.real(np.einsum("...i,i->...", term, SIGNS))
 
 
 def willmore_operators(inv):

@@ -26,10 +26,18 @@ out to the grid.  Either way each output sums the same terms in
 increasing (p, q) from 0.0, so the bits of a batch entry do not depend
 on the batch around it.  A function of u on its grid line times one
 of v on its line, as in cos(a u) cos(v), skips the plan: it is the
-outer product of the two lines, with the same bits.  What a product
-does that depends only on its operands' shapes and dtypes (the
-broadcast batch, the result dtype, the plan, the output shape) is
-worked out once per signature and kept; a narrow operand broadcast
+outer product of the two lines, with the same bits, and it adds the
+plan's + 0.0 only on the rows of the coefficient triangle it writes.
+That product and a large ``JetVec6.from_components`` write into an
+array that starts on a 64-byte cache line (``_aligned``), as do the
+work arrays of the energy density: numpy's float64 loops run at about
+half speed on an array that starts elsewhere, and glibc's malloc
+promises only 16 bytes.  The plan kernel's and the recurrences' own
+buffers are not: on the small batches they mostly serve, the extra
+allocation costs more than alignment saves.  What a product does
+that depends only on its operands' shapes and dtypes (the broadcast
+batch, the result dtype, the plan, the output shape) is worked out
+once per signature and kept; a narrow operand broadcast
 along its trailing unit axis, the scalar of ``JetVec6 * Jet2`` over the
 six components, is spread by ``np.repeat``.  ``jet.c`` is the
 same coefficients seen batch-first, shape (*batch, K+1, K+1): a
@@ -267,7 +275,25 @@ _PASS = 1 << 14
 #: 1,536 and 6,144 at every K from 3 to 12
 _BLOCK_WRITES = 1 << 12
 
+#: byte boundary on which ``_aligned`` starts an array: one cache line,
+#: and the width of an AVX-512 vector
+_ALIGN = 64
+
 _PLANS = {}
+
+
+def _aligned(shape, dtype=np.float64, fill=np.empty):
+    """A C-contiguous array of ``shape`` and ``dtype`` whose data starts
+    on an _ALIGN-byte boundary, carved from a byte array that ``fill``
+    (``np.empty`` or ``np.zeros``) makes.  glibc's malloc guarantees only
+    16 bytes, and numpy's float64 loops run at about half speed on
+    operands that do not start on a cache line."""
+    dtype = np.dtype(dtype)
+    raw = fill(math.prod(shape) * dtype.itemsize + _ALIGN, np.uint8)
+    # an offset into the buffer, not a slice: an empty slice keeps the
+    # buffer's own start
+    return np.ndarray(shape, dtype, buffer=raw,
+                      offset=-raw.ctypes.data % _ALIGN)
 
 
 def _plan(top, order):
@@ -390,17 +416,21 @@ def _outer(a, b, shape, dtype):
     alone and the other of v alone, or None.  Every term of output
     (j, k) but one multiplies an exact zero, so the plan's sum from 0.0
     is a[j, 0] b[0, k] + 0.0, which turns -0.0 into +0.0; one multiply
-    per row.  On a non-finite line the zero terms would be NaNs."""
+    and one add per row, the add on that row of the triangle alone, as
+    every other entry is a +0.0 of the zeroed output.  The output starts
+    on a cache line (``_aligned``).  On a non-finite line the zero terms
+    would be NaNs."""
     swap = not (_line(a, 0) and _line(b, 1))
     if swap and not (_line(a, 1) and _line(b, 0)):
         return None
     top, side = a.shape[0] - 1, shape[0]
-    out = np.zeros(shape, dtype)
+    out = _aligned(shape, dtype, np.zeros)
     # a v-line a is a u-line with the coefficient axes swapped
     x, y, rows = (s.swapaxes(0, 1) if swap else s for s in (a, b, out))
     for r in range(top + 1):
-        np.multiply(x[r, 0], y[0, :side - r], out=rows[r, :side - r])
-    out += 0.0
+        row = rows[r, :side - r]
+        np.multiply(x[r, 0], y[0, :side - r], out=row)
+        np.add(row, 0.0, out=row)
     return out
 
 
@@ -1119,14 +1149,17 @@ class JetVec6(_Jet):
                  for j in comps]
         # each part is written once into the result, a part that spans
         # fewer axes (a function of one coordinate) broadcast as it goes
-        out = np.empty((order + 1, order + 1) + batch + (6,),
-                       np.result_type(*parts))
+        shape = (order + 1, order + 1) + batch + (6,)
+        dtype = np.result_type(*parts)
         if math.prod(batch) * 6 < _BLOCK_WRITES:
+            out = np.empty(shape, dtype)
             for i, part in enumerate(parts):
                 out[..., i] = part
             return cls._wrap(out)
         # a large batch one coefficient at a time, so its slab stays in
-        # cache; the entries above the triangle are zero
+        # cache, into an array that starts on a cache line; the entries
+        # above the triangle are zero
+        out = _aligned(shape, dtype)
         side = order + 1
         for j in range(side):
             out[j, side - j:] = 0.0

@@ -443,6 +443,63 @@ def test_pair_density_of_a_complex_lift_bit_for_bit():
                                   _reference_density(raw).view(np.int64))
 
 
+def test_pair_density_of_a_lift_with_signed_zeros_bit_for_bit():
+    # a third of the coefficients +0.0 and a fifth -0.0: the sums that
+    # leave out a + 0.0 must still turn every -0.0 the kernel's would
+    rng = np.random.default_rng(13)
+    for order in (3, 4, 5, 3, 4, 5):
+        c = rng.standard_normal((5, 4, 6, order + 1, order + 1)) * 0.3
+        draw = rng.random(c.shape)
+        c[draw < 0.3] = 0.0
+        c[(draw >= 0.3) & (draw < 0.5)] = -0.0
+        # Y_u and Y_v lean on e_1 and e_2, so the metric is positive
+        c[..., 1, 1, 0] = 3.0
+        c[..., 2, 0, 1] = 3.0
+        raw = jets.JetVec6(c)
+        assert np.array_equal(pair_density(raw).view(np.int64),
+                              _reference_density(raw).view(np.int64))
+
+
+def test_pair_density_result_is_not_a_work_array():
+    # the work arrays of a call are not kept, and the result is none of
+    # them: a second call leaves the first result's bits as they were
+    u, v = sample_axes(_TORUS, 24, 24)
+    raw = _TORUS.lift_at(u, v, order=3)
+    density = pair_density(raw)
+    kept = density.copy()
+    other = scaled_chart(catalog_chart("enneper"), 0.7)
+    second = pair_density(other.lift_at(u, v, order=3))
+    assert not np.shares_memory(density, second)
+    assert not np.shares_memory(density, raw.coef)
+    assert np.array_equal(density.view(np.int64), kept.view(np.int64))
+
+
+def _expression_ratio(g0, ru0, rv0):
+    """The NotSpacelike gate's ratio as one numpy expression."""
+    scale = np.sum(np.abs((ru0 - rv0 * 1j) * 0.5) ** 2, axis=-1)
+    return g0 / np.maximum(scale, 1e-300)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (5, 9)])
+@pytest.mark.parametrize("real", [True, False])
+def test_spacelike_gate_reads_the_expression_bit_for_bit(batch, real):
+    rng = np.random.default_rng(len(batch) + real)
+    ru0, rv0 = (rng.standard_normal(batch + (6,))
+                * 10.0 ** rng.uniform(-150.0, 150.0, batch + (6,))
+                for _ in range(2))
+    if not real:
+        ru0 = ru0 + 1j * rng.standard_normal(batch + (6,))
+    ru0.flat[0] = -0.0
+    g0 = -rng.random(batch)
+    want = float(np.min(_expression_ratio(g0, ru0, rv0)))
+    with pytest.raises(NotSpacelike) as gate:
+        frames._check_spacelike(g0, ru0, rv0)
+    assert np.float64(gate.value.context["worst"]).view(np.int64) \
+        == np.float64(want).view(np.int64)
+    # a metric that clears the gate raises nothing
+    frames._check_spacelike(np.full(batch, 1e300), ru0, rv0)
+
+
 def test_pair_density_runs_no_product_and_no_recurrence(monkeypatch):
     # the metric is read on the grid lines, and every sum is written out
     # in the kernel's order, so neither kernel is called
@@ -510,6 +567,26 @@ def test_signed_sum_pairs_even_and_odd_components(shape):
     summed = np.einsum("...i,i->...", q, SIGNS)
     assert np.array_equal(np.asarray(summed).view(np.int64),
                           np.asarray(paired).view(np.int64))
+    # a real line sums its squares as ((q0 + q2) - q4) + ((q1 + q3) - q5):
+    # SIGNS is (1, 1, 1, 1, -1, -1), a sign flip is exact, and x + (-y)
+    # is x - y
+    assert np.array_equal(SIGNS, [1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    flipped = ((q[..., 0] + q[..., 2]) - q[..., 4]) \
+        + ((q[..., 1] + q[..., 3]) - q[..., 5])
+    assert np.array_equal(np.asarray(flipped).view(np.int64),
+                          np.asarray(paired).view(np.int64))
+    # the complex line sums with out=, into a buffer that starts on a
+    # cache line and into a strided slab of a larger one: the v line
+    # writes its degrees 1 and 2 only
+    aligned = jets._aligned(shape[:-1])
+    np.einsum("...i,i->...", q, SIGNS, out=aligned)
+    assert np.array_equal(aligned.view(np.int64),
+                          np.asarray(paired).view(np.int64))
+    if len(shape) > 1:
+        signed = jets._aligned((2,) + shape[:-1])
+        np.einsum("...i,i->...", q[1:], SIGNS, out=signed[1, 1:])
+        assert np.array_equal(signed[1, 1:].view(np.int64),
+                              np.asarray(paired)[1:].view(np.int64))
 
 
 _CHART_NAMES = st.sampled_from(sorted(CATALOG))

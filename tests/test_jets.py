@@ -971,6 +971,7 @@ def test_line_by_line_is_an_outer_product_bit_for_bit(left, right, swapped,
                 got = jets._mul(a, b)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(bits(got), bits(want)), (order, top)
+            assert got.ctypes.data % jets._ALIGN == 0
 
 
 def test_product_that_gives_minus_zero_writes_plus_zero():
@@ -1052,6 +1053,7 @@ def test_from_components_writes_large_batches_per_coefficient(monkeypatch):
     want = JetVec6.from_components(parts).coef
     assert got.dtype == want.dtype == np.complex128
     assert got.shape == want.shape == (5, 5) + batch + (6,)
+    assert got.ctypes.data % jets._ALIGN == 0
     tri = jets._mask(4)
     assert np.array_equal(bits(got[tri]), bits(want[tri]))
     assert not np.any(bits(got[~tri]))
@@ -1059,6 +1061,22 @@ def test_from_components_writes_large_batches_per_coefficient(monkeypatch):
         truncated = np.broadcast_to(part.truncated(4).c, batch + (5, 5))
         assert np.array_equal(JetVec6._wrap(got).component(i).c[..., tri],
                               truncated[..., tri])
+
+
+@pytest.mark.parametrize("fill", [np.empty, np.zeros])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.bool_])
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (7, 5), (2, 3, 6),
+                                   (0,), (4, 0, 6)])
+def test_aligned_arrays_start_on_a_cache_line(shape, dtype, fill):
+    for _ in range(4):
+        out = jets._aligned(shape, dtype, fill)
+        assert out.ctypes.data % jets._ALIGN == 0
+        assert out.shape == shape and out.dtype == dtype
+        assert out.flags.c_contiguous and out.flags.writeable
+        if fill is np.zeros:
+            assert not np.any(out)
+        out[...] = 1
+        assert np.all(out == 1)
 
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
