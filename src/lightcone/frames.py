@@ -1,9 +1,11 @@
 """Canonical lifts, adapted frames and conformal invariants.
 
-Everything here is pointwise jet algebra.  A chart's raw lift is first
-rescaled to the canonical lift Y with <Y_z, Y_zbar> = 1/2; the conformal
-Gauss direction N and a gauged null basis L, R of the normal plane then
-make the invariant scalars plain inner products.
+Everything here is pointwise jet algebra.  A chart's raw lift r is
+rescaled to the canonical lift Y = r g2^(-1/2) with <Y_z, Y_zbar> = 1/2;
+the conformal Gauss direction N, formed from the Laplacian of r so that
+it keeps the order of Y_u (``frame_field``), and a gauged null basis L,
+R of the normal plane then make the invariant scalars plain inner
+products.
 
 The Willmore energy density <Y_zzbar, Y_zzbar> needs no frame and not
 even the whole of Y: ``pair_density`` reads the two Taylor
@@ -81,7 +83,8 @@ GAUGE_PRIMARY = 4
 
 
 def _laplacian(Yu, Yv):
-    """Y_zzbar = (Y_uu + Y_vv) / 4 from the first derivatives of Y.
+    """Y_zzbar = (Y_uu + Y_vv) / 4 from the first derivatives of a lift
+    Y, canonical or raw.
 
     It is real when Y is.  For a real Y it equals the real part of
     Y_z.zbar() bit for bit, less the imaginary part of that form, which
@@ -122,17 +125,25 @@ def _check_spacelike(g0, ru0, rv0):
                            worst=float(np.min(ratio)))
 
 
+def _metric(ru, rv):
+    """The induced metric g2 = 2 <r_z, r_zbar> of a raw lift from its
+    first derivatives r_u and r_v, one order below the lift.  Raises
+    NotSpacelike where it degenerates or flips sign."""
+    # g2 = (<r_u, r_u> + <r_v, r_v>) / 2, formed from real products when
+    # the lift is real
+    g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
+    _check_spacelike(g2.value, ru.value, rv.value)
+    return g2
+
+
 def _inverse_sqrt_metric(raw):
-    """g2^(-1/2) of a raw lift, where g2 = 2 <r_z, r_zbar> is its
-    induced metric: the scalar jet, one order below the lift, that
+    """g2^(-1/2) of a raw lift, where g2 is its induced metric
+    (``_metric``): the scalar jet, one order below the lift, that
     scales it to the canonical one.  Raises NotSpacelike where the
     metric degenerates or flips sign."""
     ru = raw.du()
     rv = raw.dv()
-    # g2 = (<Y_u, Y_u> + <Y_v, Y_v>) / 2, formed from real products when
-    # the lift is real
-    g2 = ((ru.inner(ru) + rv.inner(rv)) * 0.5).real
-    _check_spacelike(g2.value, ru.value, rv.value)
+    g2 = _metric(ru, rv)
     # the u, v derivatives are not needed below; freeing them lowers the
     # memory peak of the power that follows
     del ru, rv
@@ -155,121 +166,208 @@ def _gauged(null, ratio, sign, exponent):
     return null * ratio.power(exponent) * sign
 
 
-class FrameData:
-    """Adapted frame along a chart, all entries jets of equal order
-    except Y (one higher) and its first derivatives.
+def _formed_on_read(form):
+    """A ``FrameData`` property whose piece ``form(frame)`` forms on
+    first read and keeps in the slot of the same name with a leading
+    underscore.  A piece is stored only once whole; two threads that
+    read it first both form it, with the same bits."""
+    slot = "_" + form.__name__
 
-    Y, Y_zzbar, Y_u, Y_v and N are formed with the frame.  The gauged
-    null normals L and R and the Wirtinger derivatives Y_z and Y_zbar
-    are formed on first read, at the order of the frame they are read
-    from, and then kept: L and R from the ungauged pair, the gauge
-    ratio and the sign ``_gauge`` returns, Y_z and Y_zbar from Y_u and
-    Y_v.  A jet coefficient does not depend on the order it is formed at
-    (``jets``), so a piece formed on a truncated frame has the
-    coefficients of the whole frame's piece truncated, bit for bit, and
-    a piece has the same bits whichever pieces were read before it.  Every check
-    that can fail runs when the frame is built, so reading a piece
-    raises nothing.  A piece is stored only once whole; two threads that
-    read it first both form it, with the same bits.
+    def read(self):
+        piece = getattr(self, slot)
+        if piece is None:
+            piece = form(self)
+            setattr(self, slot, piece)
+        return piece
+
+    return property(read, doc=form.__doc__)
+
+
+class FrameData:
+    """Adapted frame along a chart: the canonical lift Y, its first
+    derivatives Y_u and Y_v one order below, and N, L and R at the order
+    of Y_u and Y_v, or lower where ``frame_field`` was asked for less.
+
+    Y, Y_u, Y_v and the Laplacian term M of ``frame_field``, with
+    m = <M, M>, are formed with the frame, at the orders of Y, Y_u, Y_v
+    and N.  N = 2M + 2mY, the gauged null normals L and R, the Wirtinger
+    derivatives Y_z and Y_zbar and Y_zzbar (one order below Y_u, so
+    none on the frame of a raw lift of order 2) are
+    formed on first read, at the order of the frame they are read from,
+    and then kept: L and R from the ungauged pair, the gauge ratio and
+    the sign ``_gauge`` returns, the others from Y, Y_u and Y_v.  A jet
+    coefficient does not depend on the order it is formed at (``jets``),
+    so a piece formed on a truncated frame has the coefficients of the
+    whole frame's piece truncated, bit for bit, and a piece has the same
+    bits whichever pieces were read before it.  Every check that can
+    fail runs when the frame is built, so reading a piece raises
+    nothing.
     """
 
-    __slots__ = ("Y", "Yzzb", "Yu", "Yv", "N", "orientation_det",
+    __slots__ = ("Y", "Yu", "Yv", "M", "_m", "orientation_det",
                  "gauge_axis", "gauge_fallback", "_null", "_ratio",
-                 "_sign", "_L", "_R", "_Yz", "_Yzb")
+                 "_sign", "_N", "_L", "_R", "_Yz", "_Yzb", "_Yzzb")
 
-    def __init__(self, Y, Yzzb, Yu, Yv, N, null, ratio, sign,
-                 orientation_det, gauge_axis):
+    def __init__(self, Y, Yu, Yv, M, m, null, ratio, sign, orientation_det,
+                 gauge_axis):
         self.Y = Y
-        self.Yzzb = Yzzb
         self.Yu = Yu
         self.Yv = Yv
-        self.N = N
+        self.M = M
+        self._m = m
         self._null = null
         self._ratio = ratio
         self._sign = sign
-        self._L = self._R = self._Yz = self._Yzb = None
+        self._N = self._L = self._R = None
+        self._Yz = self._Yzb = self._Yzzb = None
         self.orientation_det = orientation_det
         self.gauge_axis = gauge_axis
         self.gauge_fallback = gauge_axis != GAUGE_PRIMARY
 
-    @property
+    @_formed_on_read
+    def N(self):
+        """The conformal Gauss direction 2M + 2 <M, M> Y."""
+        return self.M * 2.0 + self.Y * (self._m * 2.0)
+
+    @_formed_on_read
     def L(self):
-        L = self._L
-        if L is None:
-            L = self._L = _gauged(self._null[0], self._ratio, self._sign,
-                                  0.5)
-        return L
+        """The gauged left null normal."""
+        return _gauged(self._null[0], self._ratio, self._sign, 0.5)
 
-    @property
+    @_formed_on_read
     def R(self):
-        R = self._R
-        if R is None:
-            R = self._R = _gauged(self._null[1], self._ratio, self._sign,
-                                  -0.5)
-        return R
+        """The gauged right null normal."""
+        return _gauged(self._null[1], self._ratio, self._sign, -0.5)
 
-    @property
+    @_formed_on_read
     def Yz(self):
-        Yz = self._Yz
-        if Yz is None:
-            Yz = self._Yz = (self.Yu - self.Yv * 1j) * 0.5
-        return Yz
+        """Y_z = (Y_u - i Y_v) / 2."""
+        return (self.Yu - self.Yv * 1j) * 0.5
 
-    @property
+    @_formed_on_read
     def Yzb(self):
-        Yzb = self._Yzb
-        if Yzb is None:
-            Yzb = self._Yzb = (self.Yu + self.Yv * 1j) * 0.5
-        return Yzb
+        """Y_zbar = (Y_u + i Y_v) / 2."""
+        return (self.Yu + self.Yv * 1j) * 0.5
+
+    @_formed_on_read
+    def Yzzb(self):
+        """Y_zzbar = (Y_uu + Y_vv) / 4, one order below Y_u."""
+        return _laplacian(self.Yu, self.Yv)
 
     def truncated(self, order):
-        """The frame ``frame_field`` builds from the canonical lift
-        truncated to ``order``: Y at ``order``, its first derivatives one
-        below and Y_zzbar, N, L, R two below.  Every choice the frame
-        makes is made on values, so the truncated frame is that frame
-        bit for bit.  A piece formed here already is truncated; the
-        truncated frame forms the others from truncated inputs when they
-        are read.  Raises OrderExhausted below order 2, where N, L and R
-        would have no coefficient left."""
+        """The frame ``frame_field`` builds from the raw lift truncated
+        to ``order + 1``, asked for N, L and R no higher than this
+        frame's: Y at ``order``, its first derivatives one below and N,
+        L, R there too, or at their own order if that is lower.  Every
+        choice the frame makes is made on values, so the truncated frame
+        is that frame bit for bit.  A piece formed here already is
+        truncated; the truncated frame forms the others from truncated
+        inputs when they are read.  Raises OrderExhausted below order 2:
+        a frame of Y at order 1, which ``frame_field`` builds from a raw
+        lift of order 2, has no Y_zzbar, and a truncated frame keeps
+        every piece."""
         if order < 2:
             raise OrderExhausted(
                 "a frame needs Y of order 2 or more", order=order)
         if order == self.Y.order:
             return self
-        first, second = order - 1, order - 2
+        first = order - 1
+        normal = min(first, self.M.order)
         frame = FrameData(
-            self.Y.truncated(order), self.Yzzb.truncated(second),
-            self.Yu.truncated(first), self.Yv.truncated(first),
-            self.N.truncated(second),
-            tuple(x.truncated(second) for x in self._null),
-            self._ratio.truncated(second), self._sign,
+            self.Y.truncated(order), self.Yu.truncated(first),
+            self.Yv.truncated(first), self.M.truncated(normal),
+            self._m.truncated(normal),
+            tuple(x.truncated(normal) for x in self._null),
+            self._ratio.truncated(normal), self._sign,
             self.orientation_det, self.gauge_axis)
-        for name, at in (("_L", second), ("_R", second), ("_Yz", first),
-                         ("_Yzb", first)):
+        for name, at in (("_N", normal), ("_L", normal), ("_R", normal),
+                         ("_Yz", first), ("_Yzb", first),
+                         ("_Yzzb", first - 1)):
             piece = getattr(self, name)
             if piece is not None:
                 setattr(frame, name, piece.truncated(at))
         return frame
 
 
-def frame_field(Y, *, tol=Tolerances()):
-    """Build the adapted frame from a canonical lift.
+def frame_field(raw, *, tol=Tolerances(), normal_order=None):
+    """Build the adapted frame of a raw light cone lift r.
 
-    N, L, R come out two orders below Y.  The normal plane is the
-    η-orthogonal complement of span{Y, Y_u, Y_v, N}.  At each point the
-    last two right-singular vectors of the η-dual rows of those four
-    values are a Euclidean-orthonormal basis of it (Golub & Van Loan,
-    *Matrix Computations*, §2.5), in whatever ambient coordinates the
-    lift comes.  The basis is rotated to diagonalize its η-Gram at value
-    level, projected off the tangent jets and orthonormalized as jets,
-    so the frame identities hold exactly.
+    Y = r h with h = g2^(-1/2) is the canonical lift, one order below r,
+    with the bits of ``canonical_lift``; Y_u and Y_v are one order
+    lower.  N, L and R come out at ``normal_order``, by default
+    raw.order - 2, the order of Y_u and Y_v; a caller that reads them
+    lower asks for that order and pays for no more.
+
+    N is not formed from Y_zzbar, which would cost r one more order,
+    but from the raw lift's Laplacian r_zzbar, through
+
+        M = h r_zzbar + (h_u Y_u + h_v Y_v) / (2h),
+
+    which needs r only to the order of Y_u.  Since Y = r h,
+
+        Y_zzbar = h r_zzbar + h_z r_zbar + h_zbar r_z + h_zzbar r,
+
+    and r_z = (Y_z - h_z r) / h, so for the real h
+
+        h_z r_zbar + h_zbar r_z = (h_z Y_zbar + h_zbar Y_z) / h
+                                  - 2 h_z h_zbar r / h
+                                = (h_u Y_u + h_v Y_v) / (2h)
+                                  - 2 h_z h_zbar Y / h^2.
+
+    So M = Y_zzbar - cY for the scalar c = h_zzbar / h - 2 h_z h_zbar /
+    h^2: M lies in the central sphere congruence span{Y, Y_z, Y_zbar,
+    Y_zzbar}, the same 4-space for every lift of the surface
+    (Hertrich-Jeromin, *Introduction to Möbius Differential Geometry*,
+    2003).  As Y is null, <M, Y> = <Y_zzbar, Y> = -1/2, and
+    <M, Y_u> = <M, Y_v> = 0; with m = <M, M>, <Y_zzbar, Y_zzbar> is
+    m - c, and
+
+        N = 2 Y_zzbar + 2 <Y_zzbar, Y_zzbar> Y = 2M + 2mY.
+
+    The normal plane is the η-orthogonal complement of
+    span{Y, Y_u, Y_v, N}.  At each point the last two right-singular
+    vectors of the η-dual rows of those four values are a
+    Euclidean-orthonormal basis of it (Golub & Van Loan, *Matrix
+    Computations*, §2.5), in whatever ambient coordinates the lift
+    comes.  The basis is rotated to diagonalize its η-Gram at value
+    level, projected off the tangent jets in the basis {Y, Y_u, Y_v, M},
+    which spans what {Y, Y_u, Y_v, N} spans, and orthonormalized as
+    jets, so the frame identities hold exactly.  N itself is formed only
+    where it is read (``FrameData``).
+
+    Raises OrderExhausted for a raw lift below order 2 and for a
+    ``normal_order`` outside 0..raw.order - 2; NotSpacelike where the
+    induced metric degenerates or flips sign, NormalPlaneDegenerate
+    where the normal complement is not a Lorentzian plane, and the
+    errors of ``_gauge``.
     """
+    if raw.order < 2:
+        raise OrderExhausted("a frame needs a raw lift of order 2 or more",
+                             order=raw.order)
+    order = raw.order - 2 if normal_order is None else normal_order
+    if not 0 <= order <= raw.order - 2:
+        raise OrderExhausted(
+            "N, L and R of a frame take an order from 0 to two below the "
+            "raw lift's", order=raw.order, normal_order=order)
+    ru = raw.du()
+    rv = raw.dv()
+    g2 = _metric(ru, rv)
+    r_zzb = _laplacian(ru, rv).truncated(order)
+    # the u, v derivatives are not needed below; freeing them lowers the
+    # memory peak of the power that follows
+    del ru, rv
+    h = g2.power(-0.5)
+    Y = raw.truncated(raw.order - 1) * h
+    del raw
     Yu = Y.du()
     Yv = Y.dv()
-    Yzzb = _laplacian(Yu, Yv)
-    N = Yzzb * 2.0 + Y * (Yzzb.inner(Yzzb) * 2.0)
+    # h_u / (2h) = -g2_u / (4 g2), a quotient by g2, whose constant term
+    # the power above has checked
+    M = (r_zzb * h + Yu * (g2.du().truncated(order) / g2 * -0.25)
+         + Yv * (g2.dv().truncated(order) / g2 * -0.25))
+    m = M.inner(M).real
+    del r_zzb, h, g2
 
-    order = N.order
     Yt = Y.truncated(order)
     Yut = Yu.truncated(order)
     Yvt = Yv.truncated(order)
@@ -280,12 +378,12 @@ def frame_field(Y, *, tol=Tolerances()):
     Yval = Y.value.real
     Yuval = Yu.value.real
     Yvval = Yv.value.real
-    Nval = N.value.real
+    Nval = M.value.real * 2.0 + Yval * (m.value * 2.0)[..., None]
     dual = np.stack([Yval, Yuval, Yvval, Nval], axis=-2) * SIGNS
     finite = np.all(np.isfinite(dual), axis=(-2, -1))
     dual = np.where(finite[..., None, None], dual, 0.0)
-    h = np.linalg.svd(dual)[2][..., 4:, :]
-    gram = np.einsum("...ic,...jc,c->...ij", h, h, SIGNS)
+    basis = np.linalg.svd(dual)[2][..., 4:, :]
+    gram = np.einsum("...ic,...jc,c->...ij", basis, basis, SIGNS)
     qa, qb, cab = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
     # the basis has unit size, so the η-Gram determinant is scale-free;
     # written so that a NaN discriminant fails the gate too
@@ -299,17 +397,22 @@ def frame_field(Y, *, tol=Tolerances()):
     # timelike with the largest margins; the jet-level Gram-Schmidt
     # below then needs no branches
     phi = (0.5 * np.arctan2(2.0 * cab, qa - qb))[..., None]
-    a1 = h[..., 0, :] * np.cos(phi) + h[..., 1, :] * np.sin(phi)
-    a2 = h[..., 0, :] * (-np.sin(phi)) + h[..., 1, :] * np.cos(phi)
+    a1 = basis[..., 0, :] * np.cos(phi) + basis[..., 1, :] * np.sin(phi)
+    a2 = (basis[..., 0, :] * (-np.sin(phi))
+          + basis[..., 1, :] * np.cos(phi))
 
     def project_off_tangent(a):
-        # a less its parts along Y, Y_u, Y_v, N, where <Y, N> = -1; each
-        # pairing <X, a> with the constant a contracts X's components
-        cy, cu, cv, cn = (
+        # a less its parts along Y, Y_u, Y_v and M: Y_u and Y_v are
+        # orthonormal and orthogonal to Y and M, <Y, Y> = 0,
+        # <Y, M> = -1/2 and <M, M> = m, so the part along the last two
+        # is -(4 m cy + 2 cm) Y - 2 cy M.  Each pairing <X, a> with the
+        # constant a contracts X's components
+        cy, cu, cv, cm = (
             Jet2._wrap(np.einsum("...c,...c->...", X.coef, a * SIGNS))
-            for X in (Yt, Yut, Yvt, N))
+            for X in (Yt, Yut, Yvt, M))
         return JetVec6.constant(a, order) - (
-            Yt * (-cn) + Yut * cu + Yvt * cv + N * (-cy))
+            Yut * cu + Yvt * cv - Yt * (cm * 2.0 + m * cy * 4.0)
+            - M * (cy * 2.0))
 
     m1 = project_off_tangent(a1)
     m2 = project_off_tangent(a2)
@@ -336,7 +439,7 @@ def frame_field(Y, *, tol=Tolerances()):
 
     ratio, sign, gauge_axis = _gauge(L, R, tol)
 
-    return FrameData(Y, Yzzb, Yu, Yv, N, (L, R), ratio, sign,
+    return FrameData(Y, Yu, Yv, M, m, (L, R), ratio, sign,
                      orientation_det=np.abs(det), gauge_axis=gauge_axis)
 
 
@@ -420,7 +523,8 @@ class InvariantSet:
 
     @cached_property
     def s(self):
-        return self._yzz().inner(self.frame.N) * 2.0
+        # 2 <Y_zz, N> = 4 <Y_zz, M>: N = 2M + 2mY and <Y_zz, Y> = 0
+        return self._yzz().inner(self.frame.M) * 4.0
 
     @cached_property
     def alpha(self):
@@ -531,11 +635,15 @@ def invariants(frame, tol=Tolerances()):
 
 def frame_and_invariants(raw, tol=Tolerances()):
     """Adapted frame and invariant scalars of a raw light cone lift,
-    such as ``chart.lift_at(u, v, order)``; the frame is built once
-    and every check runs on this pair.  Raises NonFinite where a
-    coefficient of the lift is NaN or Inf."""
+    such as ``chart.lift_at(u, v, order)``; the frame is built once,
+    with N, L and R three orders below the lift, and every check runs
+    on this pair.  Raises NonFinite where a coefficient of the lift is
+    NaN or Inf."""
     require_finite(raw)
-    frame = frame_field(canonical_lift(raw), tol=tol)
+    # the invariants, and the checks that read them, read N, L and R no
+    # higher than lambda does, which pairs them with Y_zz, three orders
+    # below the raw lift
+    frame = frame_field(raw, tol=tol, normal_order=raw.order - 3)
     return frame, invariants(frame, tol)
 
 

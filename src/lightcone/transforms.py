@@ -5,8 +5,11 @@ innermost one, and one closure per step, and evaluates in one walk: the
 root is lifted once, at jets ``order_cost`` orders above the order asked
 for, and each step frames the raw lift it receives and hands on its
 tagged frame vector.  The costs are raw-to-raw: each step receives a raw
-light cone lift and pays one extra order to re-canonicalize it before
-the frame construction.  No step depends on which conformal coordinate
+light cone lift and frames it directly, so a polar step's null normal
+keeps the order of the canonical lift's first derivatives, two below the
+raw lift (``frames.frame_field``), and an adjoint or envelope step's
+vector is bounded by the derivative of lambda its mu reads, four and
+five below.  No step depends on which conformal coordinate
 frames the surface, so the chain rule carries whatever conformal
 coordinate jets a chain is given through its steps.  A frame forms its
 gauged null normals and Y_z, Y_zbar only when they are read
@@ -29,11 +32,10 @@ from .charts import SurfaceChart, require_finite, sample_axes
 from .errors import (DegenerateTransform, DomainError, OrderExhausted,
                      ParameterOutOfRange, UnknownIdentifier)
 from .frames import (INVARIANTS_ORDER, Tolerances, adjoint_vector,
-                     canonical_lift, envelope_vector, frame_field,
-                     invariants, side_field)
+                     envelope_vector, frame_field, invariants, side_field)
 from .jets import seed_point
 
-POLAR_ORDER_COST = 3
+POLAR_ORDER_COST = 2
 ADJOINT_ORDER_COST = 4
 ENVELOPE_ORDER_COST = 5
 PROBE_GRID = 8
@@ -77,25 +79,22 @@ def _step_lift(step, tol):
     """The closure of one chain step: a raw lift at order k in, the
     step's raw lift at order k - cost out.
 
-    It canonicalizes the raw lift, frames it with the tolerances ``tol``
-    and hands the frame to ``look``, if given.  A polar step's vector,
+    It frames the raw lift with the tolerances ``tol`` and hands the
+    frame to ``look``, if given.  A polar step's vector,
     its side's null normal, is formed first, at the frame's order, so
     that a gate that reads that side reads its truncation and does not
     form it again; once the frame is built it raises nothing.  An
     adjoint or envelope vector can raise DomainError, so it is formed
-    after ``look``, as the gates expect.  The raw lift is
-    dropped before its frame is built and the frame once its vector is
-    taken.
+    after ``look``, as the gates expect.  The raw lift is dropped once
+    its frame is built, and the frame once its vector is taken.
     """
     _, cost, _, side = _STEPS[step]
     polar = step.startswith("polar")
 
     def lift(raw, look=None):
         order = raw.order - cost
-        Y = canonical_lift(raw)
+        frame = frame_field(raw, tol=tol)
         del raw
-        frame = frame_field(Y, tol=tol)
-        del Y
         if polar:
             out = frame.L if side == "left" else frame.R
         if look is not None:
@@ -248,7 +247,7 @@ def _probe(chain, tol, order, on_raw, on_frame):
     u, v = sample_axes(chain, PROBE_GRID, PROBE_GRID)
     raw = chain.walk(u, v, order, on_raw, on_frame, stop=last)
     on_raw(last, raw)
-    on_frame(last, frame_field(canonical_lift(raw), tol=tol))
+    on_frame(last, frame_field(raw, tol=tol))
 
 
 def apply_chain(chart, tags, tol=Tolerances(), *, walk=_probe):

@@ -13,8 +13,7 @@ from lightcone.ambient import ETA, SIGNS, Motion
 from lightcone.analysis import WILLMORE_ORDER, _axis_quadrature
 from lightcone.charts import sample_axes
 from lightcone.dsl import _Parser, _tokenize
-from lightcone.frames import (Tolerances, canonical_lift, frame_field,
-                              pair_density, side_field)
+from lightcone.frames import Tolerances, frame_field, pair_density, side_field
 
 # motions
 
@@ -204,8 +203,7 @@ def sample_frame(chart, nu, nv, order=WILLMORE_ORDER, tol=Tolerances()):
     """Frame of the chart's raw lift at ``order`` on its nu x nv sample
     axes: at ``WILLMORE_ORDER``, the frame ``duality_report`` reads."""
     u, v = sample_axes(chart, nu, nv)
-    return frame_field(canonical_lift(chart.lift_at(u, v, order=order)),
-                       tol=tol)
+    return frame_field(chart.lift_at(u, v, order=order), tol=tol)
 
 
 def count_products(monkeypatch):

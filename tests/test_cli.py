@@ -175,7 +175,7 @@ def test_transform_round_trip_torus(capsys):
     assert code == 0
     assert bundle["chain"] == ["polar_left", "polar_right"]
     assert bundle["final"]["name"] == "torus+L+R"
-    assert bundle["final"]["order_cost"] == 6
+    assert bundle["final"]["order_cost"] == 4
     assert bundle["base_distance"] < 1e-8
     assert bundle["gates"]["willmore_final"]["passed"]
     dev = bundle["duality"]["swillmore_dev"]
@@ -723,15 +723,19 @@ def test_each_chart_sample_builds_one_frame(capsys, monkeypatch, argv,
     calls = []
     original = frames.frame_field
 
-    def counted(Y, **kw):
-        calls.append(Y.order)
-        return original(Y, **kw)
+    def counted(raw, **kw):
+        calls.append(raw.order)
+        return original(raw, **kw)
 
     for module in (frames, transforms):
         monkeypatch.setattr(module, "frame_field", counted)
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert len(calls) == builds
+    # the raw lift order of each frame: the walk starts at the floor plus
+    # two orders a polar step, and the final chart is checked at the floor
+    assert calls == {"torus": [5], "L,R": [9, 7, 5],
+                     "L,R,L": [11, 9, 7, 5]}[argv[-1]]
 
 
 def test_transform_walk_carries_every_gate_order():

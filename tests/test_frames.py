@@ -115,13 +115,15 @@ def test_nan_lift_fails_the_gates():
     u, v = sample_grid(chart, 3, 3)
     raw = chart.lift_at(u, v, order=5)
     raw.c[1, 1, 2, 1, 0] = np.nan  # one first derivative
-    Y = canonical_lift(chart.lift_at(u, v, order=5))
-    Y.c[1, 1, 2, 0, 0] = np.nan  # one value
+    lift = chart.lift_at(u, v, order=5)
+    lift.c[1, 1, 2, 0, 0] = np.nan  # one value
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotSpacelike):
             canonical_lift(raw)
+        with pytest.raises(NotSpacelike):
+            frame_field(raw)
         with pytest.raises(NormalPlaneDegenerate):
-            frame_field(Y)
+            frame_field(lift)
 
 
 @pytest.mark.parametrize("index", [(1, 1, 2, 1, 0), (1, 1, 2, 2, 1)])
@@ -141,7 +143,7 @@ def test_nonfinite_lift_raises_nonfinite(index):
 def test_torus_frame_matches_oracle():
     chart = catalog_chart("torus", t=T)
     th, ph = strip_points()
-    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
+    fr = frame_field(chart.lift_at(th, ph, order=5))
     Yo, Yzo, No, Lo, Ro = oracles.torus_frame_vectors(T, th, ph)
     assert not np.any(fr.gauge_fallback)
     assert np.all(fr.orientation_det > 0)
@@ -208,7 +210,7 @@ def test_value_inner_is_the_value_of_the_jet_inner(real):
 def test_frame_identities_as_jets():
     chart = catalog_chart("catenoid")
     u, v = sample_grid(chart, 4, 4)
-    fr = frame_field(canonical_lift(chart.lift_at(u, v, order=6)))
+    fr = frame_field(chart.lift_at(u, v, order=6))
     k = fr.N.order
     Y = fr.Y.truncated(k)
     Yu = fr.Yu.truncated(k)
@@ -238,7 +240,7 @@ def test_gauge_balance_and_sign():
     chart = catalog_chart("torus", t=T)
     th = np.array([0.0, 0.0, 0.7, 1.9])
     ph = np.array([0.4, 3.0, 1.0, 5.1])
-    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
+    fr = frame_field(chart.lift_at(th, ph, order=5))
     idx = fr.gauge_axis
     sgn = SIGNS[idx]
     pL = sgn * np.take_along_axis(fr.L.value.real, idx[:, None], axis=-1)[:, 0]
@@ -252,7 +254,7 @@ def test_gauge_reference_chain_walks_past_dead_axes():
     # -tau e_3 pairs to zero too, so another axis takes over
     chart = catalog_chart("torus", t=T)
     phi = np.pi - np.arctan(TAU)
-    fr = frame_field(canonical_lift(chart.lift_at(0.0, phi, order=5)))
+    fr = frame_field(chart.lift_at(0.0, phi, order=5))
     assert fr.gauge_fallback
     assert int(fr.gauge_axis) not in (3, 4)
     assert abs(complex(fr.L.inner(fr.L).value)) < 1e-12
@@ -268,7 +270,7 @@ def test_gauge_reference_chain_walks_past_dead_axes():
 def five_halves_null_pair():
     chart = catalog_chart("torus", t=2.5)
     u, v = sample_axes(chart, 16, 16)
-    fr = frame_field(canonical_lift(chart.lift_at(u, v, order=5)))
+    fr = frame_field(chart.lift_at(u, v, order=5))
     return fr.L, fr.R
 
 
@@ -368,7 +370,7 @@ def test_conformal_gauss_data_catalog():
     for name in CATALOG:
         chart = catalog_chart(name)
         u, v = sample_grid(chart, 5, 5)
-        fr = frame_field(canonical_lift(chart.lift_at(u, v, order=4)))
+        fr = frame_field(chart.lift_at(u, v, order=4))
         data = conformal_gauss_data(fr)
         kp = pair_density(chart.lift_at(u, v, order=3))
         assert np.max(np.abs(data["gram_GG"] - 1.0)) < 1e-10, name
@@ -683,7 +685,7 @@ def test_corrupted_frame_breaks_structure():
     # frame identity <L, R> = -1
     chart = catalog_chart("torus", t=T)
     th, ph = strip_points()
-    fr = frame_field(canonical_lift(chart.lift_at(th, ph, order=5)))
+    fr = frame_field(chart.lift_at(th, ph, order=5))
     bad = fr.L * 1.01
     assert np.max(np.abs((bad.inner(fr.R) + 1.0).value)) > 1e-3
 
@@ -736,16 +738,23 @@ def test_truncated_frame_is_the_frame_of_the_truncated_lift(name):
     chart = catalog_chart(name)
     u, v = sample_axes(chart, 4, 4)
     raw = chart.lift_at(u, v, order=10)
-    frame = frame_field(canonical_lift(raw))
-    for order in range(4, 11):
-        small = frame.truncated(order - 1)
-        ref = frame_field(canonical_lift(raw.truncated(order)))
-        for field in FRAME_FIELDS:
-            assert np.array_equal(getattr(small, field).coef,
-                                  getattr(ref, field).coef), (order, field)
-        for field in ("orientation_det", "gauge_axis", "gauge_fallback"):
-            assert np.array_equal(getattr(small, field),
-                                  getattr(ref, field)), (order, field)
+    # N, L and R at the order of Y_u, as a polar step builds them, and
+    # one below, as the checks do; a truncation keeps them no higher
+    for cap in (None, 7):
+        frame = frame_field(raw, normal_order=cap)
+        for order in range(3, 11):
+            small = frame.truncated(order - 1)
+            normal = order - 2 if cap is None else min(order - 2, cap)
+            ref = frame_field(raw.truncated(order), normal_order=normal)
+            for field in FRAME_FIELDS:
+                assert np.array_equal(getattr(small, field).coef,
+                                      getattr(ref, field).coef), (
+                                          cap, order, field)
+            for field in ("orientation_det", "gauge_axis",
+                          "gauge_fallback"):
+                assert np.array_equal(getattr(small, field),
+                                      getattr(ref, field)), (
+                                          cap, order, field)
 
 
 # invariants formed as they are read
@@ -759,8 +768,8 @@ INVARIANT_FIELDS = (
 
 def torus_frame(order):
     chart = catalog_chart("torus", t=T)
-    return frame_field(canonical_lift(
-        chart.lift_at(*sample_axes(chart, 4, 4), order=order)))
+    return frame_field(
+        chart.lift_at(*sample_axes(chart, 4, 4), order=order))
 
 
 @pytest.mark.parametrize("tag", ["L", "R"])
@@ -809,13 +818,15 @@ def test_invariant_fields_are_formed_once_in_any_order():
 
 
 def test_frame_field_makes_a_pinned_number_of_products(monkeypatch):
-    # powers and quotients take no product; a change that adds products
-    # to the frame shows here
+    # the metric and Y = r h (3), M and <M, M> (4), the two projections
+    # (5 each) and the Gram-Schmidt step (6); powers and quotients take
+    # no product, and N, L and R are formed only when read.  A change
+    # that adds products to the frame shows here
     chart = catalog_chart("torus", t=T)
-    Y = canonical_lift(chart.lift_at(*sample_axes(chart, 4, 4), order=8))
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=8)
     products = count_products(monkeypatch)
-    frame_field(Y)
-    assert len(products) == 16
+    frame_field(raw)
+    assert len(products) == 23
 
 
 @pytest.mark.parametrize("tag", ["L", "R"])
@@ -838,12 +849,39 @@ def test_a_polar_step_makes_a_pinned_number_of_products(tag, monkeypatch):
     monkeypatch.setattr(jets, "_recurrence", spy)
     out = chain._lifts[0](raw, functools.partial(on_frame, 0))
     assert out.order == order
-    assert (len(products), len(recurrences)) == (22, 5)
+    assert (len(products), len(recurrences)) == (26, 7)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_polar_order_cost_is_the_orders_a_polar_step_uses_up(name):
+    # the step hands on its null normal at the order the frame forms it,
+    # with no order formed and then truncated away
+    chart = catalog_chart(name)
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=7)
+    frame = frame_field(raw)
+    for step, normal in (("polar_left", frame.L), ("polar_right", frame.R)):
+        out = transforms._step_lift(step, Tolerances())(raw)
+        assert raw.order - out.order == transforms.POLAR_ORDER_COST
+        assert normal.order == out.order
+        assert same_jet_bits(out, normal)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_polar_step_normal_does_not_depend_on_the_raw_order(name):
+    chart = catalog_chart(name)
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=9)
+    for step in ("polar_left", "polar_right"):
+        lift = transforms._step_lift(step, Tolerances())
+        for n in (2, 4, 6):
+            low = lift(raw.truncated(n))
+            for k in (1, 2, 3):
+                high = lift(raw.truncated(n + k)).truncated(low.order)
+                assert same_jet_bits(low, high), (step, n, k)
 
 
 # pieces of a frame formed on first read
 
-LAZY_FIELDS = ("L", "R", "Yz", "Yzb")
+LAZY_FIELDS = ("N", "L", "R", "Yz", "Yzb", "Yzzb")
 
 
 def same_bits(a, b):
@@ -868,23 +906,26 @@ def same_jet_bits(a, b):
 
 def unread(frame):
     """A frame on the same inputs as ``frame`` with no piece formed."""
-    return frames.FrameData(frame.Y, frame.Yzzb, frame.Yu, frame.Yv,
-                            frame.N, frame._null, frame._ratio, frame._sign,
-                            frame.orientation_det, frame.gauge_axis)
+    return frames.FrameData(frame.Y, frame.Yu, frame.Yv, frame.M,
+                            frame._m, frame._null, frame._ratio,
+                            frame._sign, frame.orientation_det,
+                            frame.gauge_axis)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_frame_pieces_read_lazily_are_the_eager_ones(name):
     chart = catalog_chart(name)
     raw = chart.lift_at(*sample_axes(chart, 4, 4), order=10)
-    whole = frame_field(canonical_lift(raw))
+    whole = frame_field(raw)
     # each piece by its formula on the whole frame's inputs
     L0, R0 = whole._null
     ratio, sign = whole._ratio, whole._sign
-    eager = {"L": L0 * ratio.power(0.5) * sign,
+    eager = {"N": whole.M * 2.0 + whole.Y * (whole._m * 2.0),
+             "L": L0 * ratio.power(0.5) * sign,
              "R": R0 * ratio.power(-0.5) * sign,
              "Yz": (whole.Yu - whole.Yv * 1j) * 0.5,
-             "Yzb": (whole.Yu + whole.Yv * 1j) * 0.5}
+             "Yzb": (whole.Yu + whole.Yv * 1j) * 0.5,
+             "Yzzb": (whole.Yu.du() + whole.Yv.dv()) * 0.25}
     for order in range(4, 11):
         for reads in (LAZY_FIELDS, LAZY_FIELDS[::-1]):
             # the first ``before`` pieces read on the whole frame, the
@@ -911,12 +952,12 @@ def test_a_near_zero_gauge_ratio_raises_from_frame_field(monkeypatch):
     # its gauge ratio is about 1e-12, which the powers that gauge L and
     # R refuse
     chart = catalog_chart("torus", t=T)
-    Y = canonical_lift(chart.lift_at(*sample_axes(chart, 4, 4), order=6))
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=6)
     gauge = frames._gauge
     monkeypatch.setattr(frames, "_gauge",
                         lambda L, R, tol: gauge(L * 1e6, R * 1e-6, tol))
     with pytest.raises(DomainError) as err:
-        frame_field(Y)
+        frame_field(raw)
     assert err.value.message == \
         "power or division at a near-zero constant term"
     assert err.value.context["count"] == 16
@@ -926,13 +967,29 @@ def test_a_near_zero_gauge_ratio_raises_from_frame_field(monkeypatch):
 @pytest.mark.parametrize("order", [1, 0, -1])
 def test_a_frame_is_not_truncated_below_order_2(order):
     frame = torus_frame(INVARIANTS_ORDER)
-    assert frame.truncated(2).N.order == 0
+    assert frame.truncated(2).N.order == 1
     with pytest.raises(OrderExhausted) as err:
         frame.truncated(order)
     assert err.value.payload() == {
         "error": "OrderExhausted",
         "message": "a frame needs Y of order 2 or more",
         "context": {"order": order}}
+
+
+def test_frame_field_refuses_orders_it_cannot_form():
+    chart = catalog_chart("torus", t=T)
+    raw = chart.lift_at(*sample_axes(chart, 4, 4), order=INVARIANTS_ORDER)
+    # the checks' frame carries N, L and R where the invariants read them
+    assert frame_and_invariants(raw)[0].N.order == INVARIANTS_ORDER - 3
+    assert frame_field(raw.truncated(2)).L.order == 0
+    with pytest.raises(OrderExhausted) as err:
+        frame_field(raw.truncated(1))
+    assert err.value.context == {"order": 1}
+    for normal_order in (-1, INVARIANTS_ORDER - 1):
+        with pytest.raises(OrderExhausted) as err:
+            frame_field(raw, normal_order=normal_order)
+        assert err.value.context == {"order": INVARIANTS_ORDER,
+                                     "normal_order": normal_order}
 
 
 # a block of grid rows has the bits it has inside the whole grid

@@ -13,7 +13,7 @@ from lightcone.errors import (DegenerateTransform, DomainError,
                               GaugeReferenceDegenerate, NotWillmore,
                               OrderExhausted, ParameterOutOfRange,
                               UnknownIdentifier)
-from lightcone.frames import (Tolerances, adjoint_vector, canonical_lift,
+from lightcone.frames import (Tolerances, adjoint_vector,
                               frame_and_invariants, frame_field, invariants)
 from lightcone.jets import seed_point
 from lightcone.transforms import (TransformedSurface, apply_chain,
@@ -216,7 +216,7 @@ def test_chain_mechanics(torus):
     chain = apply_chain(torus, "L,R")
     assert chain.name == "torus+L+R"
     assert chain.steps == ("polar_left", "polar_right")
-    assert chain.order_cost == 6
+    assert chain.order_cost == 4
     assert "torus_pq" not in chain.meta
     long_form = apply_chain(torus, ["polar_left", "polar_right"])
     assert long_form.steps == chain.steps
@@ -273,7 +273,7 @@ def test_chain_refuses_jets_below_its_order_cost(torus):
             with pytest.raises(OrderExhausted) as err:
                 chart.evaluate(*seed_point(0.3, 0.4, k))
             assert err.value.context == {"chart": "torus+L", "order": k,
-                                         "order_cost": 3}
+                                         "order_cost": 2}
     raw = pl.evaluate(*seed_point(0.3, 0.4, pl.order_cost))
     assert raw.order == 0
     assert np.array_equal(raw.value,
@@ -313,7 +313,7 @@ def test_order_cost_carries_through_wrappers(torus):
     assert moved_chart(adjoint, motion).order_cost == 4
     assert scaled_chart(adjoint, 2.0).order_cost == 4
     outer = apply_chain(moved_chart(adjoint, motion), "L")
-    assert outer.order_cost == 7
+    assert outer.order_cost == 6
     assert outer.root.order_cost == 4
 
 
@@ -388,11 +388,11 @@ def nested(chart, tags):
                                              "left"),
     }
     for tag in tags.split(","):
-        cost = 4 if tag.startswith("adj") else 3
+        cost = 4 if tag.startswith("adj") else 2
 
         def lift(U, V, base=chart, tag=tag, cost=cost):
             raw = base.evaluate(U, V)
-            frame = frame_field(canonical_lift(raw))
+            frame = frame_field(raw)
             return vectors[tag](frame).truncated(raw.order - cost)
 
         step = SurfaceChart(chart.name + "+" + tag, lift, chart.domain,
@@ -435,10 +435,10 @@ def test_probe_frames_each_prefix_once(torus, monkeypatch):
     orders = []
     original = transforms.frame_field
 
-    def counted(Y, **kw):
-        orders.append(Y.order + 1)
-        return original(Y, **kw)
+    def counted(raw, **kw):
+        orders.append(raw.order)
+        return original(raw, **kw)
 
     monkeypatch.setattr(transforms, "frame_field", counted)
     apply_chain(torus, "L,R,L")
-    assert orders == [10, 7, 4]
+    assert orders == [8, 6, 4]
